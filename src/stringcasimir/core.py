@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _check_finite(cfg, *fields):
+    for name in fields:
+        if not math.isfinite(getattr(cfg, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(cfg, name)}")
+
+
 @dataclass(frozen=True)
 class StringConfig:
     """Two-piece closed string: total length, length ratio, tension ratio.
@@ -63,6 +69,7 @@ class StringConfig:
     total_length: float = math.pi
 
     def __post_init__(self):
+        _check_finite(self, "length_ratio", "tension_ratio", "total_length")
         if not self.total_length > 0:
             raise DomainError(f"total_length must be positive, got {self.total_length}")
         if not self.length_ratio > 0:
@@ -72,12 +79,18 @@ class StringConfig:
         if self.tension_ratio > 1.0:
             object.__setattr__(self, "tension_ratio", 1.0 / self.tension_ratio)
 
+    # The shorter piece is computed directly and the longer one as the
+    # remainder, so both keep their relative accuracy at any s.
     @property
     def piece_length_i(self):
+        if self.length_ratio < 1.0:
+            return self.total_length - self.piece_length_ii
         return self.total_length / (1.0 + self.length_ratio)
 
     @property
     def piece_length_ii(self):
+        if self.length_ratio < 1.0:
+            return self.length_ratio * self.total_length / (1.0 + self.length_ratio)
         return self.total_length - self.piece_length_i
 
 
@@ -92,6 +105,7 @@ class NPieceConfig:
     def __post_init__(self):
         if not (isinstance(self.piece_pairs, (int, np.integer)) and self.piece_pairs >= 1):
             raise DomainError(f"piece_pairs must be an integer >= 1, got {self.piece_pairs}")
+        _check_finite(self, "tension_ratio", "total_length")
         if not self.total_length > 0:
             raise DomainError(f"total_length must be positive, got {self.total_length}")
         if self.tension_ratio < 0:
@@ -257,20 +271,32 @@ def _log1mexp(x):
         )
 
 
-def _growth_gap(q, w):
-    # G - 1 where G = e^{-q/2} sinh(theta/2) * sqrt(w) + ... ; concretely
-    # G = h + sqrt(h^2 + w e^{-q}) with h = (1 - e^{-q})/2, so that
-    # theta - q = 2 ln G - ln w.  Written so G - 1 -> -(1-w) e^{-q} exactly
-    # at large q (no cancellation).
+def _log_growth(q, x):
+    # ln G, where theta - q = 2 ln G - ln w and G = h + sqrt(h^2 + w e^{-q}),
+    # h = (1 - e^{-q})/2.  With c = (1 + e^{-q})/2 and w = 1 - alpha^2,
+    # G - 1 = -alpha^2 e^{-q} / (c + sqrt(h^2 + w e^{-q})): a quotient of
+    # positive terms.  ln G is its log1p near G = 1 and the log of G itself
+    # where G is small (x -> 0 and q -> 0).
     em = np.exp(-q)
     h = -0.5 * np.expm1(-q)
-    s = np.sqrt(h * h + w * em)
-    return -0.5 * em + em * (w - 0.5 * h - 0.25) / (s + 0.5)
+    root = np.sqrt(h * h + _weight(x) * em)
+    gap = -alpha_param(x) ** 2 * em / (0.5 * (1.0 + em) + root)
+    with np.errstate(divide="ignore"):  # np.where evaluates both branches
+        return np.where(gap < -0.5, np.log(h + root), np.log1p(gap))
 
 
-def _theta_minus_q(q, w):
-    # lambda_pm(iq) = w exp(+-theta) with sinh(theta/2) = sinh(q/2)/sqrt(w)
-    return 2.0 * np.log1p(_growth_gap(q, w)) - math.log(w)
+def _theta_minus_q(q, x):
+    # delta = theta - q >= 0, where sinh(theta/2) = sinh(q/2) / sqrt(w).
+    # sinh(theta/2) - sinh(q/2) = 2 cosh((theta+q)/4) sinh(delta/4) equals
+    # sinh(q/2) alpha^2 / (sqrt(w) (1 + sqrt(w))), so delta is a product of
+    # positive terms, accurate as q -> 0 and as w -> 1.  Past q = 700 it no
+    # longer changes in double precision, which keeps sinh finite.
+    w = _weight(x)
+    u = np.minimum(q, 700.0) / 2.0
+    v = np.arcsinh(np.sinh(u) / math.sqrt(w))
+    ratio = np.sinh(u) / np.cosh((u + v) / 2.0)
+    root = math.sqrt(w)
+    return 4.0 * np.arcsinh(ratio * alpha_param(x) ** 2 / (2.0 * root * (1.0 + root)))
 
 
 def dispersion_2n(q, cfg, slow_exact=False):
@@ -311,7 +337,7 @@ def dispersion_2n(q, cfg, slow_exact=False):
         # decoupled limit: D_N -> -(2 sinh(q/2))^{2N}
         return -math.exp(2.0 * n * (math.log(2.0) + float(log_sinh(q / 2.0))))
     w = _weight(x)
-    theta = q + float(_theta_minus_q(q, w))
+    theta = q + float(_theta_minus_q(q, x))
     return -math.exp(
         math.log(4.0) + n * math.log(w) + 2.0 * float(log_sinh(n * theta / 2.0))
     )
@@ -321,13 +347,16 @@ def imag_axis_log_ratio(xi, cfg):
     """Log of the two-piece dispersion ratio on the imaginary frequency axis.
 
     ln[(F + sinh(xi L_I) sinh(s xi L_I) / sinh^2(xi L / 2)) / (F + 1)]
-      = log1p(-(sinh(d xi / 2) / sinh(L xi / 2))^2 / (F + 1)),
+      = log1p(-r^2 / (F + 1)),   r = sinh(d xi / 2) / sinh(L xi / 2),
 
     where d = L |s-1|/(s+1) is the piece-length difference.  This is the
     zero-temperature contour integrand and the Matsubara summand; it is
     <= 0 everywhere, equals log1p(-((s-1)/(s+1))^2 / (F+1)) at xi = 0, and
-    decays like exp(-2 xi min(L_I, L_II)).  Identically zero for s = 1 or
-    x = 1.  Accepts scalar or array xi >= 0.
+    decays like exp(-2 xi min(L_I, L_II)).  ln r is formed as
+    -m xi + ln(1 - e^{-d xi}) - ln(1 - e^{-L xi}) with m = min(L_I, L_II),
+    so the parts linear in xi cancel algebraically, not in rounding, and
+    the relative accuracy holds for every s.  Identically zero for s = 1
+    or x = 1.  Accepts scalar or array xi >= 0.
     """
     xi = np.asarray(xi, dtype=float)
     scalar = xi.ndim == 0
@@ -338,11 +367,12 @@ def imag_axis_log_ratio(xi, cfg):
     if cfg.tension_ratio != 1.0 and s != 1.0:
         f = _contrast_or_zero(cfg.tension_ratio)
         d = length * abs(s - 1.0) / (s + 1.0)
+        m = min(cfg.piece_length_i, cfg.piece_length_ii)
         r = np.empty_like(xi)
         zero = xi == 0.0
         r[zero] = d / length
-        nz = ~zero
-        r[nz] = np.exp(log_sinh(d * xi[nz] / 2.0) - log_sinh(length * xi[nz] / 2.0))
+        nz = xi[~zero]
+        r[~zero] = np.exp(-m * nz + _log1mexp(d * nz) - _log1mexp(length * nz))
         out = np.log1p(-r * r / (f + 1.0))
     return float(out[0]) if scalar else out
 
@@ -356,7 +386,10 @@ def imag_axis_log_ratio_2n(q, cfg):
     Finite limit (N-1) ln w at q = 0 for x > 0.  At x = 0 the expression
     degenerates to 2 ln[2^{N-1} sinh^N(q/2) / sinh(Nq/2)] with an
     integrable log singularity at q = 0.  Identically zero for N = 1 or
-    x = 1.  Accepts scalar or array q >= 0.
+    x = 1.  Evaluated as N(ln w + delta) + 2 ln[1 + (1 - e^{-N delta}) /
+    (e^{Nq} - 1)] with delta = theta - q, each factor formed without a
+    difference of nearly equal terms, so the relative accuracy holds as
+    q -> 0 and as x -> 1.  Accepts scalar or array q >= 0.
     """
     q = np.asarray(q, dtype=float)
     scalar = q.ndim == 0
@@ -372,11 +405,9 @@ def imag_axis_log_ratio_2n(q, cfg):
         out = 2.0 * (n * _log1mexp(q) - _log1mexp(n * q))
         out[q == 0.0] = -np.inf
         return float(out[0]) if scalar else out
-    w = _weight(x)
     zero = q == 0.0
-    gap = _growth_gap(q, w)
-    theta = q + 2.0 * np.log1p(gap) - math.log(w)
-    with np.errstate(invalid="ignore"):
-        out = 2.0 * n * np.log1p(gap) + 2.0 * (_log1mexp(n * theta) - _log1mexp(n * q))
-    out[zero] = (n - 1) * math.log(w)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        growth = -np.expm1(-n * _theta_minus_q(q, x)) / np.expm1(n * q)
+        out = 2.0 * n * _log_growth(q, x) + 2.0 * np.log1p(growth)
+    out[zero] = 2.0 * (n - 1) * float(_log_growth(0.0, x))  # (N-1) ln w
     return float(out[0]) if scalar else out

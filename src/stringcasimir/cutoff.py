@@ -9,14 +9,14 @@ rather than the contour machinery it cross-checks.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import StringConfig
 from .energy import EnergyResult
 from .errors import DomainError, ExtrapolationUnstableError, SpectrumTruncationError
-from .spectrum import Spectrum, find_spectrum, uniform_spectrum
+from .spectrum import _BISECT_RTOL, Spectrum, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
 
@@ -36,6 +36,7 @@ class CutoffResult:
     extrapolated_energy: float
     epsilon_samples: tuple  # ((eps, damped_difference), ...) decreasing in eps
     fit_residual: float
+    _root_error: float = field(default=0.0, repr=False)  # see casimir_by_cutoff
 
     def __post_init__(self):
         eps = [e for e, _ in self.epsilon_samples]
@@ -45,7 +46,13 @@ class CutoffResult:
             raise DomainError("fit_residual must be finite")
 
     def as_energy_result(self):
-        return EnergyResult(self.extrapolated_energy, "cutoff-oracle", self.fit_residual)
+        """The energy with an error bar: how far c0 moves when the fit takes
+        one more power of eps, plus what the spectrum's root tolerance can
+        move it.  The fit residual itself is 10-20 times too small."""
+        eps, diffs = np.array(self.epsilon_samples).T
+        cubic = np.polynomial.polynomial.polyfit(eps, diffs, 3)[0]
+        bar = abs(cubic - self.extrapolated_energy) + self._root_error
+        return EnergyResult(self.extrapolated_energy, "cutoff-oracle", bar)
 
 
 def damped_mode_sum(spec, epsilon):
@@ -96,9 +103,8 @@ def casimir_by_cutoff(cfg, epsilons=None):
     composite = find_spectrum(cfg, omega_max)
     uniform = uniform_spectrum(length, omega_max)
 
-    diffs = np.array(
-        [damped_mode_sum(composite, e) - damped_mode_sum(uniform, e) for e in epsilons]
-    )
+    sums = np.array([[damped_mode_sum(sp, e) for sp in (composite, uniform)] for e in epsilons])
+    diffs = sums[:, 0] - sums[:, 1]
     eps = np.array(epsilons)
     coeffs = np.polynomial.polynomial.polyfit(eps, diffs, 2)
     fit = np.polynomial.polynomial.polyval(eps, coeffs)
@@ -114,4 +120,9 @@ def casimir_by_cutoff(cfg, epsilons=None):
             },
         )
     samples = tuple(zip(epsilons, diffs.tolist()))
-    return CutoffResult(extrapolated_energy=c0, epsilon_samples=samples, fit_residual=residual)
+    # A root off by r w moves its term w e^{-eps w} by r |1 - eps w| w e^{-eps w};
+    # over a mode density like the uniform one that sums to at most 3 r times
+    # the damped sum.  c0 weighs the samples by the fit's first pseudo-inverse row.
+    weights = np.abs(np.linalg.pinv(np.vander(eps, 3, increasing=True))[0])
+    root_error = 4.0 * _BISECT_RTOL * float(weights @ sums.sum(axis=1))
+    return CutoffResult(c0, samples, residual, root_error)

@@ -8,35 +8,33 @@ frequency axis:
     two-piece:  E = (1/2 pi) Int_0^inf ln|ratio(xi)| d xi
     2N-piece:   E_N(x) = (N / 2 pi L) Int_0^inf ln|ratio_N(q)| dq
 
-Both integrands are computed in the cancellation-free forms of
-:mod:`.core`; they vanish identically in the degenerate cases (s = 1,
-x = 1, N = 1), are negative otherwise, and decay exponentially, so the
-integrals are truncated where the tail drops below 1e-18 and evaluated by
-adaptive quadrature.
+The integrands come from :mod:`.core`.  They vanish identically in the
+degenerate cases (s = 1, x = 1, N = 1), are negative otherwise, and decay
+exponentially, so the integrals are truncated where the rest falls below
+e^{-40} of the whole.  Each is a trapezoid sum after the double-exponential
+map q = scale exp(t - e^{-t}), which resolves the piece scales and the
+q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`.
 """
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, imag_axis_log_ratio_2n
+from .core import NPieceConfig, StringConfig, dispersion_2n
+from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 from .errors import DomainError, QuadratureError
 
-__all__ = [
-    "EnergyResult",
-    "casimir_two_piece",
-    "casimir_two_piece_x0",
-    "casimir_2n",
-    "casimir_2n_x0",
-    "scaling_function",
-    "scaling_fit",
-]
+__all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir_2n",
+           "casimir_2n_x0", "scaling_function", "scaling_fit"]
 
-_QUAD_EPSABS = 1e-12
-_QUAD_EPSREL = 1e-11
-_QUAD_RAISE_ABOVE = 1e-7
+# Relative evaluation error allowed per node.  It also covers what the
+# truncation points drop, which is below e^{-40} of the sum.
+_NOISE = 64.0 * sys.float_info.epsilon
+_BLOCK = 1 << 14  # nodes per call of the integrand, which bounds memory
+_MAX_NODES = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -54,18 +52,69 @@ class EnergyResult:
             raise DomainError(f"unknown method tag {self.method!r}")
 
 
-def _quad_checked(fn, lo, hi, prefactor, tail_bound=0.0, points=None):
-    val, est = quad(
-        fn, lo, hi, limit=400, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, points=points
-    )
-    err = abs(prefactor) * est + tail_bound
-    if est > _QUAD_RAISE_ABOVE:
-        raise QuadratureError(
-            f"quadrature error estimate {est:.3e} exceeds target",
-            best_estimate=prefactor * val,
-            abs_error=err,
-        )
-    return prefactor * val, err
+def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
+    """Trapezoid sums S(h) = h [g(a)/2 + sum_{m>=1} g(a + m h)], a + m h <= b,
+    with h = step, step/2, ..., each level evaluating only its new nodes.
+
+    The noise bound is _NOISE h sum|g| + ``floor``, the caller's bound on other
+    evaluation error.  A level is accepted when |S(h) - S(2h)| is within it
+    and shrank eightfold, as only faster than geometric convergence does.
+    With ``halvings`` = K the level step/2^K is itself the answer (a Matsubara
+    lattice), returned with the noise bound if no earlier level is accepted;
+    without, two differences within noise in a row also end the sums.
+    Returns (value, error bound, evaluations); raises past _MAX_NODES.
+    """
+    parts, mass, evals = [], 0.0, 0
+    value = diff = bound = math.nan
+    for k in itertools.count():
+        h = step / 2**k
+        top = int((b - a) / h)
+        first, stride = (0, 1) if k == 0 else (1, 2)
+        evals += (top - first) // stride + 1
+        if evals > _MAX_NODES:
+            raise QuadratureError(f"sum needs over {_MAX_NODES} nodes", value, abs_error=diff)
+        for lo in range(first, top + 1, stride * _BLOCK):
+            v = g(a + h * np.arange(lo, min(lo + stride * _BLOCK, top + 1), stride))
+            if lo == 0:
+                v[0] *= 0.5
+            parts.append(math.fsum(v))
+            mass += float(np.sum(np.abs(v)))
+        value, prev = h * math.fsum(parts), value
+        last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + floor
+        if k == halvings:
+            return value, bound, evals
+        if diff <= bound and (8.0 * diff <= last or halvings is None and last <= last_bound):
+            return value, diff + bound, evals
+
+
+def _contour(f, scale, q_max, floor=0.0):
+    """Int_0^q_max f(q) dq as an EnergyResult, through q = scale exp(t - e^{-t})
+    from t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max."""
+
+    def g(t):
+        e = np.exp(-t)
+        q = scale * np.exp(t - e)
+        return f(q) * q * (1.0 + e)
+
+    y = math.log(q_max / scale)  # q(y + e^{-y}) is just above q_max
+    value, err, _ = _trapezoid(g, -4.5, y + math.exp(-y), 0.5, floor=floor)
+    return EnergyResult(value, "contour", err)
+
+
+def _two_piece_integrand(cfg):
+    """(1/2 pi) ln|ratio(xi)| and its truncation point; it decays like e^{-2 m xi}."""
+    m = min(cfg.piece_length_i, cfg.piece_length_ii)
+    return (lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)), 21.0 / m
+
+
+def _two_n_integrand(cfg):
+    """(N / 2 pi L) ln|ratio_N(q)| and its truncation point: it decays like
+    2N exp(-q).  At x = 0 the q = 0 value is the dropped zero mode, 0."""
+    n = cfg.piece_pairs
+    prefactor = n / (2.0 * math.pi * cfg.total_length)
+    n0 = 0.0 if cfg.tension_ratio == 0.0 else imag_axis_log_ratio_2n(0.0, cfg)
+    f = lambda q: prefactor * np.where(q > 0.0, imag_axis_log_ratio_2n(q, cfg), n0)
+    return f, 48.0 + math.log(1.0 + n)
 
 
 def casimir_two_piece(cfg):
@@ -76,17 +125,10 @@ def casimir_two_piece(cfg):
     """
     if not isinstance(cfg, StringConfig):
         raise DomainError("casimir_two_piece expects a StringConfig")
-    if cfg.tension_ratio == 1.0 or cfg.length_ratio == 1.0:
-        method = "analytic-limit" if cfg.tension_ratio == 1.0 else "contour"
-        return EnergyResult(0.0, method, 0.0)
-    # integrand decays like exp(-2 xi min(L_I, L_II))
-    d_min = min(cfg.piece_length_i, cfg.piece_length_ii)
-    xi_max = 21.0 / d_min
-    tail = math.exp(-2.0 * d_min * xi_max) / (2.0 * d_min)
-    value, err = _quad_checked(
-        lambda xi: imag_axis_log_ratio(xi, cfg), 0.0, xi_max, 1.0 / (2.0 * math.pi), tail
-    )
-    return EnergyResult(value, "contour", err)
+    if cfg.tension_ratio == 1.0:
+        return EnergyResult(0.0, "analytic-limit", 0.0)
+    f, xi_max = _two_piece_integrand(cfg)
+    return _contour(f, 1.0 / cfg.total_length, xi_max)
 
 
 def casimir_two_piece_x0(s, total_length):
@@ -104,36 +146,33 @@ def casimir_2n(cfg, slow_exact=False):
 
     E_1 = 0 for every x; |E_N| grows with N at fixed x < 1.  At x = 0 the
     integrand has an integrable logarithmic singularity at q = 0, which
-    the adaptive quadrature resolves directly.  ``slow_exact`` recomputes
-    the integrand through explicit system-matrix powers (x > 0 only) as a
+    the double-exponential map resolves.  ``slow_exact`` recomputes the
+    integrand through explicit system-matrix powers (x > 0 only) as a
     cross-check of the eigenvalue-power route.
     """
     if not isinstance(cfg, NPieceConfig):
         raise DomainError("casimir_2n expects an NPieceConfig")
     n = cfg.piece_pairs
-    length = cfg.total_length
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    prefactor = n / (2.0 * math.pi * length)
-    q_max = 48.0 + math.log(1.0 + n)
-    if slow_exact:
-        from .core import dispersion_2n, log_sinh
+    f, q_max = _two_n_integrand(cfg)
+    if not slow_exact:
+        return _contour(f, 1.0 / n, q_max)
+    # Matrix powers overflow past e^700; for N > 13 the truncation then drops
+    # up to the tail below.  Under q = 1e-4/N, 2 - tr(M^N) keeps too few digits
+    # and the q -> 0 value stands in; the floor adds the rounding (16 N eps).
+    q_max = min(q_max, 650.0 / n)
+    prefactor = n / (2.0 * math.pi * cfg.total_length)
 
-        def integrand(q):
-            if q == 0.0:
-                return float(imag_axis_log_ratio_2n(0.0, cfg))
-            d = dispersion_2n(q, cfg, slow_exact=True)
-            return math.log(abs(d)) - math.log(4.0) - 2.0 * float(log_sinh(n * q / 2.0))
+    def slow(q):
+        if q < 1e-4 / n:
+            return prefactor * imag_axis_log_ratio_2n(0.0, cfg)
+        d = dispersion_2n(q, cfg, slow_exact=True)
+        return prefactor * math.log(abs(d) / (4.0 * math.sinh(n * q / 2.0) ** 2))
 
-        q_max = min(q_max, 650.0 / n)  # matrix powers overflow past exp(~700)
-    else:
-        integrand = lambda q: float(imag_axis_log_ratio_2n(q, cfg))
-    # resolve the dip near q ~ sqrt(w) when the tension ratio is small
-    w = 4.0 * cfg.tension_ratio / (1.0 + cfg.tension_ratio) ** 2
-    points = [math.sqrt(w), 1.0] if 0.0 < w < 1.0 else None
-    tail = 2.0 * n * math.exp(-q_max)
-    value, err = _quad_checked(integrand, 0.0, q_max, prefactor, tail, points=points)
-    return EnergyResult(value, "contour", err)
+    tail = 2.0 * (n + 1) * math.exp(-q_max) * (q_max + 1.0)
+    floor = (1e3 * sys.float_info.epsilon * n * q_max + tail) * prefactor
+    return _contour(np.vectorize(slow), 1.0 / n, q_max, floor)
 
 
 def casimir_2n_x0(piece_pairs, total_length):

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DomainError, QuadratureError
 from .modular import log_abs_dedekind_eta
@@ -157,6 +156,15 @@ def _ln_theta3_minus_one(a):
     return math.log(2.0) - a + math.log1p(extra)
 
 
+def _logsumexp(a, weights=1.0):
+    """ln sum(weights e^a) for positive weights, shifted by max(a) so that
+    no exponential overflows."""
+    top = float(np.max(a))
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.sum(weights * np.exp(a - top))))
+
+
 def _log_integrand_tau1_integrated(tau2, s, beta, t, n_tau1):
     """ln of the tau_1-integrated integrand at one tau_2 (log-space)."""
     a = beta * beta * t / (8.0 * math.pi**2 * tau2)
@@ -166,7 +174,7 @@ def _log_integrand_tau1_integrated(tau2, s, beta, t, n_tau1):
     z = (1.0 + s) * (tau1 + 1j * tau2)
     ln_eta_c = log_abs_dedekind_eta(z)
     # trapezoid over the periodic tau_1 direction, weight 1/n each
-    ln_tau1_integral = logsumexp(-48.0 * ln_eta_c) - math.log(n_tau1)
+    ln_tau1_integral = _logsumexp(-48.0 * ln_eta_c) - math.log(n_tau1)
     return ln_theta - 24.0 * ln_eta_imag - 14.0 * math.log(tau2) + ln_tau1_integral
 
 
@@ -231,7 +239,7 @@ def _log_octave_integral(lo, hi, s, beta, t, n_tau1):
     logs = np.array(
         [_log_integrand_tau1_integrated(math.exp(u), s, beta, t, n_tau1) + u for u in us]
     )
-    return float(logsumexp(logs, b=_GL_WEIGHTS * half))
+    return _logsumexp(logs, _GL_WEIGHTS * half)
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):

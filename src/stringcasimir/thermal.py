@@ -1,34 +1,28 @@
 """Finite-temperature Casimir energies by Matsubara summation.
 
-The thermal energy replaces the imaginary-axis integral of
-:mod:`.energy` by a primed sum over Matsubara frequencies xi_n = 2 pi n T
-(n = 0 term at half weight, evaluated through the analytic xi -> 0 limit
-of the summand), truncated once the summands fall below 1e-16 with a
-geometric tail bound folded into the error estimate.
+The thermal energy replaces the imaginary-axis integral of :mod:`.energy`
+by the primed sum over Matsubara frequencies xi_n = 2 pi n T (n = 0 term
+at half weight, evaluated through the analytic xi -> 0 limit of the
+summand): the trapezoid rule with step 2 pi T for the same integral.  It
+is summed over sub-lattices from 8 to 15 nodes down to the full lattice.
+The summand is even and analytic for x > 0, so the sub-lattice sums
+converge exponentially; once two agree within rounding the sum stops, at a
+cost bounded in T.  At x = 0 the dropped 2N zero mode leaves a T ln T term
+and the full lattice is summed.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
-from .energy import EnergyResult
+from .core import NPieceConfig, imag_axis_log_ratio, log_sinh
+from .energy import EnergyResult, _trapezoid, _two_n_integrand, _two_piece_integrand
 from .errors import DomainError
 
-__all__ = [
-    "ThermalConfig",
-    "casimir_two_piece_thermal",
-    "high_t_limit",
-    "mirror_limit",
-    "casimir_2n_thermal",
-    "casimir_2n_thermal_x0",
-    "frequency_ratio",
-]
-
-_TERM_CUTOFF = 1e-16
-_BLOCK = 256
-_MAX_TERMS = 10**7
+__all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
+           "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +32,8 @@ class ThermalConfig:
     temperature: float
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise DomainError(f"temperature must be nonnegative, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise DomainError(f"temperature must be finite and >= 0, got {self.temperature}")
 
     def matsubara(self, n):
         return 2.0 * math.pi * n * self.temperature
@@ -51,33 +45,11 @@ class ThermalConfig:
         return 1.0 / self.temperature
 
 
-def _primed_sum(term_fn, n0_value, temperature):
-    """T [ n0/2 + sum_{n>=1} term(n) ] with truncation and tail bound.
-
-    Stops after three consecutive summands below the cutoff; the error
-    estimate is the geometric bound last/(1 - ratio) scaled by T.
-    """
-    total = 0.5 * n0_value
-    last = abs(n0_value)
-    prev = None
-    small_streak = 0
-    n = 1
-    while n < _MAX_TERMS and small_streak < 3:
-        ns = np.arange(n, n + _BLOCK)
-        terms = term_fn(ns)
-        for t in terms:
-            total += t
-            if abs(t) < _TERM_CUTOFF:
-                small_streak += 1
-                if small_streak >= 3:
-                    break
-            else:
-                small_streak = 0
-                prev, last = last, abs(t)
-        n += _BLOCK
-    ratio = min(last / prev, 0.9) if prev and prev > 0 else 0.5
-    tail = last * ratio / (1.0 - ratio)
-    return temperature * total, temperature * tail
+def _matsubara(f, b, h, floor=0.0):
+    """h/(2 pi) [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result."""
+    k = max(0, int(b / h).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
+    value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k, floor=floor)
+    return EnergyResult(value, "matsubara", err)
 
 
 def casimir_two_piece_thermal(cfg, th):
@@ -90,13 +62,8 @@ def casimir_two_piece_thermal(cfg, th):
         raise DomainError("casimir_two_piece_thermal requires T > 0")
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    if cfg.length_ratio == 1.0:
-        return EnergyResult(0.0, "matsubara", 0.0)
-    t = th.temperature
-    term_fn = lambda ns: imag_axis_log_ratio(2.0 * math.pi * ns * t, cfg)
-    n0 = imag_axis_log_ratio(0.0, cfg)
-    value, tail = _primed_sum(term_fn, n0, t)
-    return EnergyResult(value, "matsubara", tail)
+    f, xi_max = _two_piece_integrand(cfg)
+    return _matsubara(f, xi_max, 2.0 * math.pi * th.temperature)
 
 
 def high_t_limit(cfg, th):
@@ -148,14 +115,8 @@ def casimir_2n_thermal(cfg, th):
     n = cfg.piece_pairs
     if cfg.tension_ratio == 1.0 or n == 1:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    t = th.temperature
-    length = cfg.total_length
-    term_fn = lambda ns: imag_axis_log_ratio_2n(2.0 * math.pi * ns * t * length / n, cfg)
-    n0 = imag_axis_log_ratio_2n(0.0, cfg)
-    if not math.isfinite(n0):
-        n0 = 0.0  # dropped zero-mode term at x = 0
-    value, tail = _primed_sum(term_fn, n0, t)
-    return EnergyResult(value, "matsubara", tail)
+    f, q_max = _two_n_integrand(cfg)
+    return _matsubara(f, q_max, 2.0 * math.pi * th.temperature * cfg.total_length / n)
 
 
 def casimir_2n_thermal_x0(piece_pairs, th, total_length):
@@ -167,24 +128,23 @@ def casimir_2n_thermal_x0(piece_pairs, th, total_length):
     zero modes of the N decoupled pieces) and is omitted for N >= 2, the
     same convention as :func:`casimir_2n_thermal` at x = 0.
     """
-    if not (isinstance(piece_pairs, (int, np.integer)) and piece_pairs >= 1):
-        raise DomainError(f"piece_pairs must be an integer >= 1, got {piece_pairs}")
+    cfg = NPieceConfig(piece_pairs, 0.0, total_length)  # checks N and L
     if th.temperature <= 0:
         raise DomainError("casimir_2n_thermal_x0 requires T > 0")
-    if not total_length > 0:
-        raise DomainError(f"total_length must be positive, got {total_length}")
     n = piece_pairs
     if n == 1:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    t = th.temperature
-    from .core import log_sinh
+    prefactor = n / (2.0 * math.pi * total_length)
 
-    def term_fn(ns):
-        a = 2.0 * math.pi * ns * t * total_length / (2.0 * n)
-        return 2.0 * ((n - 1) * math.log(2.0) + n * log_sinh(a) - log_sinh(n * a))
+    def f(q):  # the summand in q = xi_n L / N, its n = 0 term dropped
+        with np.errstate(invalid="ignore"):
+            v = 2.0 * ((n - 1) * math.log(2.0) + n * log_sinh(q / 2.0) - log_sinh(n * q / 2.0))
+        return prefactor * np.where(q > 0.0, v, 0.0)
 
-    value, tail = _primed_sum(term_fn, 0.0, t)
-    return EnergyResult(value, "matsubara", tail)
+    # the log sinh terms round their parts linear in q, about eps N q a node
+    _, q_max = _two_n_integrand(cfg)
+    floor = sys.float_info.epsilon * n * q_max**2 * prefactor
+    return _matsubara(f, q_max, 2.0 * math.pi * th.temperature * total_length / n, floor)
 
 
 def frequency_ratio(cfg, th):

@@ -40,6 +40,21 @@ class TestConfigs:
         with pytest.raises(DomainError):
             NPieceConfig(piece_pairs=2.5, tension_ratio=0.5)
 
+    @pytest.mark.parametrize("field", ["length_ratio", "tension_ratio", "total_length"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_string_config_rejects_non_finite(self, field, value):
+        # x = inf used to map silently to the decoupled case, L = inf to 0
+        kwargs = {"length_ratio": 2.0, "tension_ratio": 0.3, "total_length": math.pi}
+        with pytest.raises(DomainError):
+            StringConfig(**{**kwargs, field: value})
+
+    @pytest.mark.parametrize("field", ["tension_ratio", "total_length"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_npiece_config_rejects_non_finite(self, field, value):
+        kwargs = {"piece_pairs": 3, "tension_ratio": 0.3, "total_length": math.pi}
+        with pytest.raises(DomainError):
+            NPieceConfig(**{**kwargs, field: value})
+
 
 class TestTensionContrast:
     def test_values(self):

@@ -9,10 +9,12 @@ from stringcasimir import (
     StringConfig,
     casimir_by_cutoff,
     casimir_two_piece,
+    casimir_two_piece_x0,
     damped_mode_sum,
     find_spectrum,
     uniform_spectrum,
 )
+from stringcasimir.cli import compare_methods
 from stringcasimir.cutoff import DEFAULT_EPSILON_FRACTIONS
 
 
@@ -76,6 +78,21 @@ class TestCasimirByCutoff:
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
         assert abs(ratios[-1] - 1.0) < 1e-3
         assert max(abs(d) for d in diffs) < 1.0
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 6])
+    def test_error_bar_covers_closed_form(self, s):
+        # the fit residual alone was 12.6 times smaller than the true error
+        res = casimir_by_cutoff(StringConfig(s, 0.0, math.pi)).as_energy_result()
+        closed = casimir_two_piece_x0(s, math.pi).value
+        assert abs(res.value - closed) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_error_bar_covers_contour(self, s):
+        for x in (0.0, 0.1, 0.5, 0.9):
+            report = compare_methods(StringConfig(s, x, math.pi))
+            bars = report["contour_error"] + report["oracle_error"]
+            assert report["abs_difference"] <= bars
+            assert report["agree"]
 
     def test_extrapolation_stable_under_refinement(self):
         cfg = StringConfig(2, 0.5, math.pi)

@@ -1,0 +1,206 @@
+"""The trapezoid kernel behind the contour integrals and the Matsubara sums.
+
+Every error bar is checked against an independent value: a closed form, an
+mpmath quadrature of the original integrand, or the other route.
+"""
+
+import math
+import subprocess
+import sys
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from stringcasimir import (
+    NPieceConfig,
+    QuadratureError,
+    StringConfig,
+    ThermalConfig,
+    casimir_2n,
+    casimir_2n_thermal,
+    casimir_2n_x0,
+    casimir_two_piece,
+    casimir_two_piece_thermal,
+    casimir_two_piece_x0,
+)
+from stringcasimir import energy, thermal
+
+L = math.pi
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Records the evaluation count of every kernel call made through thermal."""
+    counts = []
+
+    def counting(*args, **kwargs):
+        value, err, evals = energy._trapezoid(*args, **kwargs)
+        counts.append(evals)
+        return value, err, evals
+
+    monkeypatch.setattr(thermal, "_trapezoid", counting)
+    return counts
+
+
+class TestLattice:
+    def test_analytic_summand_stops_early(self, evaluations):
+        # T sum' e^{-xi^2} equals 1/(4 sqrt(pi)) up to e^{-1/(4 T^2)} (Poisson)
+        g = lambda xi: np.exp(-xi * xi) / (2.0 * math.pi)
+        res = thermal._matsubara(g, 40.0, 2e-6 * math.pi)
+        assert abs(res.value - 1.0 / (4.0 * math.sqrt(math.pi))) <= res.abs_error_estimate < 1e-14
+        assert evaluations[-1] < 1000
+
+    def test_algebraic_levels_sum_the_whole_lattice(self, evaluations):
+        # e^{-xi} is not even: its sub-lattice sums converge only like h^2, so
+        # no early stop is allowed; the sum is (T/2) coth(pi T)
+        t = 1e-4
+        h = 2.0 * math.pi * t
+        res = thermal._matsubara(lambda xi: np.exp(-xi) / (2.0 * math.pi), 40.0, h)
+        assert abs(res.value - 0.5 * t / math.tanh(math.pi * t)) <= res.abs_error_estimate < 1e-14
+        assert evaluations[-1] == int(40.0 / h) + 1
+
+    def test_geometric_levels_do_not_stop_early(self):
+        # sums of g = xi are (1 + h)/2, differences h/2 (ratio 1/2); with a floor
+        # of 1e-3 two differences in a row fall within the bound at h = 1/512
+        # and 1/1024.  Sums without a finest level stop there; a lattice, whose
+        # differences never shrink eightfold, runs to its finest step 1/4096.
+        g = lambda xi: xi
+        _, _, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8, halvings=9, floor=1e-3)
+        assert evals == 4096 + 1
+        value, err, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8, floor=1e-3)
+        assert evals == 1024 + 1 and abs(value - 0.5) <= err
+
+    def test_node_budget_raises_instead_of_a_partial_sum(self, monkeypatch):
+        monkeypatch.setattr(energy, "_MAX_NODES", 4096)
+        with pytest.raises(QuadratureError) as info:
+            casimir_2n_thermal(NPieceConfig(2, 0.0), ThermalConfig(1e-3))
+        assert info.value.best_estimate is not None
+
+
+class TestFormerQuadratureFailures:
+    @pytest.mark.parametrize(
+        "compute, closed",
+        [
+            (lambda: casimir_2n(NPieceConfig(1000, 0.0)), casimir_2n_x0(1000, L).value),
+            (lambda: casimir_two_piece(StringConfig(1e-4, 0.0)),
+             casimir_two_piece_x0(1e-4, L).value),
+            (lambda: casimir_two_piece(StringConfig(1e-6, 0.0)),
+             casimir_two_piece_x0(1e-6, L).value),
+        ],
+    )
+    def test_within_bar_of_closed_form(self, compute, closed, capfd):
+        res = compute()
+        assert abs(res.value - closed) <= res.abs_error_estimate
+        assert res.abs_error_estimate <= 1e-13 * abs(closed)
+        assert capfd.readouterr().err == ""
+
+
+class TestMatsubara:
+    @pytest.mark.parametrize("t", [1e-6, 2e-7])
+    def test_low_temperature_bar_covers_zero_temperature(self, t, evaluations):
+        # the sum used to cost 1/T and, below T ~ 2.6e-7, to stop at a term limit
+        cfg = StringConfig(2, 0.3)
+        cold = casimir_two_piece_thermal(cfg, ThermalConfig(t))
+        zero = casimir_two_piece(cfg)
+        assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+        assert evaluations[-1] < 1000
+
+    @pytest.mark.parametrize("t_l", [1e-2, 1e-3])
+    def test_zero_mode_sum_does_not_stop_early(self, t_l):
+        # at x = 0 the levels converge algebraically (a T ln T term); an
+        # early stop would miss -pi/(2L) + T ln(4/(T L))
+        t = t_l / L
+        res = casimir_2n_thermal(NPieceConfig(2, 0.0), ThermalConfig(t))
+        predicted = -math.pi / (2 * L) + t * math.log(4.0 / (t * L))
+        assert res.value == pytest.approx(predicted, abs=1e-12)
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = "import sys, stringcasimir; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.stdout.strip() == "False"
+
+
+def _mp_two_piece(s, x):
+    s, x, length = mp.mpf(s), mp.mpf(x), mp.mpf(L)
+    f = 4 * x / (1 - x) ** 2
+    l_i, l_ii = length / (1 + s), s * length / (1 + s)
+    d, m = abs(l_ii - l_i), min(l_i, l_ii)
+    ratio = lambda xi: mp.sinh(d * xi / 2) / mp.sinh(length * xi / 2)
+    integrand = lambda xi: mp.log1p(-ratio(xi) ** 2 / (f + 1))
+    return _mp_integral(integrand, 1 / length, 60 / m) / (2 * mp.pi)
+
+
+def _mp_two_n(n, x):
+    x = mp.mpf(x)
+    if x == 0:
+        integrand = lambda q: 2 * ((n - 1) * mp.log(2) + n * mp.log(mp.sinh(q / 2))
+                                   - mp.log(mp.sinh(n * q / 2)))
+    else:
+        w = 4 * x / (1 + x) ** 2
+
+        def integrand(q):
+            theta = 2 * mp.asinh(mp.sinh(q / 2) / mp.sqrt(w))
+            logs = mp.log(mp.sinh(n * theta / 2)) - mp.log(mp.sinh(n * q / 2))
+            return n * mp.log(w) + 2 * logs
+
+    return _mp_integral(integrand, mp.mpf(1) / (10 * n), 80 + math.log(n)) * n / (2 * mp.pi * L)
+
+
+def _mp_integral(integrand, lo, hi):
+    # split at octaves between the smallest and the largest scale
+    points = [mp.mpf(0)] + [lo * 2**k for k in range(int(mp.log(hi / lo, 2)) + 2)]
+    value, err = mp.quad(integrand, points, error=True)
+    assert err < mp.mpf(10) ** -20 * abs(value) + mp.mpf(10) ** -40
+    return value
+
+
+_PROPERTY = settings(max_examples=12, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+_S = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+_X = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+
+
+@_PROPERTY
+@given(s=_S, x=_X)
+def test_two_piece_bar_covers_mpmath(s, x):
+    mp.mp.dps = 30
+    res = casimir_two_piece(StringConfig(s, x))
+    ref = _mp_two_piece(s, x)
+    assert abs(res.value - float(ref)) <= res.abs_error_estimate
+    if x == 0.0:
+        assert abs(res.value - casimir_two_piece_x0(s, L).value) <= res.abs_error_estimate
+
+
+@_PROPERTY
+@given(n=st.integers(1, 1000), x=_X)
+def test_two_n_bar_covers_mpmath(n, x):
+    mp.mp.dps = 40
+    res = casimir_2n(NPieceConfig(n, x))
+    ref = _mp_two_n(n, x) if n > 1 else 0.0
+    assert abs(res.value - float(ref)) <= res.abs_error_estimate
+    if x == 0.0:
+        assert abs(res.value - casimir_2n_x0(n, L).value) <= res.abs_error_estimate
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.floats(-2.0, 2.0).map(lambda e: 10.0**e), x=_X, n=st.integers(2, 200),
+       x_n=st.floats(1e-3, 0.99), u=st.floats(-7.0, -2.0).map(lambda e: 10.0**e))
+def test_matsubara_bar_covers_contour(s, x, n, x_n, u):
+    # The summand is analytic in a strip that narrows like sqrt(min(s, 1/s) + x)
+    # (two-piece) and N sqrt(w) (2N); far below it the Matsubara sum equals the
+    # integral up to e^{-1/u}.  The lattice must resolve the same scales before
+    # two levels agree, which for s far from 1, large N or small x takes more
+    # nodes than the budget; hence the narrower ranges here.
+    cfg = StringConfig(s, x)
+    th = ThermalConfig(u * min(1.0, math.sqrt(min(s, 1.0 / s) + x)) / L)
+    cold, zero = casimir_two_piece_thermal(cfg, th), casimir_two_piece(cfg)
+    assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+    cfg = NPieceConfig(n, x_n)
+    th = ThermalConfig(u * min(1.0, n * math.sqrt(4.0 * x_n / (1.0 + x_n) ** 2)) / L)
+    cold, zero = casimir_2n_thermal(cfg, th), casimir_2n(cfg)
+    assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate

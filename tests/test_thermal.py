@@ -21,6 +21,13 @@ _ORACLE_TWO_PIECE = -0.0070700029524425411494   # s=2, x=0.3, T=0.4, L=pi
 _ORACLE_2N = -0.29870927317441174203            # N=3, x=0.2, T=0.3, L=pi
 
 
+@pytest.mark.parametrize("t", [math.inf, math.nan, -1.0])
+def test_thermal_config_rejects_non_finite_or_negative(t):
+    # T = nan used to spin to the old term limit and return nan
+    with pytest.raises(DomainError):
+        ThermalConfig(t)
+
+
 class TestTwoPieceThermal:
     def test_against_high_precision_sum(self):
         res = casimir_two_piece_thermal(StringConfig(2, 0.3, math.pi), ThermalConfig(0.4))
