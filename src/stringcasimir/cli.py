@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,32 +44,46 @@ _ALLOWED_KEYS = {
     "free-energy": {"s", "T_II", "beta", "tau2_max", "derivatives"},
     "hagedorn": {"s", "T_II"},
     "oracle": {"s", "x", "L", "epsilons"},
-    "scan": {"command", "jobs", "s", "x", "L", "N", "T", "T_II", "beta", "omega_max"},
 }
+_SCAN_KEYS = {"command", "jobs"}.union(*_ALLOWED_KEYS.values())
+_ALLOWED_KEYS["scan"] = _SCAN_KEYS
+_MAX_POINTS = 10**5
 
 _PI_RE = re.compile(r"^\s*(\d+(?:\.\d*)?|\.\d+)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$")
 
 
 def parse_value(text):
     """Float parser accepting pi-literals like 'pi', '2pi', 'pi/4'."""
-    if isinstance(text, (int, float)):
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
         return float(text)
-    m = _PI_RE.match(text)
-    if m:
-        mult = float(m.group(1)) if m.group(1) else 1.0
-        div = float(m.group(2)) if m.group(2) else 1.0
-        return mult * math.pi / div
-    return float(text)
+    if isinstance(text, str):
+        m = _PI_RE.match(text)
+        if m:
+            mult = float(m.group(1)) if m.group(1) else 1.0
+            div = float(m.group(2)) if m.group(2) else 1.0
+            return mult * math.pi / div
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise DomainError(f"not a number: {text!r}")
 
 
 def parse_range(text):
-    """Inclusive start:stop:step grid (endpoints within half a step)."""
+    """Inclusive start:stop:step grid (endpoints within half a step) of at
+    most _MAX_POINTS points."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise DomainError(f"range must be start:stop:step, got {text!r}")
     start, stop, step = (parse_value(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise DomainError(f"range must be finite, got {text!r}")
     if step <= 0:
         raise DomainError("range step must be positive")
+    if stop < start:
+        raise DomainError(f"range stop must not lie below its start, got {text!r}")
+    if not (stop - start) / step < _MAX_POINTS - 0.5:
+        raise DomainError(f"range has more than {_MAX_POINTS} points, got {text!r}")
     values = []
     v = start
     while v <= stop + 0.5 * step:
@@ -92,6 +107,40 @@ class RunConfig:
         unknown = set(self.parameters) - _ALLOWED_KEYS[self.command]
         if unknown:
             raise DomainError(f"unknown parameters for {self.command}: {sorted(unknown)}")
+
+
+def _number(command, key, value):
+    """One numeric parameter of ``command``: an int for its integer keys."""
+    v = parse_value(value)
+    if key in ("N", "jobs") or (key == "s" and command in ("free-energy", "hagedorn")):
+        if not v.is_integer():
+            raise DomainError(f"{key} must be an integer, got {value!r}")
+        return int(v)
+    return v
+
+
+def _parse_params(command, params):
+    """Flag and config-file values as the runners take them.  A scan's one
+    start:stop:step string is kept, to be expanded by parse_range."""
+    inner = params.get("command") if command == "scan" else command
+    if inner not in tuple(_RUNNERS):
+        raise DomainError(f"scan needs a concrete command, got {inner!r}")
+    out = {}
+    for key, value in params.items():
+        if key == "command" or (command == "scan" and isinstance(value, str) and ":" in value):
+            out[key] = value
+        elif key == "derivatives":
+            if not isinstance(value, bool):
+                raise DomainError(f"derivatives must be true or false, got {value!r}")
+            out[key] = value
+        elif key == "epsilons":
+            items = value.split(",") if isinstance(value, str) else value
+            if not isinstance(items, list):
+                raise DomainError(f"epsilons must be a list of numbers, got {value!r}")
+            out[key] = [parse_value(e) for e in items]
+        else:
+            out[key] = _number(inner, key, value)
+    return out
 
 
 def _fmt(x):
@@ -138,7 +187,7 @@ def _run_energy(p):
 
 
 def _run_energy_n(p):
-    cfg = NPieceConfig(piece_pairs=int(p.get("N", 1)), tension_ratio=p.get("x", 1.0),
+    cfg = NPieceConfig(piece_pairs=p.get("N", 1), tension_ratio=p.get("x", 1.0),
                        total_length=p.get("L", math.pi))
     rows = []
     r = energy.casimir_2n(cfg)
@@ -169,7 +218,7 @@ def _run_thermal(p):
 
 
 def _run_free_energy(p):
-    cfg = quantum.QuantumStringConfig(s=int(p.get("s", 1)), tension_ii=p.get("T_II", math.pi))
+    cfg = quantum.QuantumStringConfig(s=p.get("s", 1), tension_ii=p.get("T_II", math.pi))
     beta = p.get("beta", 3.0 * quantum.hagedorn_beta(cfg))
     tau2_max = p.get("tau2_max", 1.0)
     if p.get("derivatives"):
@@ -184,17 +233,14 @@ def _run_free_energy(p):
 
 
 def _run_hagedorn(p):
-    cfg = quantum.QuantumStringConfig(s=int(p.get("s", 1)), tension_ii=p.get("T_II", math.pi))
+    cfg = quantum.QuantumStringConfig(s=p.get("s", 1), tension_ii=p.get("T_II", math.pi))
     bc = quantum.hagedorn_beta(cfg)
     return [{"s": cfg.s, "T_II": cfg.tension_ii, "beta_c": bc, "T_c": 1.0 / bc}]
 
 
 def _run_oracle(p):
     cfg = _string_cfg(p)
-    eps = p.get("epsilons")
-    if isinstance(eps, str):
-        eps = [parse_value(e) for e in eps.split(",")]
-    report = compare_methods(cfg, epsilons=eps)
+    report = compare_methods(cfg, epsilons=p.get("epsilons"))
     base = {"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length}
     return [
         {**base, "value": report["contour_value"], "method": "contour",
@@ -224,20 +270,21 @@ def _scan_worker(args):
 
 
 def _run_scan(p):
-    command = p.get("command")
-    if command not in _RUNNERS:
-        raise DomainError(f"scan needs a concrete command, got {command!r}")
-    swept = [(k, v) for k, v in p.items()
-             if isinstance(v, str) and ":" in v and k not in ("command",)]
+    command = p["command"]
+    swept = [(k, v) for k, v in p.items() if isinstance(v, str) and ":" in v]
     if len(swept) != 1:
         raise DomainError("scan requires exactly one start:stop:step parameter")
     key, rng = swept[0]
-    values = parse_range(rng)
+    values = [_number(command, key, v) for v in parse_range(rng)]
     fixed = {k: v for k, v in p.items() if k not in ("command", "jobs", key)}
-    jobs = int(p.get("jobs", 1))
+    jobs = p.get("jobs", 1)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     tasks = [(i, command, {**fixed, key: v}) for i, v in enumerate(values)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork start method starts every worker at once, so cap them
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             indexed = list(pool.map(_scan_worker, tasks))
     else:
         indexed = [_scan_worker(t) for t in tasks]
@@ -264,7 +311,7 @@ def _serialize(rows, fmt):
 
 def dispatch(cfg):
     """Run a RunConfig: compute, serialize, write.  Returns the exit code."""
-    params = dict(cfg.parameters)
+    params = _parse_params(cfg.command, cfg.parameters)
     if cfg.command == "scan":
         rows = _run_scan(params)
     else:
@@ -299,37 +346,30 @@ def _build_parser():
     parser.add_argument("--epsilons", help="comma-separated damping parameters")
     parser.add_argument("--command", "--scan-command", dest="scan_command",
                         help="command to sweep when using scan")
-    parser.add_argument("--jobs", type=int, default=1, help="scan worker processes")
+    parser.add_argument("--jobs", default=1, help="scan worker processes")
     parser.add_argument("--output", default="", help="output file (default stdout)")
     parser.add_argument("--format", default="csv", choices=("csv", "json"))
     return parser
 
 
-_SCAN_KEYS = ("s", "x", "L", "N", "T", "T_II", "beta", "omega_max")
-
-
 def _params_from_args(args):
-    params = {}
-    for key in _SCAN_KEYS:
-        raw = getattr(args, key, None)
-        if raw is None:
-            continue
-        if args.command == "scan" and isinstance(raw, str) and ":" in raw:
-            params[key] = raw
-        elif key in ("N",) or (key == "s" and args.command in ("free-energy", "hagedorn")):
-            params[key] = int(parse_value(raw))
-        else:
-            params[key] = parse_value(raw)
-    if args.tau2_max is not None:
-        params["tau2_max"] = parse_value(args.tau2_max)
-    if args.derivatives:
-        params["derivatives"] = True
-    if args.epsilons:
-        params["epsilons"] = args.epsilons
-    if args.command == "scan":
-        params["command"] = args.scan_command
-        params["jobs"] = args.jobs
-    return params
+    """The parameter flags given, as raw strings; --command and --jobs
+    only for scan."""
+    flags = dict(vars(args), command=args.scan_command)
+    keys = _SCAN_KEYS if args.command == "scan" else _SCAN_KEYS - {"command", "jobs"}
+    return {k: flags[k] for k in keys if flags[k] is not None and flags[k] is not False}
+
+
+def _read_config(path):
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read config {path!r}: {exc}") from None
+    if not (isinstance(raw, dict) and isinstance(raw.get("parameters", {}), dict)
+            and isinstance(raw.get("output", {}), dict)):
+        raise DomainError("config must be a JSON object whose 'parameters' and 'output' are objects")
+    return raw
 
 
 def main(argv=None):
@@ -338,10 +378,8 @@ def main(argv=None):
         params = {}
         output_path, output_format = args.output, args.format
         if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-            file_params = raw.get("parameters", {})
-            params.update(file_params)
+            raw = _read_config(args.config)
+            params.update(raw.get("parameters", {}))
             output = raw.get("output", {})
             output_path = args.output or output.get("path", "")
             if args.format == "csv" and "format" in output:

@@ -133,10 +133,7 @@ def casimir_two_piece(cfg):
 
 def casimir_two_piece_x0(s, total_length):
     """Decoupled-limit (x -> 0) closed form  -(pi / 24 L)(s + 1/s - 2)."""
-    if not s > 0:
-        raise DomainError(f"s must be positive, got {s}")
-    if not total_length > 0:
-        raise DomainError(f"total_length must be positive, got {total_length}")
+    StringConfig(s, 0.0, total_length)  # checks s and L
     value = -(math.pi / (24.0 * total_length)) * (s + 1.0 / s - 2.0)
     return EnergyResult(value, "analytic-limit", 0.0)
 
@@ -177,10 +174,7 @@ def casimir_2n(cfg, slow_exact=False):
 
 def casimir_2n_x0(piece_pairs, total_length):
     """Decoupled-limit closed form  -(pi / 6 L)(N^2 - 1)."""
-    if not (isinstance(piece_pairs, (int, np.integer)) and piece_pairs >= 1):
-        raise DomainError(f"piece_pairs must be an integer >= 1, got {piece_pairs}")
-    if not total_length > 0:
-        raise DomainError(f"total_length must be positive, got {total_length}")
+    NPieceConfig(piece_pairs, 0.0, total_length)  # checks N and L
     value = -(math.pi / (6.0 * total_length)) * (piece_pairs**2 - 1.0)
     return EnergyResult(value, "analytic-limit", 0.0)
 

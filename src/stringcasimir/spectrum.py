@@ -1,19 +1,20 @@
 """Eigenfrequency spectra of the two-piece string.
 
 Real roots of the dispersion function are located by a fine bracketing
-scan plus bisection, and every multiplicity is confirmed by an
-argument-principle winding integral on a small rectangle around the root.
-Tangential zeros (where the dispersion function touches zero without a
-sign change, e.g. the doubly degenerate modes of the uniform string) are
-caught by refining local extrema to critical points and testing the
-winding there; naive sign-change counting alone would miss them.
+scan, and every multiplicity is confirmed by an argument-principle winding
+integral on a small rectangle around the root.  Tangential zeros (where the
+dispersion function touches zero without a sign change, e.g. the doubly
+degenerate modes of the uniform string) are caught by refining local
+extrema to critical points and testing the winding there; naive
+sign-change counting alone would miss them.  Roots and critical points are
+polished by one vectorised bisection that halves all brackets at once down
+to adjacent floats, so the module needs numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import StringConfig, dispersion_two_piece, dispersion_two_piece_deriv
 from .errors import DomainError, MultiplicityUndecidedError
@@ -27,7 +28,7 @@ __all__ = [
     "uniform_spectrum",
 ]
 
-_BISECT_RTOL = 1e-13
+_BISECT_RTOL = 1e-13  # a conservative bound on a polished root's relative error
 _MERGE_TOL = 1e-9
 
 
@@ -104,42 +105,54 @@ def _scan_grid(cfg, omega_max):
     return grid, dispersion_two_piece(grid, cfg)
 
 
+def _bisect(f, lo, hi):
+    """Roots of the vectorised f in the brackets [lo, hi], across each of which
+    f changes sign: every bracket is halved at once until its ends are
+    adjacent floats, and the end with the smaller |f| is returned."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    side = np.sign(f(lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not open_.any():
+            return np.where(np.abs(f(lo)) <= np.abs(f(hi)), lo, hi)
+        same = np.sign(f(mid)) == side
+        lo = np.where(open_ & same, mid, lo)
+        hi = np.where(open_ & ~same, mid, hi)
+
+
 def _candidate_roots(cfg, grid, vals):
     """Bracketed sign-change roots plus refined tangential candidates."""
-    g = lambda w: float(dispersion_two_piece(w, cfg))
-    gp = lambda w: float(dispersion_two_piece_deriv(w, cfg))
+    g = lambda w: dispersion_two_piece(w, cfg)
+    gp = lambda w: dispersion_two_piece_deriv(w, cfg)
     step = grid[1] - grid[0]
-    roots = []
 
     sign_change = (vals[:-1] * vals[1:] < 0) & (grid[:-1] > 0)
-    for i in np.nonzero(sign_change)[0]:
-        roots.append(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=_BISECT_RTOL))
+    lo, hi = [grid[:-1][sign_change]], [grid[1:][sign_change]]
 
-    # tangential / near-degenerate candidates: local extrema of g close to zero
+    # tangential / near-degenerate candidates: local extrema of g close to
+    # zero, with no sign change on either side, refined to critical points
     dip_threshold = min(0.25, 2.0 * (cfg.total_length * step) ** 2)
-    interior = np.arange(1, len(grid) - 1)
-    local_min = (vals[interior] < vals[interior - 1]) & (vals[interior] <= vals[interior + 1])
-    local_max = (vals[interior] > vals[interior - 1]) & (vals[interior] >= vals[interior + 1])
-    small = np.abs(vals[interior]) < dip_threshold
-    for i in interior[(local_min | local_max) & small]:
-        if vals[i - 1] * vals[i] < 0 or vals[i] * vals[i + 1] < 0:
-            continue  # already caught as a sign change
-        a, b = grid[i - 1], grid[i + 1]
-        if gp(a) * gp(b) >= 0:
-            continue
-        crit = brentq(gp, a, b, xtol=1e-14, rtol=_BISECT_RTOL)
-        gc = g(crit)
-        if abs(gc) < 1e-9:
-            if crit > 0:
-                roots.append(crit)
-        elif gc * vals[i - 1] < 0:
-            # the dip crosses zero twice inside one cell
-            roots.append(brentq(g, a, crit, xtol=1e-14, rtol=_BISECT_RTOL))
-            roots.append(brentq(g, crit, b, xtol=1e-14, rtol=_BISECT_RTOL))
-    roots.sort()
+    i = np.arange(1, len(grid) - 1)
+    local_min = (vals[i] < vals[i - 1]) & (vals[i] <= vals[i + 1])
+    local_max = (vals[i] > vals[i - 1]) & (vals[i] >= vals[i + 1])
+    crossed = (vals[i - 1] * vals[i] < 0) | (vals[i] * vals[i + 1] < 0)
+    i = i[(local_min | local_max) & (np.abs(vals[i]) < dip_threshold) & ~crossed]
+    a, b = grid[i - 1], grid[i + 1]
+    bracketed = gp(a) * gp(b) < 0
+    i, a, b = i[bracketed], a[bracketed], b[bracketed]
+    crit = _bisect(gp, a, b)
+    gc = g(crit)
+    touch = np.abs(gc) < 1e-9
+    # a dip that crosses zero crosses it twice inside one cell
+    twice = ~touch & (gc * vals[i - 1] < 0)
+    lo += [a[twice], crit[twice]]
+    hi += [crit[twice], b[twice]]
+    roots = np.concatenate([crit[touch & (crit > 0)],
+                            _bisect(g, np.concatenate(lo), np.concatenate(hi))])
 
     merged = []
-    for r in roots:
+    for r in np.sort(roots).tolist():
         if merged and abs(r - merged[-1]) < _MERGE_TOL * max(1.0, r):
             continue
         merged.append(r)
@@ -151,7 +164,7 @@ def find_spectrum(cfg, omega_max):
     multiplicities.
 
     Roots are bracketed on a grid finer than the tightest branch spacing,
-    polished by bisection to ~1e-12 relative accuracy, and each root's
+    polished by bisection to adjacent floats, and each root's
     multiplicity is the winding number of the dispersion function around a
     small rectangle isolating it.
     """

@@ -47,7 +47,10 @@ class ThermalConfig:
 
 def _matsubara(f, b, h, floor=0.0):
     """h/(2 pi) [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result."""
-    k = max(0, int(b / h).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
+    nodes = b / h if h > 0 else math.inf
+    if not math.isfinite(nodes):  # a temperature so small that h underflows
+        raise DomainError(f"temperature too small: the Matsubara step {h:g} underflows")
+    k = max(0, int(nodes).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
     value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k, floor=floor)
     return EnergyResult(value, "matsubara", err)
 

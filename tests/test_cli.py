@@ -1,9 +1,11 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from stringcasimir import DomainError, StringConfig
+from stringcasimir import DomainError, StringConfig, cli
 from stringcasimir.cli import RunConfig, compare_methods, dispatch, main, parse_range, parse_value
 
 
@@ -27,6 +29,16 @@ class TestParsing:
             parse_range("0:1")
         with pytest.raises(DomainError):
             parse_range("0:1:-0.1")
+
+    @pytest.mark.parametrize("text", ["0:1:1e-12", "0:inf:0.1", "nan:1:0.1", "1:0:0.1"])
+    def test_range_counted_before_it_is_built(self, text):
+        with pytest.raises(DomainError):
+            parse_range(text)
+
+    @pytest.mark.parametrize("value", ["abc", "", None, True, [2]])
+    def test_not_a_number(self, value):
+        with pytest.raises(DomainError):
+            parse_value(value)
 
 
 class TestRunConfig:
@@ -162,3 +174,127 @@ class TestMain:
             assert json.loads(err)["error"] == "numerical"
         else:
             assert code == 0  # acceptable: the coarse grid happened to fit
+
+
+class TestInputContract:
+    """Bad input exits 1 with a JSON record: never a traceback, never a
+    silently truncated value."""
+
+    @pytest.mark.parametrize("argv", [
+        ["energy", "--s", "abc"],
+        ["energy", "--config", "missing.json"],
+        ["energy", "--config", "list.json"],
+        ["energy", "--config", "broken.json"],
+        ["energy", "--config", "nested.json"],
+        ["energy-n", "--N", "2.7"],
+        ["hagedorn", "--s", "1.5"],
+        ["scan", "--command", "hagedorn", "--s", "1:2:0.5"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0:1:1e-12"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0:inf:0.1"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "0"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "1.5"],
+        ["thermal", "--s", "2", "--x", "0.3", "--T", "1e-320"],
+    ])
+    def test_exit_one_with_record(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "list.json").write_text("[1, 2]")
+        (tmp_path / "broken.json").write_text("{")
+        (tmp_path / "nested.json").write_text(json.dumps({"parameters": {"s": [2]}}))
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "domain"
+
+    def test_config_values_parse_like_flags(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"parameters": {"s": 2, "x": "0.3", "L": "pi"}}))
+        assert main(["energy", "--config", str(cfg_file), "--format", "json"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["energy", "--s", "2", "--x", "0.3", "--format", "json"]) == 0
+        assert from_file == capsys.readouterr().out
+        assert json.loads(from_file)["results"][0]["s"] == 2.0
+
+
+class TestScanKeys:
+    def test_scan_takes_every_command_key(self):
+        keys = set().union(*(v for k, v in cli._ALLOWED_KEYS.items() if k != "scan"))
+        assert cli._ALLOWED_KEYS["scan"] == cli._SCAN_KEYS == keys | {"command", "jobs"}
+
+    def test_oracle_scan_with_epsilons(self, capsys):
+        argv = ["scan", "--command", "oracle", "--s", "2", "--x", "0.3:0.3:0.1",
+                "--epsilons", "0.2,0.1,0.05,0.02"]
+        assert main(argv) == 0
+        methods = [row.split(",")[4] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert methods == ["contour", "cutoff-oracle", "difference"]
+
+    def test_free_energy_scan_with_modulus_keys(self):
+        RunConfig(command="scan", parameters={"command": "free-energy", "beta": "17:18:1",
+                                              "tau2_max": 1.0, "derivatives": True})
+
+
+class _Executor:
+    """Stand-in for ProcessPoolExecutor that records its size and maps serially."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, cpus, sizes", [
+    (64, 8, [3]),  # no more workers than points
+    (2, 8, [2]),
+    (64, 2, [2]),  # no more workers than cores
+    (4, None, []),  # unknown core count: serial
+    (1, 8, []),
+])
+def test_scan_worker_count(monkeypatch, capsys, jobs, cpus, sizes):
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _Executor(made, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["scan", "--command", "hagedorn", "--s", "1:3:1", "--jobs", str(jobs)]
+    assert main(argv) == 0
+    assert made == sizes
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+_NO_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from stringcasimir.cli import main
+
+for argv in ARGVS:
+    code = main(argv)
+    if code:
+        sys.exit(f"{argv} exited {code}")
+"""
+
+
+def test_every_command_runs_without_scipy():
+    argvs = [
+        ["energy", "--s", "2", "--x", "0.3"],
+        ["energy-n", "--N", "2", "--x", "0.3"],
+        ["spectrum", "--s", "2", "--x", "0.3", "--omega-max", "5"],
+        ["thermal", "--s", "2", "--x", "0.3", "--T", "0.5"],
+        ["free-energy", "--s", "1", "--beta", "17"],
+        ["hagedorn", "--s", "1"],
+        ["oracle", "--s", "2", "--x", "0.3"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0.1:0.3:0.1"],
+    ]
+    code = _NO_SCIPY.replace("ARGVS", repr(argvs))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.returncode == 0, out.stderr

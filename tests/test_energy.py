@@ -76,6 +76,18 @@ class TestTwoPieceClosedForm:
             casimir_two_piece_x0(0.0, math.pi)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0, -1])
+@pytest.mark.parametrize("closed_form, good", [(casimir_two_piece_x0, (2, math.pi)),
+                                               (casimir_2n_x0, (2, math.pi))])
+@pytest.mark.parametrize("arg", [0, 1])
+def test_closed_forms_reject_bad_input(closed_form, good, arg, bad):
+    # casimir_two_piece_x0(2, inf) used to return -0.0 with a bar of 0
+    args = list(good)
+    args[arg] = bad
+    with pytest.raises(DomainError):
+        closed_form(*args)
+
+
 class TestNPiece:
     def test_single_pair_vanishes(self):
         for x in (0.0, 0.3, 0.9):

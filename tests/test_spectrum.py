@@ -61,6 +61,16 @@ class TestFindSpectrum:
         for (w, m) in spec.entries:
             assert m == merged[round(w, 9)]
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_decoupled_roots_to_rounding(self, s):
+        # polished to adjacent floats; the old 1e-13 tolerance was off by 2.5e-14
+        spec = find_spectrum(StringConfig(s, 0.0), 30)
+        branches = np.concatenate([branch_spectrum_x0(s, "first", 40).omegas(),
+                                   branch_spectrum_x0(s, "second", 40).omegas()])
+        merged = {round(w, 9): w for w in branches if w <= 30 + 1e-9}
+        exact = [merged[k] for k in sorted(merged)]
+        np.testing.assert_allclose(spec.omegas(), exact, rtol=1e-15, atol=0)
+
     def test_inversion_symmetry(self):
         a = find_spectrum(StringConfig(2.6, 0.35, math.pi), 12.0)
         b = find_spectrum(StringConfig(1 / 2.6, 0.35, math.pi), 12.0)

@@ -28,6 +28,17 @@ def test_thermal_config_rejects_non_finite_or_negative(t):
         ThermalConfig(t)
 
 
+@pytest.mark.parametrize("thermal_sum, cfg", [
+    (casimir_two_piece_thermal, StringConfig(2, 0.3)),
+    (casimir_2n_thermal, NPieceConfig(3, 0.3)),
+    (casimir_2n_thermal, NPieceConfig(3, 0.0)),
+])
+def test_underflowing_temperature_is_a_domain_error(thermal_sum, cfg):
+    # the Matsubara step 2 pi T underflows; this used to raise OverflowError
+    with pytest.raises(DomainError):
+        thermal_sum(cfg, ThermalConfig(1e-320))
+
+
 class TestTwoPieceThermal:
     def test_against_high_precision_sum(self):
         res = casimir_two_piece_thermal(StringConfig(2, 0.3, math.pi), ThermalConfig(0.4))
