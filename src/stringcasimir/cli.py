@@ -25,7 +25,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import cutoff, energy, quantum, spectrum, thermal
@@ -102,6 +101,8 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise DomainError(f"unknown command {self.command!r}")
+        if not isinstance(self.output_path, (str, os.PathLike)):
+            raise DomainError(f"output path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"unknown format {self.output_format!r}")
         unknown = set(self.parameters) - _ALLOWED_KEYS[self.command]
@@ -284,6 +285,9 @@ def _run_scan(p):
     # the fork start method starts every worker at once, so cap them
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that no other command loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             indexed = list(pool.map(_scan_worker, tasks))
     else:
@@ -318,8 +322,11 @@ def dispatch(cfg):
         rows = _RUNNERS[cfg.command](params)
     text = _serialize(rows, cfg.output_format)
     if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write output {cfg.output_path!r}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0

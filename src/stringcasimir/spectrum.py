@@ -2,7 +2,10 @@
 
 Real roots of the dispersion function are located by a fine bracketing
 scan, and every multiplicity is confirmed by an argument-principle winding
-integral on a small rectangle around the root.  Tangential zeros (where the
+integral on a small rectangle around the root.  The windings of all roots
+are computed together: each sampling level evaluates the perimeters of
+every rectangle not yet settled as one array, in blocks of at most
+_BLOCK_NODES nodes, so memory stays bounded.  Tangential zeros (where the
 dispersion function touches zero without a sign change, e.g. the doubly
 degenerate modes of the uniform string) are caught by refining local
 extrema to critical points and testing the winding there; naive
@@ -30,6 +33,7 @@ __all__ = [
 
 _BISECT_RTOL = 1e-13  # a conservative bound on a polished root's relative error
 _MERGE_TOL = 1e-9
+_BLOCK_NODES = 2**13  # perimeter nodes evaluated at once by _winding_number
 
 
 @dataclass(frozen=True)
@@ -65,36 +69,64 @@ class ContourCount:
     contour: tuple  # (re_min, re_max, im_extent)
 
 
-def _winding_number(func, re_lo, re_hi, height, n_start=64, n_max=8192, label=""):
-    """Accumulated-phase winding of func around a rectangle.
+def _perimeters(lo, hi, height, per_edge):
+    """Counter-clockwise perimeter nodes of the rectangles
+    (lo, hi) x (-height, height), one row of 4 per_edge nodes each."""
+    edge = lambda a, b: np.linspace(a, b, per_edge, endpoint=False, axis=1)
+    col = lambda a: a[:, None]
+    return np.concatenate([edge(lo, hi) - 1j * col(height),
+                           col(hi) + 1j * edge(-height, height),
+                           edge(hi, lo) + 1j * col(height),
+                           col(lo) + 1j * edge(height, -height)], axis=1)
 
-    Doubles the sampling until two consecutive levels round to the same
-    integer and land within 0.01 of it.
+
+def _winding_number(func, re_lo, re_hi, height, n_start=64, n_max=8192, roots=None):
+    """Accumulated-phase winding of func around each rectangle
+    (re_lo, re_hi) x (-height, height): an int array, or a plain int for
+    scalar bounds.
+
+    Each rectangle doubles its sampling from n_start until two consecutive
+    levels round to the same integer and land within 0.01 of it; a level
+    with a zero or a non-finite value is passed over and leaves the
+    previous level's integer standing.  Settled rectangles leave the
+    pending set, and each level is evaluated in blocks of whole rectangles
+    of at most _BLOCK_NODES nodes (or one rectangle, if it alone has more).
+    The error for the first rectangle still undecided past n_max names its
+    entry of ``roots``.
     """
-    prev = None
+    scalar = np.ndim(re_lo) == np.ndim(re_hi) == np.ndim(height) == 0
+    lo, hi, h = np.broadcast_arrays(*np.atleast_1d(re_lo, re_hi, height))
+    prev = np.full(len(lo), np.nan)  # the last level's integer, or nan
+    pending = np.arange(len(lo))
     n = n_start
-    while n <= n_max:
+    while pending.size and n <= n_max:
         per_edge = max(n // 4, 8)
-        bottom = np.linspace(re_lo, re_hi, per_edge, endpoint=False) - 1j * height
-        right = re_hi + 1j * np.linspace(-height, height, per_edge, endpoint=False)
-        top = np.linspace(re_hi, re_lo, per_edge, endpoint=False) + 1j * height
-        left = re_lo + 1j * np.linspace(height, -height, per_edge, endpoint=False)
-        zs = np.concatenate([bottom, right, top, left])
-        vals = func(zs)
-        if np.any(vals == 0) or not np.all(np.isfinite(vals)):
-            n *= 2
-            continue
-        rolled = np.roll(vals, -1)
-        phases = np.angle(rolled / vals)
-        wind = float(np.sum(phases) / (2.0 * math.pi))
-        near = round(wind)
-        if abs(wind - near) < 0.01 and prev == near:
-            return near
-        prev = near if abs(wind - near) < 0.01 else None
+        rows = max(1, _BLOCK_NODES // (4 * per_edge))
+        settled = np.zeros(pending.size, dtype=bool)
+        for b in range(0, pending.size, rows):
+            k = pending[b:b + rows]
+            vals = func(_perimeters(lo[k], hi[k], h[k], per_edge))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                phases = np.angle(np.roll(vals, -1, axis=1) / vals)
+            wind = np.sum(phases, axis=1) / (2.0 * math.pi)
+            near = np.rint(wind)
+            usable = np.all(np.isfinite(vals) & (vals != 0), axis=1)
+            close = usable & (np.abs(wind - near) < 0.01)
+            settled[b:b + rows] = close & (prev[k] == near)
+            prev[k] = np.where(close, near, np.where(usable, np.nan, prev[k]))
+        pending = pending[~settled]
         n *= 2
-    raise MultiplicityUndecidedError(
-        f"multiplicity-undecided: winding failed to stabilize {label}", omega=None
-    )
+    if pending.size:
+        i = pending[0]
+        if roots is None:
+            raise MultiplicityUndecidedError(
+                f"multiplicity-undecided: winding failed to stabilize on ({lo[i]:.6g}, {hi[i]:.6g})"
+            )
+        raise MultiplicityUndecidedError(
+            f"multiplicity-undecided at omega={roots[i]:.12g}", omega=float(roots[i])
+        )
+    wind = prev.astype(int)
+    return int(wind[0]) if scalar else wind
 
 
 def _scan_grid(cfg, omega_max):
@@ -175,25 +207,16 @@ def find_spectrum(cfg, omega_max):
     # scan past the ceiling so the last in-range roots know their true
     # right-hand isolation gaps (their winding rectangles may extend out)
     grid, vals = _scan_grid(cfg, omega_max + 1.2)
-    roots = [r for r in _candidate_roots(cfg, grid, vals) if r > 0.0]
+    roots = np.array([r for r in _candidate_roots(cfg, grid, vals) if r > 0.0])
 
+    gaps = np.diff(roots, prepend=0.0, append=math.inf)
+    half = np.minimum(0.5, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
+    keep = roots <= omega_max * (1.0 + 1e-12)
+    roots, half = roots[keep], half[keep]
     func = lambda z: dispersion_two_piece(z, cfg)
-    entries = []
-    for k, r in enumerate(roots):
-        if r > omega_max * (1.0 + 1e-12):
-            continue
-        gap_left = r - roots[k - 1] if k > 0 else r
-        gap_right = roots[k + 1] - r if k + 1 < len(roots) else math.inf
-        half = min(0.5, 0.45 * gap_left, 0.45 * gap_right)
-        try:
-            mult = _winding_number(func, r - half, r + half, half, label=f"at omega={r:.12g}")
-        except MultiplicityUndecidedError:
-            raise MultiplicityUndecidedError(
-                f"multiplicity-undecided at omega={r:.12g}", omega=r
-            ) from None
-        if mult > 0:
-            entries.append((r, mult))
-    return Spectrum(entries=tuple(entries), omega_max=omega_max)
+    mults = _winding_number(func, roots - half, roots + half, half, roots=roots)
+    entries = tuple((r, m) for r, m in zip(roots.tolist(), mults.tolist()) if m > 0)
+    return Spectrum(entries=entries, omega_max=omega_max)
 
 
 def count_modes(cfg, omega_max, im_extent=0.5):
@@ -232,9 +255,8 @@ def count_modes(cfg, omega_max, im_extent=0.5):
         im_extent,
         n_start=max(256, 16 * expected),
         n_max=max(16384, 256 * expected),
-        label=f"on (0, {re_max:.6g})",
     )
-    return ContourCount(int(count), (re_min, re_max, im_extent))
+    return ContourCount(count, (re_min, re_max, im_extent))
 
 
 def branch_spectrum_x0(s, branch, n_max):

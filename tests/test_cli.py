@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import subprocess
@@ -215,6 +216,32 @@ class TestInputContract:
         assert json.loads(from_file)["results"][0]["s"] == 2.0
 
 
+class TestOutputPath:
+    """An output that cannot be written is a domain error: exit 1, a JSON
+    record on stderr and nothing on stdout."""
+
+    def _exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "domain"
+
+    def test_unwritable_flag(self, tmp_path, capsys):
+        for path in (tmp_path, tmp_path / "missing" / "out.csv"):
+            self._exits_one(["energy", "--s", "2", "--x", "0.3", "--output", str(path)], capsys)
+
+    @pytest.mark.parametrize("path", ["dir", 5, 1, True, ["out.csv"]])
+    def test_bad_config_path(self, path, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "run.json").write_text(json.dumps({"output": {"path": path}}))
+        self._exits_one(["energy", "--s", "2", "--x", "0.3", "--config", "run.json"], capsys)
+
+    def test_run_config_rejects_a_descriptor(self):
+        with pytest.raises(DomainError):
+            RunConfig(command="energy", parameters={"s": 2}, output_path=1)
+
+
 class TestScanKeys:
     def test_scan_takes_every_command_key(self):
         keys = set().union(*(v for k, v in cli._ALLOWED_KEYS.items() if k != "scan"))
@@ -257,7 +284,8 @@ class _Executor:
 ])
 def test_scan_worker_count(monkeypatch, capsys, jobs, cpus, sizes):
     made = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _Executor(made, max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: _Executor(made, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     argv = ["scan", "--command", "hagedorn", "--s", "1:3:1", "--jobs", str(jobs)]
     assert main(argv) == 0
@@ -298,3 +326,11 @@ def test_every_command_runs_without_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={"PYTHONPATH": ":".join(sys.path)})
     assert out.returncode == 0, out.stderr
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    code = ("import sys, stringcasimir.cli; "
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    assert out.stdout.strip() == "[]"

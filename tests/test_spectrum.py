@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from stringcasimir import (
     MultiplicityUndecidedError,
     StringConfig,
     branch_spectrum_x0,
+    casimir_by_cutoff,
     count_modes,
     find_spectrum,
     uniform_spectrum,
 )
+from stringcasimir import spectrum
 from stringcasimir.spectrum import _winding_number
 
 
@@ -24,6 +28,89 @@ class TestWindingRefinement:
         # identically zero: no resolution can ever produce a phase
         with pytest.raises(MultiplicityUndecidedError):
             _winding_number(lambda z: np.zeros_like(z), 0.0, 1.0, 0.5, n_max=256)
+
+
+class TestBatchedWinding:
+    """_winding_number over many rectangles at once, level by level."""
+
+    @pytest.mark.parametrize("block", [64, 320])
+    def test_blocked_equals_one_at_a_time(self, monkeypatch, block):
+        # the oracle's spectrum: about 850 roots up to omega = 40 / (0.0125 pi)
+        cfg = StringConfig(2, 0.3)
+        batched = find_spectrum(cfg, 1021.0)
+        assert len(batched.entries) > 800
+        one = spectrum._winding_number
+
+        def one_at_a_time(func, lo, hi, h, roots=None):
+            return np.array([one(func, *rect) for rect in zip(lo, hi, h)], dtype=int)
+
+        monkeypatch.setattr(spectrum, "_BLOCK_NODES", block)
+        assert find_spectrum(cfg, 1021.0) == batched
+        monkeypatch.setattr(spectrum, "_winding_number", one_at_a_time)
+        assert find_spectrum(cfg, 1021.0) == batched
+
+    def test_level_with_a_zero_keeps_the_previous_integer(self):
+        calls = []
+
+        def func(z):
+            calls.append(z.shape)
+            vals = (z - 0.5) * (z - 2.5) ** 2
+            if len(calls) == 2:  # the 128-node level of the first rectangle
+                vals[0, 3] = 0.0
+            return vals
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wind = _winding_number(func, np.array([0.0, 2.0]), np.array([1.0, 3.0]), 0.4, n_max=256)
+        # 64: both 1 and 2; 128: the first has a zero, the second settles;
+        # 256: the first settles on the 1 kept from level 64
+        assert wind.tolist() == [1, 2]
+        assert calls == [(2, 64), (2, 128), (1, 256)]
+
+    def test_undecided_rectangle_is_named(self):
+        roots = np.array([0.5, 2.5, 4.5, 6.5])
+
+        def func(z):
+            vals = (z - 0.5) * (z - 2.5) * (z - 4.5) * (z - 6.5)
+            return np.where(np.abs(z.real - 2.5) <= 0.45, 0.0, vals)
+
+        assert _winding_number(func, roots[[0, 2, 3]] - 0.45, roots[[0, 2, 3]] + 0.45,
+                               0.45, roots=roots[[0, 2, 3]]).tolist() == [1, 1, 1]
+        with pytest.raises(MultiplicityUndecidedError, match=r"^multiplicity-undecided at omega=2.5$") as exc:
+            _winding_number(func, roots - 0.45, roots + 0.45, 0.45, n_max=1024, roots=roots)
+        assert exc.value.omega == 2.5
+
+    def test_find_spectrum_names_the_first_undecided_root(self, monkeypatch):
+        cfg = StringConfig(2, 0.3)
+        omegas = find_spectrum(cfg, 10.0).omegas()
+        undecided = omegas[[2, 4]]
+        g = spectrum.dispersion_two_piece
+
+        def blind(z, cfg):
+            if not np.iscomplexobj(z):
+                return g(z, cfg)
+            # zero every perimeter that encloses one of the two chosen roots
+            lo = z.real.min(axis=-1, keepdims=True)[..., None]
+            hi = z.real.max(axis=-1, keepdims=True)[..., None]
+            return np.where(np.any((lo < undecided) & (undecided < hi), axis=-1), 0.0, g(z, cfg))
+
+        monkeypatch.setattr(spectrum, "dispersion_two_piece", blind)
+        with pytest.raises(MultiplicityUndecidedError) as exc:
+            find_spectrum(cfg, 10.0)
+        assert exc.value.omega == omegas[2]
+        assert str(exc.value) == f"multiplicity-undecided at omega={omegas[2]:.12g}"
+
+    def test_oracle_memory_is_bounded(self):
+        # an unblocked level holds every perimeter at once: about 10 MB here
+        cfg = StringConfig(2, 0.3)
+        casimir_by_cutoff(cfg)
+        tracemalloc.start()
+        try:
+            casimir_by_cutoff(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestFindSpectrum:
