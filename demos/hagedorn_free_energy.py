@@ -4,8 +4,9 @@ Hagedorn structure.
 Sweeps the inverse temperature: far below the transition the free energy
 sits on its constant term (the zero-temperature decoupled energy); as
 beta drops, the modulus integral swells until its small-tau_2 end stops
-converging.  Note the measured divergence threshold of the modulus
-integral lies above the closed-form critical beta; both are printed.
+converging.  Note the divergence threshold of the modulus integral, where
+delta(beta) changes sign, lies above the closed-form critical beta; both
+are printed.
 """
 
 import math
@@ -26,16 +27,17 @@ for s in (1, 2):
     bc = hagedorn_beta(cfg)
     print(f"s = {s}: mean tension {mean_tension(cfg):.6f}, "
           f"closed-form beta_c = {bc:.6f}")
-    # measured threshold: coefficient balance of the tau_2 -> 0 exponentials
-    measured = math.sqrt(8 * math.pi**2 * (4 * s + 1) / cfg.tension_ii) / s
-    print(f"        measured modulus-integral threshold beta* = {measured:.6f}")
+    # delta(beta) = 0: coefficient balance of the tau_2 -> 0 exponentials
+    threshold = math.sqrt(8 * math.pi**2 * (4 * s + 1) / cfg.tension_ii) / s
+    print(f"        modulus-integral threshold beta* = {threshold:.6f}")
     print(f"        constant term {-(s + 1 / s - 2) / 24:+.8f} "
           f"(decoupled two-piece energy at L = pi: "
           f"{casimir_two_piece_x0(s, math.pi).value:+.8f})")
     for mult in (0.95, 1.05, 2.0, 3.0):
         res = free_energy(cfg, mult * bc)
         val = f"{res.free_energy:+.6e}" if math.isfinite(res.free_energy) else "   -inf"
-        print(f"        beta = {mult:4.2f} beta_c : F = {val}   [{res.convergence_flag}]")
+        bar = f" +- {res.abs_error_estimate:.1e}" if math.isfinite(res.free_energy) else ""
+        print(f"        beta = {mult:4.2f} beta_c : F = {val}{bar}   [{res.convergence_flag}]")
     print()
 
 cfg = QuantumStringConfig(1, math.pi)

@@ -13,7 +13,8 @@ degenerate cases (s = 1, x = 1, N = 1), are negative otherwise, and decay
 exponentially, so the integrals are truncated where the rest falls below
 e^{-40} of the whole.  Each is a trapezoid sum after the double-exponential
 map q = scale exp(t - e^{-t}), which resolves the piece scales and the
-q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`.
+q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`
+and, through the same map, the modulus integral of :mod:`.quantum`.
 """
 
 import itertools

@@ -13,23 +13,31 @@ of Dedekind eta:
                 |eta((1+s) tau)|^{-48}  eta(2 i s (1+s) tau_2)^{-24},
 
 with t = pi * mean tension.  The tau_2 -> 0 end converges only for low
-enough temperature; its breakdown is the Hagedorn transition and is
-detected empirically by halving the lower integration limit.  The
-tau_2 -> infinity end grows without bound for every beta (the tachyonic
-(q qbar)^{-1} content of the eta powers), so the integral carries an
-explicit upper cutoff ``tau2_max``; all reported values are understood
-with that regularization.
+enough temperature; its breakdown is the Hagedorn transition.  On the
+dominant ray tau_1 = 0 the modular transformation of eta gives the log
+integrand -delta/tau_2 + 22 ln tau_2 + O(1), with
+delta(beta) = beta^2 t / (8 pi^2) - pi (4s+1) / (s (1+s)), so the integral
+converges exactly when delta >= 0 (like tau_2^22 at delta = 0), that is
+for beta >= beta* = sqrt(8 pi^2 (4s+1) / T_II) / s.  beta* is not the
+paper's closed-form critical point ``hagedorn_beta`` (11.21 against 5.94
+at s = 1, T_II = pi).  The tau_2 -> infinity end grows without bound
+for every beta (the tachyonic (q qbar)^{-1} content of the eta powers),
+so the integral carries an explicit upper cutoff ``tau2_max``; all
+reported values are understood with that regularization.
 
 Everything is evaluated in log space: the bare prefactor is ~1e-34 while
 the integrand spans hundreds of e-folds.
 """
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .energy import _contour
 from .errors import DomainError, QuadratureError
 from .modular import log_abs_dedekind_eta
 
@@ -46,6 +54,18 @@ __all__ = [
 ]
 
 _TRANSVERSE_DIMS = 24
+_ETA_BLOCK = 1 << 16  # eta arguments per call, which bounds memory
+_EPS = sys.float_info.epsilon
+
+
+def _check_positive(name, value):
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(name, value):
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +77,8 @@ class QuantumStringConfig:
     spacetime_dim: int = 26
 
     def __post_init__(self):
-        if not (isinstance(self.s, (int, np.integer)) and self.s >= 1):
-            raise DomainError(f"s must be an integer >= 1, got {self.s}")
-        if not self.tension_ii > 0:
-            raise DomainError(f"tension_ii must be positive, got {self.tension_ii}")
+        _check_count("s", self.s)
+        _check_positive("tension_ii", self.tension_ii)
         if self.spacetime_dim != 26:
             raise DomainError("only the critical dimension 26 is supported")
 
@@ -85,8 +103,7 @@ class OccupationState:
             ("c_modes", self.c_modes),
         ):
             for (n, i), occ in modes.items():
-                if not (isinstance(n, (int, np.integer)) and n >= 1):
-                    raise DomainError(f"{name}: mode index must be >= 1, got {n}")
+                _check_count(f"{name}: mode index", n)
                 if not 1 <= i <= _TRANSVERSE_DIMS:
                     raise DomainError(f"{name}: direction must lie in 1..24, got {i}")
                 if not (isinstance(occ, (int, np.integer)) and occ >= 0):
@@ -103,12 +120,15 @@ class ThermoResult:
     internal_energy: Optional[float] = None
     entropy: Optional[float] = None
     identity_residual: Optional[float] = None
+    abs_error_estimate: float = 0.0
 
     def __post_init__(self):
         if self.convergence_flag not in ("converged", "diverged-below-hagedorn"):
             raise DomainError(f"unknown convergence flag {self.convergence_flag!r}")
         if not self.beta > 0:
             raise DomainError("beta must be positive")
+        if not self.abs_error_estimate >= 0:
+            raise DomainError("abs_error_estimate must be nonnegative")
 
 
 def mean_tension(cfg):
@@ -144,165 +164,100 @@ def hagedorn_beta(cfg):
 
 
 def _ln_theta3_minus_one(a):
-    """ln(theta_3(0 | i a) - 1) = ln(2 sum_{n>=1} e^{-a n^2}), a > 0."""
-    extra = 0.0
-    n = 2
-    while True:
-        term = math.exp(-a * (n * n - 1))
-        extra += term
-        if term < 1e-20 * (1.0 + extra) or n > 10**4:
-            break
-        n += 1
-    return math.log(2.0) - a + math.log1p(extra)
+    """ln(theta_3(0 | i a) - 1) = ln(2 sum_{n>=1} e^{-a n^2}) for an array a > 0.
 
-
-def _logsumexp(a, weights=1.0):
-    """ln sum(weights e^a) for positive weights, shifted by max(a) so that
-    no exponential overflows."""
-    top = float(np.max(a))
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.sum(weights * np.exp(a - top))))
-
-
-def _log_integrand_tau1_integrated(tau2, s, beta, t, n_tau1):
-    """ln of the tau_1-integrated integrand at one tau_2 (log-space)."""
-    a = beta * beta * t / (8.0 * math.pi**2 * tau2)
-    ln_theta = _ln_theta3_minus_one(a)
-    ln_eta_imag = log_abs_dedekind_eta(2j * s * (1.0 + s) * tau2)
-    tau1 = -0.5 + np.arange(n_tau1) / n_tau1
-    z = (1.0 + s) * (tau1 + 1j * tau2)
-    ln_eta_c = log_abs_dedekind_eta(z)
-    # trapezoid over the periodic tau_1 direction, weight 1/n each
-    ln_tau1_integral = _logsumexp(-48.0 * ln_eta_c) - math.log(n_tau1)
-    return ln_theta - 24.0 * ln_eta_imag - 14.0 * math.log(tau2) + ln_tau1_integral
-
-
-def _log_integrand_ray(tau2, s, beta, t):
-    """ln integrand on the tau_1 = 0 ray, where the small-tau2 growth of
-    the eta factors is maximal (the other growth rays tau_1 = k/(1+s) are
-    copies by periodicity)."""
-    a = beta * beta * t / (8.0 * math.pi**2 * tau2)
-    return (
-        _ln_theta3_minus_one(a)
-        - 48.0 * log_abs_dedekind_eta(1j * (1.0 + s) * tau2)
-        - 24.0 * log_abs_dedekind_eta(2j * s * (1.0 + s) * tau2)
-        - 14.0 * math.log(tau2)
-    )
-
-
-def _small_tau2_diverges(s, beta, t):
-    """Empirical Hagedorn test: does the integrand grow without bound as
-    tau_2 -> 0?
-
-    Probes the dominant ray at successively halved tau_2 deep below any
-    crossover scale; past the transient the log integrand behaves like
-    -delta/tau_2 + (powers) ln tau_2, so persistent growth under halving
-    pins delta < 0 (divergent) and persistent decay pins delta > 0.
+    Summed directly for a >= 1 and after Poisson summation,
+    sum_n e^{-a n^2} = sqrt(pi/a) sum_n e^{-pi^2 n^2 / a}, below; either way
+    the terms left out are below e^{-48} of the sum.
     """
-    tau2 = 1e-4
-    prev = _log_integrand_ray(tau2, s, beta, t)
-    rising = falling = 0
-    for _ in range(40):
-        tau2 /= 2.0
-        cur = _log_integrand_ray(tau2, s, beta, t)
-        if cur > prev + 1e-9:
-            rising += 1
-            falling = 0
-        else:
-            falling += 1
-            rising = 0
-        if rising >= 3:
-            return True
-        if falling >= 3:
-            return False
-        prev = cur
-    raise QuadratureError(
-        f"small-tau2 behavior undecided after deep probing (s={s}, beta={beta})"
-    )
+    a = np.asarray(a, dtype=float)
+    out = np.empty_like(a)
+    hi = a >= 1.0
+    ah, al = a[hi], a[~hi]
+    tail = np.exp(-np.multiply.outer(ah, np.arange(2, 8) ** 2 - 1.0)).sum(axis=-1)
+    out[hi] = math.log(2.0) - ah + np.log1p(tail)
+    dual = np.exp(-np.multiply.outer(math.pi**2 / al, np.arange(1, 4) ** 2)).sum(axis=-1)
+    ln_theta = 0.5 * np.log(math.pi / al) + np.log1p(2.0 * dual)
+    out[~hi] = ln_theta + np.log(-np.expm1(-ln_theta))
+    return out
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-
-def _log_prefactor(cfg):
-    t = translational_energy(cfg)
-    return -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
-
-
-def _log_octave_integral(lo, hi, s, beta, t, n_tau1):
-    """ln of Int_lo^hi (integrand) dtau_2 over one octave, Gauss-Legendre
-    on the log-tau_2 substitution."""
-    u_lo, u_hi = math.log(lo), math.log(hi)
-    mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
-    us = mid + half * _GL_NODES
-    logs = np.array(
-        [_log_integrand_tau1_integrated(math.exp(u), s, beta, t, n_tau1) + u for u in us]
-    )
-    return _logsumexp(logs, _GL_WEIGHTS * half)
+def _log_integrand(tau2, s, beta, t, n_tau1):
+    """ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the
+    n_tau1-node trapezoid of the periodic direction, and the summed magnitude
+    of its terms, which sets its rounding error (about that times eps).
+    Each chunk of about _ETA_BLOCK eta arguments takes one eta call.
+    """
+    tau1 = -0.5 + np.arange(n_tau1) / n_tau1
+    ln_value, magnitude = np.empty_like(tau2), np.empty_like(tau2)
+    rows = max(1, _ETA_BLOCK // (n_tau1 + 1))
+    for lo in range(0, tau2.size, rows):
+        y = tau2[lo : lo + rows]
+        z = (1.0 + s) * (tau1 + 1j * y[:, None])
+        ln_eta = log_abs_dedekind_eta(np.concatenate([z.ravel(), 2j * s * (1.0 + s) * y]))
+        ln_eta_imag = ln_eta[z.size :]
+        powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
+        top = powers.max(axis=1)
+        ln_tau1 = top + np.log(np.exp(powers - top[:, None]).sum(axis=1) / n_tau1)
+        ln_theta = _ln_theta3_minus_one(beta * beta * t / (8.0 * math.pi**2 * y))
+        terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
+        ln_value[lo : lo + rows] = sum(terms)
+        magnitude[lo : lo + rows] = sum(np.abs(term) for term in terms) + 1.0
+    return ln_value, magnitude
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     """One-loop free energy of the first-branch string gas at inverse
     temperature beta (partial result: F only).
 
-    The tau_2 -> 0 end is classified first by probing the integrand on
-    its dominant ray at successively halved tau_2: persistent growth is
-    the Hagedorn divergence and the result is flagged
-    ``diverged-below-hagedorn`` (``free_energy`` = -inf, the direction in
-    which the integral term runs away).  Otherwise the integral is
-    accumulated octave by octave downward from ``tau2_max`` until two
-    successive octaves contribute below 1e-8 of the running total; a
-    growth of more than 10x per octave along the way raises, so
-    quadrature trouble is never mistaken for the physical divergence.
+    Below beta*, where delta(beta) < 0 (see the module docstring), the
+    result is flagged ``diverged-below-hagedorn`` with ``free_energy`` =
+    -inf, the direction in which the integral term runs away.  Otherwise the
+    integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a
+    trapezoid sum after the double-exponential map of the contour routes,
+    which also resolves the tau2_max end, where the integrand is largest.
+    ``abs_error_estimate`` bounds the kernel's discretization and noise, the
+    rounding of the log integrand and of its exponential, about |ln| eps
+    relative with |ln| up to hundreds, and the rounding of F itself.
     """
     if not isinstance(cfg, QuantumStringConfig):
         raise DomainError("free_energy expects a QuantumStringConfig")
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    _check_positive("beta", beta)
+    _check_positive("tau2_max", tau2_max)
+    _check_count("n_tau1", n_tau1)
+    _check_count("max_octaves", max_octaves)
+    if math.log(tau2_max) - max_octaves * math.log(2.0) < -660.0:
+        raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
     s = cfg.s
     t = translational_energy(cfg)
-    constant = -(s + 1.0 / s - 2.0) / 24.0
-    log_prefactor = _log_prefactor(cfg)
+    constant = -((s - 1) ** 2) / (24.0 * s)  # -(s + 1/s - 2)/24, rounded once
+    if beta * beta * t / (8.0 * math.pi**2) < math.pi * (4.0 * s + 1.0) / (s * (1.0 + s)):
+        return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
+    shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
+    if shift == -math.inf:  # the integrand underflows everywhere
+        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * abs(constant))
+    sums = np.zeros(2)  # sums of f and of f times its log magnitude over all nodes
 
-    if _small_tau2_diverges(s, beta, t):
-        return ThermoResult(
-            free_energy=-math.inf, beta=beta, convergence_flag="diverged-below-hagedorn"
-        )
+    def f(v):
+        ln_value, magnitude = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
+        excess = ln_value - shift
+        if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
+            raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
+        value = np.exp(excess)
+        sums[:] += value.sum(), (value * magnitude).sum()
+        return value
 
-    log_total = -math.inf
-    small_streak = 0
-    hi = tau2_max
-    prev_contrib = None
-    for _ in range(max_octaves):
-        lo = hi / 2.0
-        contrib = _log_octave_integral(lo, hi, s, beta, t, n_tau1)
-        log_total = float(np.logaddexp(log_total, contrib))
-        if prev_contrib is not None and contrib > prev_contrib + math.log(10.0):
-            raise QuadratureError(
-                f"integrand grew past the convergent small-tau2 classification "
-                f"(s={s}, beta={beta}, tau2~{lo:.3e})"
-            )
-        if contrib < log_total + math.log(1e-8):
-            small_streak += 1
-            if small_streak >= 2:
-                if log_prefactor + log_total > 700.0:
-                    raise QuadratureError(
-                        f"modulus integral not representable in double precision "
-                        f"(ln value {log_prefactor + log_total:.1f}); lower tau2_max"
-                    )
-                value = constant - math.exp(log_prefactor + log_total)
-                return ThermoResult(
-                    free_energy=value, beta=beta, convergence_flag="converged"
-                )
-        else:
-            small_streak = 0
-        prev_contrib = contrib
-        hi = lo
-    raise QuadratureError(
-        f"tau_2 integration reached {max_octaves} octaves without stabilizing "
-        f"(s={s}, beta={beta})"
-    )
+    integral = _contour(f, 1.0, max_octaves * math.log(2.0))
+    ln_prefactor = -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
+    ln_term = ln_prefactor + shift + math.log(integral.value)
+    if ln_term > 700.0:
+        raise QuadratureError(f"modulus integral not representable in double precision "
+                              f"(ln {ln_term:.1f}); lower tau2_max")
+    term = math.exp(ln_term)
+    rounding = _EPS * (sums[1] / sums[0] + abs(ln_term) + abs(ln_prefactor))
+    error = term * (integral.abs_error_estimate / integral.value + rounding)
+    error += _EPS * abs(constant - term)  # the rounding of the constant and of F
+    return ThermoResult(constant - term, beta, "converged", abs_error_estimate=error)
 
 
 def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
@@ -310,10 +265,13 @@ def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
     by Richardson-refined central differences.
 
     The residual of the identity F = U - S/beta measures the differencing
-    error alone (it holds algebraically) and is reported alongside.
+    error alone (it holds algebraically) and is reported alongside;
+    ``abs_error_estimate`` is the bar of the central F.  ``step_frac`` must
+    lie in (0, 1), so that the stencil stays at positive beta.
     """
-    if not beta > 0:
-        raise DomainError(f"beta must be positive, got {beta}")
+    _check_positive("beta", beta)
+    if not (isinstance(step_frac, numbers.Real) and 0.0 < step_frac < 1.0):
+        raise DomainError(f"step_frac must lie in (0, 1), got {step_frac!r}")
     h = step_frac * beta
     betas = [beta, beta + h, beta - h, beta + h / 2.0, beta - h / 2.0]
     results = [free_energy(cfg, b, tau2_max=tau2_max) for b in betas]
@@ -340,4 +298,5 @@ def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
         internal_energy=u,
         entropy=entropy,
         identity_residual=residual,
+        abs_error_estimate=results[0].abs_error_estimate,
     )

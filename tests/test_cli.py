@@ -154,6 +154,13 @@ class TestMain:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(4 * math.sqrt(2), rel=1e-12)
 
+    def test_free_energy_on_the_unit_circle(self, capsys):
+        # tau_1 nodes that reduce onto |z| = 1 used to end in a domain error
+        argv = ["free-energy", "--s", "3", "--T-II", "3.141592653589793", "--beta", "9",
+                "--tau2-max", "0.5"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1].endswith(",converged")
+
     def test_domain_error_exit_one(self, capsys):
         assert main(["energy", "--s", "0", "--x", "0.5"]) == 1
         err = capsys.readouterr().err
@@ -195,6 +202,13 @@ class TestInputContract:
         ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "0"],
         ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "1.5"],
         ["thermal", "--s", "2", "--x", "0.3", "--T", "1e-320"],
+        ["free-energy", "--tau2-max", "0"],
+        ["free-energy", "--tau2-max", "nan"],
+        ["free-energy", "--T-II", "inf"],
+        ["free-energy", "--beta", "inf"],
+        ["free-energy", "--derivatives", "--beta", "-17"],
+        ["hagedorn", "--T-II", "inf"],
+        ["scan", "--command", "free-energy", "--tau2-max", "0:1:0.5"],
     ])
     def test_exit_one_with_record(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

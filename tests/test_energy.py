@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringcasimir import (
     DomainError,
@@ -164,3 +166,36 @@ class TestScaling:
             scaling_function(2, 0.0)
         with pytest.raises(DomainError):
             scaling_fit(1.2)
+
+
+# Property forms of the point checks above: each compares within the bars,
+# which cover the error against the exact value.
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+_RATIO = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_TENSION = st.one_of(st.just(0.0), st.floats(0.0, 0.99))
+_LENGTH = st.floats(0.1, 10.0)
+
+
+@_PROPERTY
+@given(s=_RATIO, x=_TENSION, length=_LENGTH)
+def test_length_ratio_inversion_property(s, x, length):
+    a = casimir_two_piece(StringConfig(s, x, length))
+    b = casimir_two_piece(StringConfig(1.0 / s, x, length))
+    assert abs(a.value - b.value) <= a.abs_error_estimate + b.abs_error_estimate
+
+
+@_PROPERTY
+@given(s=_RATIO, x=_TENSION, length=_LENGTH, n=st.integers(1, 200))
+def test_energy_nonpositive_property(s, x, length, n):
+    two = casimir_two_piece(StringConfig(s, x, length))
+    many = casimir_2n(NPieceConfig(n, x, length))
+    assert two.value <= two.abs_error_estimate
+    assert many.value <= many.abs_error_estimate
+
+
+@_PROPERTY
+@given(n=st.integers(1, 199), step=st.integers(1, 50), x=_TENSION, length=_LENGTH)
+def test_magnitude_monotone_in_piece_count_property(n, step, x, length):
+    fewer = casimir_2n(NPieceConfig(n, x, length))
+    more = casimir_2n(NPieceConfig(n + step, x, length))
+    assert abs(more.value) >= abs(fewer.value) - fewer.abs_error_estimate - more.abs_error_estimate

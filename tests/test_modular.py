@@ -141,6 +141,19 @@ class TestLogAbsEta:
         assert math.isfinite(val)
         assert val == pytest.approx(-math.pi / (48.0 * eps), rel=1e-4)
 
+    def test_unit_circle(self):
+        # Re z = 1/2 (mod 1) reduces onto |z| = 1, where rounding used to flip
+        # z and -conj(z) until the step cap
+        z0 = -1.5 + 0.8014040962657041j
+        assert log_abs_dedekind_eta(z0) == pytest.approx(
+            math.log(abs(_eta_reference(z0))), rel=1e-13
+        )
+        ys = np.linspace(0.1, 0.99, 2000)
+        got = log_abs_dedekind_eta(0.5 + 1j * ys)
+        assert np.all(np.isfinite(got))
+        for y, g in zip(ys[::50], got[::50]):
+            assert g == pytest.approx(math.log(abs(_eta_reference(0.5 + 1j * y))), rel=1e-12)
+
     def test_array_input(self):
         zs = np.array([0.3 + 0.8j, 1.2 + 0.4j, 0.1 + 2.5j])
         got = log_abs_dedekind_eta(zs)

@@ -1,5 +1,8 @@
 import math
+import warnings
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from stringcasimir import (
@@ -7,14 +10,108 @@ from stringcasimir import (
     OccupationState,
     QuadratureError,
     QuantumStringConfig,
+    ThermoResult,
     casimir_two_piece_x0,
     free_energy,
     hagedorn_beta,
+    log_abs_dedekind_eta,
     mass_squared_excess,
     mean_tension,
     thermo_derivatives,
     translational_energy,
 )
+from stringcasimir.quantum import _ln_theta3_minus_one
+
+
+def beta_star(s, tension_ii):
+    """Where delta(beta) = beta^2 t / (8 pi^2) - pi (4s+1) / (s (1+s)) vanishes."""
+    return math.sqrt(8.0 * math.pi**2 * (4 * s + 1) / tension_ii) / s
+
+
+def diverges_by_probe(s, beta, t):
+    """Empirical Hagedorn test: does the integrand grow without bound as
+    tau_2 -> 0?
+
+    Probes the dominant ray tau_1 = 0 at successively halved tau_2 deep below
+    any crossover scale; past the transient the log integrand behaves like
+    -delta/tau_2 + (powers) ln tau_2, so persistent growth under halving pins
+    delta < 0 (divergent) and persistent decay pins delta > 0.
+    """
+
+    def ray(tau2):
+        a = beta * beta * t / (8.0 * math.pi**2 * tau2)
+        return (
+            _ln_theta3_minus_one(np.array([a]))[0]
+            - 48.0 * log_abs_dedekind_eta(1j * (1.0 + s) * tau2)
+            - 24.0 * log_abs_dedekind_eta(2j * s * (1.0 + s) * tau2)
+            - 14.0 * math.log(tau2)
+        )
+
+    tau2 = 1e-4
+    prev = ray(tau2)
+    rising = falling = 0
+    for _ in range(40):
+        tau2 /= 2.0
+        cur = ray(tau2)
+        if cur > prev + 1e-9:
+            rising, falling = rising + 1, 0
+        else:
+            rising, falling = 0, falling + 1
+        if rising >= 3:
+            return True
+        if falling >= 3:
+            return False
+        prev = cur
+    raise AssertionError(f"probe undecided (s={s}, beta={beta})")
+
+
+def _mp_ln_abs_eta(z):
+    """ln|eta(z)| at 30 digits: SL(2, Z) reduction, then mpmath's q-product."""
+    acc = mp.mpf(0)
+    while True:
+        z -= mp.nint(z.real)
+        if abs(z) >= 1 - mp.mpf(10) ** -25:
+            break
+        acc -= mp.log(abs(z)) / 2
+        z = -1 / z
+    return acc - mp.pi * z.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * z))))
+
+
+def _mp_theta3_minus_one(a):
+    # theta_3(q) = theta_3(q^4) + theta_2(q^4) splits the even and odd n, so
+    # theta_3(q) - 1 = sum_k theta_2(q^{4^k}) has no cancellation
+    total, k = mp.mpf(0), 1
+    while True:
+        term = mp.jtheta(2, 0, mp.exp(-a * 4**k))
+        total += term
+        if term < mp.mpf(10) ** -40 * total:
+            return total
+        k += 1
+
+
+def mp_free_energy(s, tension_ii, beta, tau2_max, n_tau1, max_octaves=48):
+    """F at 30 digits with the same n_tau1-node tau_1 sum, integrated over
+    v = ln(tau2_max / tau_2) by Gauss-Legendre on fixed intervals."""
+    mp.mp.dps = 30
+    t = mp.pi * mp.mpf(tension_ii) * s / (1 + s)
+    beta = mp.mpf(beta)
+    weights = {}  # |eta| is even and 1-periodic in Re z: fold the tau_1 nodes
+    for k in range(n_tau1):
+        x = ((1 + s) * mp.mpf(2 * k - n_tau1) / (2 * n_tau1)) % 1
+        x = min(x, 1 - x)
+        weights[x] = weights.get(x, 0) + 1
+
+    def integrand(v):
+        y = mp.mpf(tau2_max) * mp.exp(-v)
+        tau1 = mp.fsum(c * mp.exp(-48 * _mp_ln_abs_eta(mp.mpc(x, (1 + s) * y)))
+                       for x, c in weights.items()) / n_tau1
+        eta_imag = mp.exp(-24 * _mp_ln_abs_eta(mp.mpc(0, 2 * s * (1 + s) * y)))
+        return y**-13 * _mp_theta3_minus_one(beta**2 * t / (8 * mp.pi**2 * y)) * eta_imag * tau1
+
+    points = [0, mp.mpf("0.05"), mp.mpf("0.5"), 3, max_octaves * mp.log(2)]
+    value = mp.quad(integrand, points, method="gauss-legendre", maxdegree=5)
+    prefactor = mp.mpf(2) ** -40 * mp.pi**-26 * t**-13
+    return -mp.mpf((s - 1) ** 2) / (24 * s) - prefactor * value
 
 
 class TestConfig:
@@ -27,6 +124,51 @@ class TestConfig:
             QuantumStringConfig(s=1, tension_ii=0.0)
         with pytest.raises(DomainError):
             QuantumStringConfig(s=1, tension_ii=1.0, spacetime_dim=10)
+
+    @pytest.mark.parametrize("s, tension", [
+        (1, math.inf), (1, math.nan), (1, -1.0), (1, "1"), (2.0, 1.0), ("2", 1.0), (-1, 1.0),
+    ])
+    def test_rejects_bad_input(self, s, tension):
+        with pytest.raises(DomainError):
+            QuantumStringConfig(s, tension)
+
+
+class TestInputContract:
+    """Every bad argument is a DomainError, raised before any work and
+    without a warning."""
+
+    CFG = QuantumStringConfig(1, math.pi)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"beta": math.inf}, {"beta": math.nan}, {"beta": 0.0}, {"beta": -3.0}, {"beta": "17"},
+        {"tau2_max": 0.0}, {"tau2_max": math.nan}, {"tau2_max": math.inf}, {"tau2_max": -1.0},
+        {"n_tau1": 0}, {"n_tau1": 64.0}, {"n_tau1": -8},
+        {"max_octaves": 0}, {"max_octaves": 2.5}, {"max_octaves": 10**4},
+    ])
+    def test_free_energy(self, kwargs):
+        kwargs = {"beta": 17.0, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                free_energy(self.CFG, **kwargs)
+
+    def test_free_energy_needs_its_config(self):
+        with pytest.raises(DomainError):
+            free_energy((1, math.pi), 17.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"step_frac": 0.0}, {"step_frac": math.nan}, {"step_frac": math.inf},
+        {"step_frac": 1.0}, {"step_frac": -1e-3}, {"beta": math.inf}, {"tau2_max": 0.0},
+    ])
+    def test_thermo_derivatives(self, kwargs):
+        kwargs = {"beta": 17.0, **kwargs}
+        with pytest.raises(DomainError):
+            thermo_derivatives(self.CFG, **kwargs)
+
+    def test_result_bar_is_nonnegative(self):
+        assert ThermoResult(-1.0, 2.0, "converged").abs_error_estimate == 0.0
+        with pytest.raises(DomainError):
+            ThermoResult(-1.0, 2.0, "converged", abs_error_estimate=-1.0)
 
 
 class TestMeanTension:
@@ -124,28 +266,47 @@ class TestFreeEnergy:
         b = free_energy(cfg, beta, n_tau1=128).free_energy
         assert abs(a / b - 1.0) < 1e-6
 
-    def test_lower_cutoff_halving_stable(self):
-        # the accumulation stops once two successive octaves are below
-        # 1e-8 of the total, so integrating far deeper than the adaptive
-        # stop moves F by < 1e-6 relative
-        import numpy as np
+    @pytest.mark.parametrize("s, tension, frac", [(1, math.pi, 2.0), (3, math.pi, 1.3), (2, 0.7, 1.01)])
+    def test_deeper_lower_end_within_bar(self, s, tension, frac):
+        # max_octaves sets the v range; doubling it adds only what lies below
+        # tau2_max 2^-48, far below the bar
+        cfg = QuantumStringConfig(s, tension)
+        beta = frac * beta_star(s, tension)
+        res = free_energy(cfg, beta)
+        deep = free_energy(cfg, beta, max_octaves=96)
+        assert abs(deep.free_energy - res.free_energy) <= res.abs_error_estimate
 
-        from stringcasimir.quantum import _log_octave_integral, _log_prefactor
+    @pytest.mark.parametrize("s, tension, frac", [(1, math.pi, 2.0), (3, math.pi, 1.3), (2, 0.7, 1.01)])
+    def test_finer_tau1_within_bar(self, s, tension, frac):
+        cfg = QuantumStringConfig(s, tension)
+        beta = frac * beta_star(s, tension)
+        res = free_energy(cfg, beta)
+        fine = free_energy(cfg, beta, n_tau1=256)
+        assert abs(fine.free_energy - res.free_energy) <= res.abs_error_estimate
 
-        cfg = QuantumStringConfig(1, math.pi)
-        beta = 2.0 * hagedorn_beta(cfg)
-        t = math.pi * (cfg.tension_ii * cfg.s / (1 + cfg.s))
-        total = -math.inf
-        hi, contribs = 1.0, []
-        for _ in range(24):
-            c = _log_octave_integral(hi / 2, hi, 1, beta, t, 64)
-            total = float(np.logaddexp(total, c))
-            contribs.append(c)
-            hi /= 2
-        deep_tail = math.exp(contribs[-1] - total)
-        assert deep_tail < 1e-6
-        reported = free_energy(cfg, beta).free_energy
-        assert abs(reported / (-math.exp(_log_prefactor(cfg) + total)) - 1.0) < 1e-6
+    @pytest.mark.parametrize("s, tension, frac, tau2_max, n_tau1", [
+        (1, math.pi, 1.5, 1.0, 8),
+        (3, math.pi, 3.0, 1.0, 8),
+        (2, 1.7, 1.2, 0.5, 8),
+        (3, 0.7, 1.01, 2.0, 4),
+        (5, 2.0, 2.0, 0.25, 4),
+        (1, 4.0, 1.001, 1.0, 8),
+    ])
+    def test_bar_covers_mpmath(self, s, tension, frac, tau2_max, n_tau1):
+        beta = frac * beta_star(s, tension)
+        res = free_energy(QuantumStringConfig(s, tension), beta, tau2_max=tau2_max, n_tau1=n_tau1)
+        ref = mp_free_energy(s, tension, beta, tau2_max, n_tau1)
+        assert res.convergence_flag == "converged"
+        assert abs(res.free_energy - ref) <= res.abs_error_estimate
+        # the bar is within a few hundred eps of the integral term
+        assert res.abs_error_estimate <= 1e-12 * abs(ref + mp.mpf((s - 1) ** 2) / (24 * s)) + 1e-17
+
+    def test_tau1_nodes_on_the_unit_circle(self):
+        # nodes with (1+s) tau_1 = 1/2 (mod 1) put z = (1+s) tau on the line
+        # Re z = 1/2, where some tau_2 nodes reduce onto the arc |z| = 1
+        res = free_energy(QuantumStringConfig(3, math.pi), 9.0, tau2_max=0.5)
+        assert res.convergence_flag == "converged"
+        assert res.free_energy < -(2**2) / 72.0
 
     def test_large_beta_approaches_constant(self):
         cfg = QuantumStringConfig(2, math.pi)
@@ -165,6 +326,31 @@ class TestFreeEnergy:
             free_energy(QuantumStringConfig(1, math.pi), 0.0)
 
 
+class TestHagedornRule:
+    """The divergence is the sign of delta(beta); the empirical ray probe,
+    which the library used before, agrees on a grid that straddles beta*."""
+
+    FRACS = (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0, 5.0)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    def test_probe_agrees_with_delta(self, s):
+        for tension in (0.3, 1.0, math.pi, 10.0):
+            t = translational_energy(QuantumStringConfig(s, tension))
+            for frac in self.FRACS:
+                assert diverges_by_probe(s, frac * beta_star(s, tension), t) == (frac < 1.0)
+
+    @pytest.mark.parametrize("s", range(1, 5))
+    def test_flag_agrees_with_probe(self, s):
+        for tension in (0.3, math.pi, 10.0):
+            cfg = QuantumStringConfig(s, tension)
+            for frac in self.FRACS:
+                beta = frac * beta_star(s, tension)
+                res = free_energy(cfg, beta)
+                probe = diverges_by_probe(s, beta, translational_energy(cfg))
+                assert (res.convergence_flag == "diverged-below-hagedorn") == probe
+                assert (res.free_energy == -math.inf) == probe
+
+
 class TestThermoDerivatives:
     def test_identity_residual_small(self):
         cfg = QuantumStringConfig(1, math.pi)
@@ -176,6 +362,12 @@ class TestThermoDerivatives:
         for mult in (2.5, 3.0):
             res = thermo_derivatives(cfg, mult * hagedorn_beta(cfg))
             assert res.entropy >= 0.0
+
+    def test_bar_of_the_central_free_energy(self):
+        cfg = QuantumStringConfig(2, math.pi)
+        beta = 1.5 * beta_star(2, math.pi)
+        res = thermo_derivatives(cfg, beta)
+        assert res.abs_error_estimate == free_energy(cfg, beta).abs_error_estimate > 0.0
 
     def test_raises_when_stencil_hits_divergence(self):
         cfg = QuantumStringConfig(2, math.pi)
