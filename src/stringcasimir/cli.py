@@ -11,10 +11,13 @@ Commands map one-to-one onto library operations:
     oracle       contour vs cutoff-regularization comparison
     scan         sweep one parameter of another command over start:stop:step
 
+One table, _TABLE, gives each command's row builder and its keys with their
+parsers and defaults; the flags, key checks and value parsing derive from it.
+
 Numeric flags accept pi-literals ("pi", "2pi", "pi/4", "0.5pi").  Output
 is deterministic (17 significant digits, no timestamps); exit status is 0
-on success, 1 on domain errors, 2 on numerical failures, with a JSON error
-record on stderr.
+on success, 1 on domain errors and bad flags, 2 on numerical failures,
+with a JSON error record on stderr.
 """
 
 import argparse
@@ -33,19 +36,6 @@ from .errors import DomainError, StringCasimirError
 
 __all__ = ["RunConfig", "dispatch", "compare_methods", "main"]
 
-_COMMANDS = ("energy", "energy-n", "spectrum", "thermal", "free-energy", "hagedorn", "oracle", "scan")
-
-_ALLOWED_KEYS = {
-    "energy": {"s", "x", "L"},
-    "energy-n": {"N", "x", "L"},
-    "spectrum": {"s", "x", "L", "omega_max"},
-    "thermal": {"s", "x", "L", "T"},
-    "free-energy": {"s", "T_II", "beta", "tau2_max", "derivatives"},
-    "hagedorn": {"s", "T_II"},
-    "oracle": {"s", "x", "L", "epsilons"},
-}
-_SCAN_KEYS = {"command", "jobs"}.union(*_ALLOWED_KEYS.values())
-_ALLOWED_KEYS["scan"] = _SCAN_KEYS
 _MAX_POINTS = 10**5
 
 _PI_RE = re.compile(r"^\s*(\d+(?:\.\d*)?|\.\d+)?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?|\.\d+))?\s*$")
@@ -91,6 +81,36 @@ def parse_range(text):
     return values
 
 
+def _real(key, value):
+    return parse_value(value)
+
+
+def _integer(key, value):
+    v = parse_value(value)
+    if not v.is_integer():
+        raise DomainError(f"{key} must be an integer, got {value!r}")
+    return int(v)
+
+
+def _boolean(key, value):
+    if not isinstance(value, bool):
+        raise DomainError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _reals(key, value):
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list):
+        raise DomainError(f"{key} must be a list of numbers, got {value!r}")
+    return [parse_value(e) for e in items]
+
+
+def _scanned_command(key, value):
+    if value == "scan" or value not in _COMMANDS:
+        raise DomainError(f"scan needs a concrete command, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -105,56 +125,24 @@ class RunConfig:
             raise DomainError(f"output path must be a string, got {self.output_path!r}")
         if self.output_format not in ("csv", "json"):
             raise DomainError(f"unknown format {self.output_format!r}")
-        unknown = set(self.parameters) - _ALLOWED_KEYS[self.command]
+        keys = _TABLE[self.command][1]
+        if self.command == "scan":
+            inner = _scanned_command("command", self.parameters.get("command"))
+            keys = {**_TABLE[inner][1], **keys}
+        unknown = set(self.parameters) - set(keys)
         if unknown:
             raise DomainError(f"unknown parameters for {self.command}: {sorted(unknown)}")
 
 
-def _number(command, key, value):
-    """One numeric parameter of ``command``: an int for its integer keys."""
-    v = parse_value(value)
-    if key in ("N", "jobs") or (key == "s" and command in ("free-energy", "hagedorn")):
-        if not v.is_integer():
-            raise DomainError(f"{key} must be an integer, got {value!r}")
-        return int(v)
-    return v
+def _values(keys, params):
+    """``params`` read by the parsers of ``keys``; a key it lacks takes its default."""
+    return {key: parse(key, params[key]) if key in params else default
+            for key, (parse, default) in keys.items()}
 
 
-def _parse_params(command, params):
-    """Flag and config-file values as the runners take them.  A scan's one
-    start:stop:step string is kept, to be expanded by parse_range."""
-    inner = params.get("command") if command == "scan" else command
-    if inner not in tuple(_RUNNERS):
-        raise DomainError(f"scan needs a concrete command, got {inner!r}")
-    out = {}
-    for key, value in params.items():
-        if key == "command" or (command == "scan" and isinstance(value, str) and ":" in value):
-            out[key] = value
-        elif key == "derivatives":
-            if not isinstance(value, bool):
-                raise DomainError(f"derivatives must be true or false, got {value!r}")
-            out[key] = value
-        elif key == "epsilons":
-            items = value.split(",") if isinstance(value, str) else value
-            if not isinstance(items, list):
-                raise DomainError(f"epsilons must be a list of numbers, got {value!r}")
-            out[key] = [parse_value(e) for e in items]
-        else:
-            out[key] = _number(inner, key, value)
-    return out
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _string_cfg(p):
-    return StringConfig(
-        length_ratio=p.get("s", 1.0), tension_ratio=p.get("x", 1.0),
-        total_length=p.get("L", math.pi),
-    )
+def _two_piece(p):
+    cfg = StringConfig(length_ratio=p["s"], tension_ratio=p["x"], total_length=p["L"])
+    return cfg, {"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length}
 
 
 def compare_methods(cfg, epsilons=None):
@@ -173,130 +161,116 @@ def compare_methods(cfg, epsilons=None):
     }
 
 
-def _run_energy(p):
-    cfg = _string_cfg(p)
-    rows = []
-    r = energy.casimir_two_piece(cfg)
-    base = {"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length}
-    rows.append({**base, "value": r.value, "method": r.method,
-                 "abs_error_estimate": r.abs_error_estimate})
-    if cfg.tension_ratio == 0.0:
-        r0 = energy.casimir_two_piece_x0(cfg.length_ratio, cfg.total_length)
-        rows.append({**base, "value": r0.value, "method": r0.method,
-                     "abs_error_estimate": r0.abs_error_estimate})
-    return rows
+def _result_rows(inputs, result, closed_form=None):
+    """The row of ``result`` and, at x = 0, the closed-form cross-check row."""
+    results = (result, closed_form()) if closed_form and inputs["x"] == 0.0 else (result,)
+    return [{**inputs, "value": r.value, "method": r.method, "abs_error_estimate": r.abs_error_estimate}
+            for r in results]
 
 
-def _run_energy_n(p):
-    cfg = NPieceConfig(piece_pairs=p.get("N", 1), tension_ratio=p.get("x", 1.0),
-                       total_length=p.get("L", math.pi))
-    rows = []
-    r = energy.casimir_2n(cfg)
-    base = {"N": cfg.piece_pairs, "x": cfg.tension_ratio, "L": cfg.total_length}
-    rows.append({**base, "value": r.value, "method": r.method,
-                 "abs_error_estimate": r.abs_error_estimate})
-    if cfg.tension_ratio == 0.0:
-        r0 = energy.casimir_2n_x0(cfg.piece_pairs, cfg.total_length)
-        rows.append({**base, "value": r0.value, "method": r0.method,
-                     "abs_error_estimate": r0.abs_error_estimate})
-    return rows
+def _two_piece_rows(p):
+    cfg, inputs = _two_piece(p)
+    return _result_rows(inputs, energy.casimir_two_piece(cfg),
+                        lambda: energy.casimir_two_piece_x0(cfg.length_ratio, cfg.total_length))
 
 
-def _run_spectrum(p):
-    cfg = _string_cfg(p)
-    spec = spectrum.find_spectrum(cfg, p.get("omega_max", 10.0))
-    base = {"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length}
-    return [{**base, "omega": w, "multiplicity": m} for w, m in spec.entries]
+def _2n_rows(p):
+    cfg = NPieceConfig(piece_pairs=p["N"], tension_ratio=p["x"], total_length=p["L"])
+    inputs = {"N": cfg.piece_pairs, "x": cfg.tension_ratio, "L": cfg.total_length}
+    return _result_rows(inputs, energy.casimir_2n(cfg),
+                        lambda: energy.casimir_2n_x0(cfg.piece_pairs, cfg.total_length))
 
 
-def _run_thermal(p):
-    cfg = _string_cfg(p)
-    th = thermal.ThermalConfig(temperature=p.get("T", 1.0))
+def _spectrum_rows(p):
+    cfg, inputs = _two_piece(p)
+    spec = spectrum.find_spectrum(cfg, p["omega_max"])
+    return [{**inputs, "omega": w, "multiplicity": m} for w, m in spec.entries]
+
+
+def _thermal_rows(p):
+    cfg, inputs = _two_piece(p)
+    th = thermal.ThermalConfig(temperature=p["T"])
     r = thermal.casimir_two_piece_thermal(cfg, th)
-    return [{"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length,
-             "T": th.temperature, "value": r.value, "method": r.method,
-             "abs_error_estimate": r.abs_error_estimate}]
+    return _result_rows({**inputs, "T": th.temperature}, r)
 
 
-def _run_free_energy(p):
-    cfg = quantum.QuantumStringConfig(s=p.get("s", 1), tension_ii=p.get("T_II", math.pi))
-    beta = p.get("beta", 3.0 * quantum.hagedorn_beta(cfg))
-    tau2_max = p.get("tau2_max", 1.0)
-    if p.get("derivatives"):
-        r = quantum.thermo_derivatives(cfg, beta, tau2_max=tau2_max)
-        return [{"s": cfg.s, "T_II": cfg.tension_ii, "beta": beta,
-                 "free_energy": r.free_energy, "internal_energy": r.internal_energy,
+def _free_energy_rows(p):
+    cfg = quantum.QuantumStringConfig(s=p["s"], tension_ii=p["T_II"])
+    beta = 3.0 * quantum.hagedorn_beta(cfg) if p["beta"] is None else p["beta"]
+    inputs = {"s": cfg.s, "T_II": cfg.tension_ii, "beta": beta}
+    if p["derivatives"]:
+        r = quantum.thermo_derivatives(cfg, beta, tau2_max=p["tau2_max"])
+        return [{**inputs, "free_energy": r.free_energy, "internal_energy": r.internal_energy,
                  "entropy": r.entropy, "identity_residual": r.identity_residual,
                  "convergence_flag": r.convergence_flag}]
-    r = quantum.free_energy(cfg, beta, tau2_max=tau2_max)
-    return [{"s": cfg.s, "T_II": cfg.tension_ii, "beta": beta,
-             "free_energy": r.free_energy, "convergence_flag": r.convergence_flag}]
+    r = quantum.free_energy(cfg, beta, tau2_max=p["tau2_max"])
+    return [{**inputs, "free_energy": r.free_energy, "convergence_flag": r.convergence_flag}]
 
 
-def _run_hagedorn(p):
-    cfg = quantum.QuantumStringConfig(s=p.get("s", 1), tension_ii=p.get("T_II", math.pi))
+def _hagedorn_rows(p):
+    cfg = quantum.QuantumStringConfig(s=p["s"], tension_ii=p["T_II"])
     bc = quantum.hagedorn_beta(cfg)
     return [{"s": cfg.s, "T_II": cfg.tension_ii, "beta_c": bc, "T_c": 1.0 / bc}]
 
 
-def _run_oracle(p):
-    cfg = _string_cfg(p)
-    report = compare_methods(cfg, epsilons=p.get("epsilons"))
-    base = {"s": cfg.length_ratio, "x": cfg.tension_ratio, "L": cfg.total_length}
+def _oracle_rows(p):
+    cfg, inputs = _two_piece(p)
+    report = compare_methods(cfg, epsilons=p["epsilons"])
     return [
-        {**base, "value": report["contour_value"], "method": "contour",
+        {**inputs, "value": report["contour_value"], "method": "contour",
          "abs_error_estimate": report["contour_error"]},
-        {**base, "value": report["oracle_value"], "method": "cutoff-oracle",
+        {**inputs, "value": report["oracle_value"], "method": "cutoff-oracle",
          "abs_error_estimate": report["oracle_error"]},
-        {**base, "value": report["abs_difference"],
+        {**inputs, "value": report["abs_difference"],
          "method": "difference" if report["agree"] else "difference-DISAGREES",
          "abs_error_estimate": 0.0},
     ]
 
 
-_RUNNERS = {
-    "energy": _run_energy,
-    "energy-n": _run_energy_n,
-    "spectrum": _run_spectrum,
-    "thermal": _run_thermal,
-    "free-energy": _run_free_energy,
-    "hagedorn": _run_hagedorn,
-    "oracle": _run_oracle,
-}
-
-
-def _scan_worker(args):
-    index, command, params = args
-    return index, _RUNNERS[command](params)
-
-
-def _run_scan(p):
-    command = p["command"]
-    swept = [(k, v) for k, v in p.items() if isinstance(v, str) and ":" in v]
+def _scan_rows(params):
+    """The scanned command's rows at each point of its swept key, in order."""
+    own = _values(_TABLE["scan"][1], params)
+    build, keys = _TABLE[own["command"]]
+    swept = [k for k in keys if isinstance(params.get(k), str) and ":" in params[k]]
+    fixed = _values({k: spec for k, spec in keys.items() if k not in swept}, params)
     if len(swept) != 1:
         raise DomainError("scan requires exactly one start:stop:step parameter")
-    key, rng = swept[0]
-    values = [_number(command, key, v) for v in parse_range(rng)]
-    fixed = {k: v for k, v in p.items() if k not in ("command", "jobs", key)}
-    jobs = p.get("jobs", 1)
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    tasks = [(i, command, {**fixed, key: v}) for i, v in enumerate(values)]
+    key = swept[0]
+    tasks = [{**fixed, key: keys[key][0](key, v)} for v in parse_range(params[key])]
+    if own["jobs"] < 1:
+        raise DomainError(f"jobs must be at least 1, got {own['jobs']}")
     # the fork start method starts every worker at once, so cap them
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(own["jobs"], len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here, so that no other command loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(_scan_worker, tasks))
+            chunks = list(pool.map(build, tasks))
     else:
-        indexed = [_scan_worker(t) for t in tasks]
-    indexed.sort(key=lambda pair: pair[0])
-    rows = []
-    for _, chunk in indexed:
-        rows.extend(chunk)
-    return rows
+        chunks = map(build, tasks)
+    return [row for chunk in chunks for row in chunk]
+
+
+_STRING = {"s": (_real, 1.0), "x": (_real, 1.0), "L": (_real, math.pi)}
+_QUANTUM = {"s": (_integer, 1), "T_II": (_real, math.pi)}
+
+# Each command's row builder and keys, each key with its parser and default.
+# The builder works out a default of None only when it is used: cutoff's own
+# damping grid, or three times the Hagedorn beta.
+_TABLE = {
+    "energy": (_two_piece_rows, _STRING),
+    "energy-n": (_2n_rows, {"N": (_integer, 1), "x": (_real, 1.0), "L": (_real, math.pi)}),
+    "spectrum": (_spectrum_rows, {**_STRING, "omega_max": (_real, 10.0)}),
+    "thermal": (_thermal_rows, {**_STRING, "T": (_real, 1.0)}),
+    "free-energy": (_free_energy_rows, {**_QUANTUM, "beta": (_real, None), "tau2_max": (_real, 1.0),
+                                        "derivatives": (_boolean, False)}),
+    "hagedorn": (_hagedorn_rows, _QUANTUM),
+    "oracle": (_oracle_rows, {**_STRING, "epsilons": (_reals, None)}),
+    # a scan also takes the keys of the command it scans
+    "scan": (_scan_rows, {"command": (_scanned_command, None), "jobs": (_integer, 1)}),
+}
+_COMMANDS = tuple(_TABLE)
 
 
 def _serialize(rows, fmt):
@@ -309,17 +283,16 @@ def _serialize(rows, fmt):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in rows:
-        writer.writerow([_fmt(row.get(k, "")) for k in fields])
+        values = (row.get(k, "") for k in fields)
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
     return buf.getvalue()
 
 
 def dispatch(cfg):
     """Run a RunConfig: compute, serialize, write.  Returns the exit code."""
-    params = _parse_params(cfg.command, cfg.parameters)
-    if cfg.command == "scan":
-        rows = _run_scan(params)
-    else:
-        rows = _RUNNERS[cfg.command](params)
+    build, keys = _TABLE[cfg.command]
+    # a scan reads its own values: its swept key holds a range
+    rows = build(cfg.parameters if cfg.command == "scan" else _values(keys, cfg.parameters))
     text = _serialize(rows, cfg.output_format)
     if cfg.output_path:
         try:
@@ -332,39 +305,47 @@ def dispatch(cfg):
     return 0
 
 
+# The help text of each parameter flag, in the order --help lists them
+_HELP = {
+    "s": "length ratio (or integer branch ratio)",
+    "x": "tension ratio in [0, 1]",
+    "L": "total string length (default pi)",
+    "N": "piece pairs for the 2N string",
+    "T": "temperature",
+    "T_II": "companion tension for the quantum string",
+    "beta": "inverse temperature",
+    "tau2_max": "upper modulus cutoff",
+    "derivatives": "also report U, S and the identity residual",
+    "omega_max": "spectrum ceiling",
+    "epsilons": "comma-separated damping parameters",
+    "command": "command to sweep when using scan",
+    "jobs": "scan worker processes",
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is a domain error, as a bad value is."""
+        raise DomainError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stringcasimir",
         description="Casimir energies and thermodynamics of piecewise uniform closed strings",
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="JSON run-configuration file (flags override it)")
-    parser.add_argument("--s", help="length ratio (or integer branch ratio)")
-    parser.add_argument("--x", help="tension ratio in [0, 1]")
-    parser.add_argument("--L", help="total string length (default pi)")
-    parser.add_argument("--N", help="piece pairs for the 2N string")
-    parser.add_argument("--T", help="temperature")
-    parser.add_argument("--T-II", dest="T_II", help="companion tension for the quantum string")
-    parser.add_argument("--beta", help="inverse temperature")
-    parser.add_argument("--tau2-max", dest="tau2_max", help="upper modulus cutoff")
-    parser.add_argument("--derivatives", action="store_true",
-                        help="also report U, S and the identity residual")
-    parser.add_argument("--omega-max", dest="omega_max", help="spectrum ceiling")
-    parser.add_argument("--epsilons", help="comma-separated damping parameters")
-    parser.add_argument("--command", "--scan-command", dest="scan_command",
-                        help="command to sweep when using scan")
-    parser.add_argument("--jobs", default=1, help="scan worker processes")
-    parser.add_argument("--output", default="", help="output file (default stdout)")
-    parser.add_argument("--format", default="csv", choices=("csv", "json"))
+    switches = {k for _, keys in _TABLE.values() for k, (parse, _) in keys.items() if parse is _boolean}
+    for key, text in _HELP.items():
+        flags = ["--" + key.replace("_", "-")]
+        if key == "command":  # the positional argument holds the command run
+            flags.append("--scan-command")
+        kind = {"action": "store_true", "default": None} if key in switches else {}
+        parser.add_argument(*flags, dest="scan_command" if key == "command" else key, help=text, **kind)
+    parser.add_argument("--output", help="output file (default stdout)")
+    parser.add_argument("--format", choices=("csv", "json"))
     return parser
-
-
-def _params_from_args(args):
-    """The parameter flags given, as raw strings; --command and --jobs
-    only for scan."""
-    flags = dict(vars(args), command=args.scan_command)
-    keys = _SCAN_KEYS if args.command == "scan" else _SCAN_KEYS - {"command", "jobs"}
-    return {k: flags[k] for k in keys if flags[k] is not None and flags[k] is not False}
 
 
 def _read_config(path):
@@ -380,29 +361,23 @@ def _read_config(path):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
-        params = {}
-        output_path, output_format = args.output, args.format
-        if args.config:
-            raw = _read_config(args.config)
-            params.update(raw.get("parameters", {}))
-            output = raw.get("output", {})
-            output_path = args.output or output.get("path", "")
-            if args.format == "csv" and "format" in output:
-                output_format = output["format"]
-        params.update(_params_from_args(args))
-        cfg = RunConfig(command=args.command, parameters=params,
-                        output_path=output_path, output_format=output_format)
+        args = _build_parser().parse_args(argv)
+        raw = _read_config(args.config) if args.config else {}
+        params, output = raw.get("parameters", {}), raw.get("output", {})
+        flags = dict(vars(args), command=args.scan_command)
+        params.update((k, flags[k]) for k in _HELP if flags[k] is not None)
+        cfg = RunConfig(
+            command=args.command, parameters=params,
+            output_path=output.get("path", "") if args.output is None else args.output,
+            output_format=output.get("format", "csv") if args.format is None else args.format,
+        )
         return dispatch(cfg)
-    except DomainError as exc:
-        json.dump({"error": "domain", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 1
     except StringCasimirError as exc:
-        json.dump({"error": "numerical", "message": str(exc)}, sys.stderr)
+        domain = isinstance(exc, DomainError)
+        json.dump({"error": "domain" if domain else "numerical", "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return 2
+        return 1 if domain else 2
 
 
 if __name__ == "__main__":

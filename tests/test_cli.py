@@ -209,16 +209,36 @@ class TestInputContract:
         ["free-energy", "--derivatives", "--beta", "-17"],
         ["hagedorn", "--T-II", "inf"],
         ["scan", "--command", "free-energy", "--tau2-max", "0:1:0.5"],
+        ["zap"],
+        ["energy", "--bogus", "1"],
+        ["energy", "--format", "xml"],
+        ["energy", "--s"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0.3", "--N", "0:3:1"],
+        ["scan", "--command", "hagedorn", "--s", "1", "--beta", "17", "--T-II", "1:2:1"],
+        ["energy", "--s", "2", "--x", "0.3", "--jobs", "4"],
+        ["scan", "--command", "oracle", "--s", "2", "--x", "0.3", "--epsilons", "0.1:0.2:0.1"],
+        ["scan", "--config", "derivatives.json"],
+        ["scan", "--config", "jobs.json"],
     ])
     def test_exit_one_with_record(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "list.json").write_text("[1, 2]")
         (tmp_path / "broken.json").write_text("{")
         (tmp_path / "nested.json").write_text(json.dumps({"parameters": {"s": [2]}}))
+        (tmp_path / "derivatives.json").write_text(json.dumps(
+            {"parameters": {"command": "free-energy", "s": 1, "beta": 17, "derivatives": "0:1:1"}}))
+        (tmp_path / "jobs.json").write_text(json.dumps(
+            {"parameters": {"command": "energy", "s": 2, "x": "0:0.2:0.1", "jobs": 0}}))
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "domain"
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--scan-command" in capsys.readouterr().out
 
     def test_config_values_parse_like_flags(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
@@ -256,10 +276,118 @@ class TestOutputPath:
             RunConfig(command="energy", parameters={"s": 2}, output_path=1)
 
 
+class TestFlagOverridesConfig:
+    """A flag that is given wins over the config file; the config file's
+    value stands when the flag is absent."""
+
+    @pytest.mark.parametrize("config, flag, want", [
+        ("json", "csv", "csv"),
+        ("csv", "json", "json"),
+        ("json", None, "json"),
+    ])
+    def test_format(self, config, flag, want, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"parameters": {"s": 2, "x": 0.3}, "output": {"format": config}}))
+        argv = ["energy", "--config", str(cfg_file)] + (["--format", flag] if flag else [])
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("{") == (want == "json")
+
+    @pytest.mark.parametrize("flag, want", [("flag.csv", "flag.csv"), (None, "config.csv"), ("", None)])
+    def test_output_path(self, flag, want, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(
+            {"parameters": {"s": 2, "x": 0.3}, "output": {"path": "config.csv"}}))
+        argv = ["energy", "--config", "run.json"] + ([] if flag is None else ["--output", flag])
+        assert main(argv) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert written == ([want] if want else [])
+        assert (capsys.readouterr().out == "") == bool(want)
+
+
+# Values of every key of each command, as a config file gives them; the flag
+# route passes them as text
+_SAMPLES = {
+    "energy": {"s": 2, "x": 0.3, "L": "pi"},
+    "energy-n": {"N": 2, "x": 0.3, "L": 2},
+    "spectrum": {"s": 2, "x": 0.3, "L": "pi", "omega_max": 5},
+    "thermal": {"s": 2, "x": 0.3, "L": "pi", "T": 0.5},
+    "free-energy": {"s": 1, "T_II": "pi", "beta": 17, "tau2_max": 1, "derivatives": True},
+    "hagedorn": {"s": 2, "T_II": "pi/2"},
+    "oracle": {"s": 2, "x": 0.3, "L": "pi", "epsilons": [0.2, 0.1, 0.05, 0.02]},
+    "scan": {"command": "hagedorn", "s": "1:3:1", "T_II": 2, "jobs": 1},
+}
+
+
+_EVERY_KEY = {key: parse for _, keys in cli._TABLE.values() for key, (parse, _) in keys.items()}
+
+
+def _keys(command):
+    """The keys of ``command``; a scan's are those of a hagedorn scan."""
+    keys = set(cli._TABLE[command][1])
+    return keys | set(cli._TABLE["hagedorn"][1]) if command == "scan" else keys
+
+
+def _flag(key, value):
+    flag = ["--" + key.replace("_", "-")]
+    if _EVERY_KEY[key] is cli._boolean:
+        return flag if value else []
+    return flag + [",".join(map(str, value)) if isinstance(value, list) else str(value)]
+
+
+# every command runs on its defaults; a scan still needs a command and a range
+_ON_DEFAULTS = {command: [command] for command in cli._TABLE}
+_ON_DEFAULTS["scan"] = ["scan", "--command", "hagedorn", "--s", "1:2:1"]
+
+
+class TestCommandTable:
+    """The contract every command of the table keeps."""
+
+    @pytest.mark.parametrize("command", list(cli._TABLE))
+    def test_runs_on_its_defaults(self, command, capsys):
+        assert main(_ON_DEFAULTS[command]) == 0
+        assert len(capsys.readouterr().out.splitlines()) >= 2
+
+    @pytest.mark.parametrize("command", list(cli._TABLE))
+    def test_rejects_the_keys_of_other_commands(self, command, capsys):
+        for key in sorted(set(_EVERY_KEY) - _keys(command)):
+            assert main(_ON_DEFAULTS[command] + _flag(key, "1")) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": "domain", "message": f"unknown parameters for {command}: ['{key}']"}
+
+    @pytest.mark.parametrize("command", list(cli._TABLE))
+    def test_config_route_matches_flags(self, command, tmp_path, capsys):
+        sample = _SAMPLES[command]
+        assert set(sample) == _keys(command)
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"parameters": sample}))
+        assert main([command, "--config", str(cfg_file), "--format", "json"]) == 0
+        from_file = capsys.readouterr().out
+        argv = [command, "--format", "json"]
+        for key, value in sample.items():
+            argv += _flag(key, value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == from_file
+
+
 class TestScanKeys:
-    def test_scan_takes_every_command_key(self):
-        keys = set().union(*(v for k, v in cli._ALLOWED_KEYS.items() if k != "scan"))
-        assert cli._ALLOWED_KEYS["scan"] == cli._SCAN_KEYS == keys | {"command", "jobs"}
+    def test_scan_takes_its_command_keys(self):
+        for command, (_, keys) in cli._TABLE.items():
+            if command == "scan":
+                continue
+            for key in _EVERY_KEY:
+                params = {key: 1, "command": command}
+                if key in keys or key in cli._TABLE["scan"][1]:
+                    RunConfig(command="scan", parameters=params)
+                else:
+                    with pytest.raises(DomainError, match=f"unknown parameters for scan: \\['{key}'\\]"):
+                        RunConfig(command="scan", parameters=params)
+
+    @pytest.mark.parametrize("command", [None, "scan", "zap", ["energy"]])
+    def test_scan_needs_a_concrete_command(self, command):
+        with pytest.raises(DomainError, match="scan needs a concrete command"):
+            RunConfig(command="scan", parameters={"command": command})
 
     def test_oracle_scan_with_epsilons(self, capsys):
         argv = ["scan", "--command", "oracle", "--s", "2", "--x", "0.3:0.3:0.1",
