@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _count, _positive, _real
 
 __all__ = [
     "StringConfig",
@@ -47,12 +47,6 @@ __all__ = [
 ]
 
 
-def _check_finite(cfg, *fields):
-    for name in fields:
-        if not math.isfinite(getattr(cfg, name)):
-            raise DomainError(f"{name} must be finite, got {getattr(cfg, name)}")
-
-
 @dataclass(frozen=True)
 class StringConfig:
     """Two-piece closed string: total length, length ratio, tension ratio.
@@ -69,13 +63,9 @@ class StringConfig:
     total_length: float = math.pi
 
     def __post_init__(self):
-        _check_finite(self, "length_ratio", "tension_ratio", "total_length")
-        if not self.total_length > 0:
-            raise DomainError(f"total_length must be positive, got {self.total_length}")
-        if not self.length_ratio > 0:
-            raise DomainError(f"length_ratio must be positive, got {self.length_ratio}")
-        if self.tension_ratio < 0:
-            raise DomainError(f"tension_ratio must be nonnegative, got {self.tension_ratio}")
+        _positive("length_ratio", self.length_ratio)
+        _real("tension_ratio", self.tension_ratio, lambda v: v >= 0, ">= 0")
+        _positive("total_length", self.total_length)
         if self.tension_ratio > 1.0:
             object.__setattr__(self, "tension_ratio", 1.0 / self.tension_ratio)
 
@@ -103,13 +93,9 @@ class NPieceConfig:
     total_length: float = math.pi
 
     def __post_init__(self):
-        if not (isinstance(self.piece_pairs, (int, np.integer)) and self.piece_pairs >= 1):
-            raise DomainError(f"piece_pairs must be an integer >= 1, got {self.piece_pairs}")
-        _check_finite(self, "tension_ratio", "total_length")
-        if not self.total_length > 0:
-            raise DomainError(f"total_length must be positive, got {self.total_length}")
-        if self.tension_ratio < 0:
-            raise DomainError(f"tension_ratio must be nonnegative, got {self.tension_ratio}")
+        _count("piece_pairs", self.piece_pairs)
+        _real("tension_ratio", self.tension_ratio, lambda v: v >= 0, ">= 0")
+        _positive("total_length", self.total_length)
         if self.tension_ratio > 1.0:
             object.__setattr__(self, "tension_ratio", 1.0 / self.tension_ratio)
 
@@ -153,17 +139,13 @@ def tension_contrast(x):
     at the uniform point x = 1 (callers must branch to the analytic
     uniform-string limit there).
     """
-    if x <= 0:
-        raise DomainError(f"tension ratio must be positive, got {x}")
-    if x == 1.0:
-        raise DomainError("uniform string: F diverges at x = 1")
+    _real("tension ratio", x, lambda v: v > 0 and v != 1, "> 0 and not 1 (the pole)")
     return 4.0 * x / (1.0 - x) ** 2
 
 
 def alpha_param(x):
     """Junction reflection parameter alpha = (1-x)/(1+x) for x in [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"tension ratio must lie in [0, 1], got {x}")
+    _real("tension ratio", x, lambda v: 0 <= v <= 1, "in [0, 1]")
     return (1.0 - x) / (1.0 + x)
 
 
@@ -210,8 +192,8 @@ def dispersion_two_piece_deriv(omega, cfg):
 
 def transfer_matrix(alpha, p):
     """Transfer matrix entries a = e^{-ip} - alpha^2, b = alpha (e^{-ip} - 1)."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
+    _real("alpha", alpha, lambda v: 0 <= v < 1, "in [0, 1)")
+    _real("p", p)
     phase = np.exp(-1j * p)
     return TransferMatrix(a=phase - alpha * alpha, b=alpha * (phase - 1.0))
 
@@ -237,10 +219,8 @@ def lambda_pair(alpha, q):
     lambda_pm = cosh q - alpha^2 +- sqrt((cosh q - alpha^2)^2 - (1-alpha^2)^2),
     both positive, degenerate at q = 0.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
+    _real("alpha", alpha, lambda v: 0 <= v < 1, "in [0, 1)")
+    _real("q", q, lambda v: v >= 0, ">= 0")
     u = math.cosh(q) - alpha * alpha
     w = 1.0 - alpha * alpha
     # discriminant u^2 - w^2 = 2 sinh^2(q/2) (u + w): exact at q -> 0;
@@ -307,13 +287,14 @@ def dispersion_2n(q, cfg, slow_exact=False):
 
     with sinh(theta/2) = sinh(q/2) / sqrt(1-alpha^2).  The second form is
     exact and free of the q -> 0 cancellation of the eigenvalue-power form.
-    Strictly negative for q > 0 and x < 1; identically 2 - 2 cosh(Nq) at
-    x = 1.  With ``slow_exact`` the value is recomputed from explicit
-    powers of the system matrix (the recursion route, x > 0 only), kept as
-    an independent cross-check.
+    Strictly negative for q > 0; identically 2 - 2 cosh(Nq) at x = 1.
+    Evaluated as -exp(ln 4 + 2 ln sinh(Nq/2) + ``imag_axis_log_ratio_2n``),
+    which keeps its relative accuracy at every x and q.  With
+    ``slow_exact`` the value is recomputed from explicit powers of the
+    system matrix (the recursion route, x > 0 only), kept as an
+    independent cross-check.
     """
-    if q < 0:
-        raise DomainError(f"q must be nonnegative, got {q}")
+    _real("q", q, lambda v: v >= 0, ">= 0")
     n = cfg.piece_pairs
     x = cfg.tension_ratio
     if slow_exact:
@@ -331,16 +312,8 @@ def dispersion_2n(q, cfg, slow_exact=False):
         return _weight(x) ** n * (2.0 - np.trace(m))
     if q == 0.0:
         return 0.0
-    if x == 1.0:
-        return 2.0 - 2.0 * math.cosh(n * q)
-    if x == 0.0:
-        # decoupled limit: D_N -> -(2 sinh(q/2))^{2N}
-        return -math.exp(2.0 * n * (math.log(2.0) + float(log_sinh(q / 2.0))))
-    w = _weight(x)
-    theta = q + float(_theta_minus_q(q, x))
-    return -math.exp(
-        math.log(4.0) + n * math.log(w) + 2.0 * float(log_sinh(n * theta / 2.0))
-    )
+    return -math.exp(math.log(4.0) + 2.0 * float(log_sinh(n * q / 2.0))
+                     + imag_axis_log_ratio_2n(q, cfg))
 
 
 def imag_axis_log_ratio(xi, cfg):

@@ -8,7 +8,6 @@ quadratic fit.  Deliberately built on explicitly enumerated spectra
 rather than the contour machinery it cross-checks.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .core import StringConfig
 from .energy import EnergyResult
 from .errors import DomainError, ExtrapolationUnstableError, SpectrumTruncationError
+from .errors import _positive, _real
 from .spectrum import _BISECT_RTOL, Spectrum, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
@@ -42,8 +42,7 @@ class CutoffResult:
         eps = [e for e, _ in self.epsilon_samples]
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise DomainError("epsilon_samples must be strictly decreasing")
-        if not math.isfinite(self.fit_residual):
-            raise DomainError("fit_residual must be finite")
+        _real("fit_residual", self.fit_residual)
 
     def as_energy_result(self):
         """The energy with an error bar: how far c0 moves when the fit takes
@@ -61,8 +60,7 @@ def damped_mode_sum(spec, epsilon):
     Requires omega_max * epsilon >= 40 so the discarded tail is below
     1e-17 of the retained sum.
     """
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    _positive("epsilon", epsilon)
     if not isinstance(spec, Spectrum):
         raise DomainError("damped_mode_sum expects a Spectrum")
     if len(spec.entries) == 0:
@@ -91,7 +89,7 @@ def casimir_by_cutoff(cfg, epsilons=None):
     length = cfg.total_length
     if epsilons is None:
         epsilons = [f * length for f in DEFAULT_EPSILON_FRACTIONS]
-    epsilons = [float(e) for e in epsilons]
+    epsilons = [float(_positive("epsilon", e)) for e in epsilons]
     if len(epsilons) < 4:
         raise DomainError("need at least 4 epsilon samples")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):

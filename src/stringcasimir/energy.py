@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import NPieceConfig, StringConfig, dispersion_2n
 from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _count, _real
 
 __all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir_2n",
            "casimir_2n_x0", "scaling_function", "scaling_fit"]
@@ -47,8 +47,7 @@ class EnergyResult:
     abs_error_estimate: float = 0.0
 
     def __post_init__(self):
-        if self.abs_error_estimate < 0:
-            raise DomainError("abs_error_estimate must be nonnegative")
+        _real("abs_error_estimate", self.abs_error_estimate, lambda v: v >= 0, ">= 0")
         if self.method not in ("contour", "analytic-limit", "cutoff-oracle", "matsubara"):
             raise DomainError(f"unknown method tag {self.method!r}")
 
@@ -186,10 +185,8 @@ def scaling_function(piece_pairs, x):
     Strictly decreasing in x; nearly independent of N for N >= 2, which is
     the scaling collapse that ``scaling_fit`` parameterizes.
     """
-    if piece_pairs < 2:
-        raise DomainError("scaling_function needs N >= 2 (f_1 is 0/0)")
-    if not 0.0 < x < 1.0:
-        raise DomainError(f"x must lie in (0, 1), got {x}")
+    _count("piece_pairs", piece_pairs, least=2)  # f_1 is 0/0
+    _real("x", x, lambda v: 0 < v < 1, "in (0, 1)")
     num = casimir_2n(NPieceConfig(piece_pairs, x))
     den = casimir_2n_x0(piece_pairs, math.pi)
     return num.value / den.value
@@ -197,6 +194,5 @@ def scaling_function(piece_pairs, x):
 
 def scaling_fit(x):
     """Empirical collapse curve f(x) = (1 - sqrt(x))^{5/2} on [0, 1]."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"x must lie in [0, 1], got {x}")
+    _real("x", x, lambda v: 0 <= v <= 1, "in [0, 1]")
     return (1.0 - math.sqrt(x)) ** 2.5

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input contract.
+
+Every argument check of the library goes through ``_real``, ``_positive``
+and ``_count``: a number must be finite and real (or an integer, for a
+count), never a bool, and meet its condition, or a DomainError names it.
+"""
+
+import math
+
+import numpy as np
 
 
 class StringCasimirError(Exception):
@@ -45,3 +54,29 @@ class SpectrumTruncationError(StringCasimirError):
 class ModularLiftRequiredError(DomainError):
     """The q-series is unusable this close to the real axis; apply the
     modular transformation first (see log_abs_dedekind_eta)."""
+
+
+_REALS = (int, float, np.integer, np.floating)
+_INTEGERS = (int, np.integer)
+
+
+def _real(name, value, ok=lambda v: True, need=""):
+    """``value`` if it is a finite real number, not a bool, with ``ok(value)``;
+    ``need`` says in words what ``ok`` asks, as in "in [0, 1]"."""
+    if type(value) is bool or not (isinstance(value, _REALS) and math.isfinite(value)
+                                   and ok(value)):
+        what = f"a finite real number {need}" if need else "a finite real number"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _positive(name, value):
+    """``value`` if it is a finite positive real number, not a bool."""
+    return _real(name, value, lambda v: v > 0, "> 0")
+
+
+def _count(name, value, least=1):
+    """``value`` if it is an integer >= ``least``, not a bool."""
+    if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value

@@ -30,7 +30,6 @@ the integrand spans hundreds of e-folds.
 """
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .energy import _contour
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _count, _positive, _real
 from .modular import log_abs_dedekind_eta
 
 __all__ = [
@@ -58,16 +57,6 @@ _ETA_BLOCK = 1 << 16  # eta arguments per call, which bounds memory
 _EPS = sys.float_info.epsilon
 
 
-def _check_positive(name, value):
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-
-
-def _check_count(name, value):
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 @dataclass(frozen=True)
 class QuantumStringConfig:
     """Integer length ratio s and the finite companion tension T_II."""
@@ -77,8 +66,8 @@ class QuantumStringConfig:
     spacetime_dim: int = 26
 
     def __post_init__(self):
-        _check_count("s", self.s)
-        _check_positive("tension_ii", self.tension_ii)
+        _count("s", self.s)
+        _positive("tension_ii", self.tension_ii)
         if self.spacetime_dim != 26:
             raise DomainError("only the critical dimension 26 is supported")
 
@@ -103,11 +92,10 @@ class OccupationState:
             ("c_modes", self.c_modes),
         ):
             for (n, i), occ in modes.items():
-                _check_count(f"{name}: mode index", n)
-                if not 1 <= i <= _TRANSVERSE_DIMS:
-                    raise DomainError(f"{name}: direction must lie in 1..24, got {i}")
-                if not (isinstance(occ, (int, np.integer)) and occ >= 0):
-                    raise DomainError(f"{name}: occupation must be >= 0, got {occ}")
+                _count(f"{name}: mode index", n)
+                if _count(f"{name}: direction", i) > _TRANSVERSE_DIMS:
+                    raise DomainError(f"{name}: direction must be an integer in 1..24, got {i!r}")
+                _count(f"{name}: occupation", occ, least=0)
 
 
 @dataclass(frozen=True)
@@ -125,10 +113,8 @@ class ThermoResult:
     def __post_init__(self):
         if self.convergence_flag not in ("converged", "diverged-below-hagedorn"):
             raise DomainError(f"unknown convergence flag {self.convergence_flag!r}")
-        if not self.beta > 0:
-            raise DomainError("beta must be positive")
-        if not self.abs_error_estimate >= 0:
-            raise DomainError("abs_error_estimate must be nonnegative")
+        _positive("beta", self.beta)
+        _real("abs_error_estimate", self.abs_error_estimate, lambda v: v >= 0, ">= 0")
 
 
 def mean_tension(cfg):
@@ -222,10 +208,10 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     """
     if not isinstance(cfg, QuantumStringConfig):
         raise DomainError("free_energy expects a QuantumStringConfig")
-    _check_positive("beta", beta)
-    _check_positive("tau2_max", tau2_max)
-    _check_count("n_tau1", n_tau1)
-    _check_count("max_octaves", max_octaves)
+    _positive("beta", beta)
+    _positive("tau2_max", tau2_max)
+    _count("n_tau1", n_tau1)
+    _count("max_octaves", max_octaves)
     if math.log(tau2_max) - max_octaves * math.log(2.0) < -660.0:
         raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
     s = cfg.s
@@ -257,7 +243,7 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     rounding = _EPS * (sums[1] / sums[0] + abs(ln_term) + abs(ln_prefactor))
     error = term * (integral.abs_error_estimate / integral.value + rounding)
     error += _EPS * abs(constant - term)  # the rounding of the constant and of F
-    return ThermoResult(constant - term, beta, "converged", abs_error_estimate=error)
+    return ThermoResult(constant - term, beta, "converged", abs_error_estimate=float(error))
 
 
 def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
@@ -269,9 +255,8 @@ def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
     ``abs_error_estimate`` is the bar of the central F.  ``step_frac`` must
     lie in (0, 1), so that the stencil stays at positive beta.
     """
-    _check_positive("beta", beta)
-    if not (isinstance(step_frac, numbers.Real) and 0.0 < step_frac < 1.0):
-        raise DomainError(f"step_frac must lie in (0, 1), got {step_frac!r}")
+    _positive("beta", beta)
+    _real("step_frac", step_frac, lambda v: 0 < v < 1, "in (0, 1)")
     h = step_frac * beta
     betas = [beta, beta + h, beta - h, beta + h / 2.0, beta - h / 2.0]
     results = [free_energy(cfg, b, tau2_max=tau2_max) for b in betas]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StringConfig, dispersion_two_piece, dispersion_two_piece_deriv
-from .errors import DomainError, MultiplicityUndecidedError
+from .errors import DomainError, MultiplicityUndecidedError, _count, _positive
 
 __all__ = [
     "Spectrum",
@@ -47,8 +47,9 @@ class Spectrum:
         omegas = [w for w, _ in self.entries]
         if any(b <= a for a, b in zip(omegas, omegas[1:])):
             raise DomainError("spectrum entries must be strictly increasing")
-        if any(m < 1 for _, m in self.entries):
-            raise DomainError("multiplicities must be positive integers")
+        for _, m in self.entries:
+            _count("multiplicity", m)
+        _positive("omega_max", self.omega_max)
 
     def omegas(self):
         return np.array([w for w, _ in self.entries])
@@ -202,8 +203,7 @@ def find_spectrum(cfg, omega_max):
     """
     if not isinstance(cfg, StringConfig):
         raise DomainError("find_spectrum expects a StringConfig")
-    if not omega_max > 0:
-        raise DomainError(f"omega_max must be positive, got {omega_max}")
+    _positive("omega_max", omega_max)
     # scan past the ceiling so the last in-range roots know their true
     # right-hand isolation gaps (their winding rectangles may extend out)
     grid, vals = _scan_grid(cfg, omega_max + 1.2)
@@ -229,8 +229,10 @@ def count_modes(cfg, omega_max, im_extent=0.5):
     outward by half the local root spacing, and the contour actually used
     is returned so callers can compare against the same interval.
     """
-    if not omega_max > 0:
-        raise DomainError(f"omega_max must be positive, got {omega_max}")
+    if not isinstance(cfg, StringConfig):
+        raise DomainError("count_modes expects a StringConfig")
+    _positive("omega_max", omega_max)
+    _positive("im_extent", im_extent)
     grid, vals = _scan_grid(cfg, omega_max + 2.0)
     roots = np.array(_candidate_roots(cfg, grid, vals))
     roots = roots[roots > 0]
@@ -266,10 +268,8 @@ def branch_spectrum_x0(s, branch, n_max):
     n = 1..n_max.  Positive frequencies only, one entry per n; coincident
     frequencies between the two branches are the caller's bookkeeping.
     """
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise DomainError(f"s must be an integer >= 1, got {s}")
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 1):
-        raise DomainError(f"n_max must be a positive integer, got {n_max}")
+    _count("s", s)
+    _count("n_max", n_max)
     if branch == "first":
         rate = 1.0 + s
     elif branch == "second":
@@ -282,8 +282,8 @@ def branch_spectrum_x0(s, branch, n_max):
 
 def uniform_spectrum(total_length, omega_max):
     """Uniform closed string: omega_n = 2 pi n / L, each doubly degenerate."""
-    if not total_length > 0:
-        raise DomainError(f"total_length must be positive, got {total_length}")
+    _positive("total_length", total_length)
+    _positive("omega_max", omega_max)
     base = 2.0 * math.pi / total_length
     n_top = int(math.floor(omega_max / base + 1e-12))
     entries = tuple((base * n, 2) for n in range(1, n_top + 1))

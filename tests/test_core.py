@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -237,6 +238,30 @@ class TestDispersion2N:
                 cfg = NPieceConfig(n, x)
                 for q in np.linspace(0.05, 5.0, 40):
                     assert dispersion_2n(q, cfg) < 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40])
+    def test_against_mpmath(self, n):
+        # -4 w^N sinh^2(N theta/2) at 50 digits, -(2 sinh(q/2))^{2N} at x = 0.
+        # The old x = 1 branch, 2 - 2 cosh(Nq), returned 0 at q = 1e-12.
+        # The exponent, up to 700 in size, rounds to a few eps times N and
+        # its size: 1.5e-13 relative at worst on this grid.
+        def reference(q, x):
+            with mp.workdps(50):
+                q, x = mp.mpf(q), mp.mpf(x)
+                if x == 0:
+                    return -((2 * mp.sinh(q / 2)) ** (2 * n))
+                w = 4 * x / (1 + x) ** 2
+                theta = 2 * mp.asinh(mp.sinh(q / 2) / mp.sqrt(w))
+                return -4 * w**n * mp.sinh(n * theta / 2) ** 2
+
+        for x in (0.0, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+            for q in np.geomspace(1e-12, 600.0 / n, 25):
+                expected = reference(q, x)
+                if not 1e-300 < abs(expected) < 1e300:  # not a double
+                    continue
+                got = dispersion_2n(q, NPieceConfig(n, x))
+                assert got < 0.0
+                assert got == pytest.approx(float(expected), rel=5e-13), (x, q)
 
 
 class TestLogRatios:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from stringcasimir import (
@@ -146,10 +147,21 @@ class TestNPieceThermal:
 
     @pytest.mark.parametrize("n", list(range(1, 7)))
     def test_decoupled_routes_agree(self, n):
-        th = ThermalConfig(0.5)
-        general = casimir_2n_thermal(NPieceConfig(n, 0.0, math.pi), th).value
-        direct = casimir_2n_thermal_x0(n, th, math.pi).value
-        assert abs(general - direct) < 1e-10
+        # the x = 0 sum against its direct summation at 30 digits,
+        # 2T sum_{k>=1} ln[2^{N-1} sinh^N(xi_k L/2N) / sinh(xi_k L/2)]
+        for t in (0.5, 0.02):
+            res = casimir_2n_thermal_x0(n, ThermalConfig(t), math.pi)
+            with mp.workdps(30):
+                a = mp.pi * t * math.pi / n  # xi_1 L / 2N
+                total, k = mp.mpf(0), 1
+                while True:
+                    term = (n - 1) * mp.log(2) + n * mp.log(mp.sinh(a * k)) - mp.log(mp.sinh(n * a * k))
+                    total += term
+                    if abs(term) < 1e-30:
+                        break
+                    k += 1
+                expected = float(2 * t * total)
+            assert abs(res.value - expected) <= res.abs_error_estimate, t
 
     def test_nonpositive(self):
         for n in (2, 5):
