@@ -6,10 +6,12 @@ sits on its constant term (the zero-temperature decoupled energy); as
 beta drops, the modulus integral swells until its small-tau_2 end stops
 converging.  Note the divergence threshold of the modulus integral, where
 delta(beta) changes sign, lies above the closed-form critical beta; both
-are printed.
+are printed.  U and S come from the beta derivative of the modulus
+integrand, so the identity F = U - S/beta holds to rounding.
 """
 
 import math
+import sys
 
 from stringcasimir import (
     QuantumStringConfig,
@@ -47,8 +49,12 @@ print(f"thermodynamics at beta = 3 beta_c (s = 1):")
 print(f"  F = {res.free_energy:+.6e}")
 print(f"  U = {res.internal_energy:+.6e}")
 print(f"  S = {res.entropy:+.6e}")
+# dF/dbeta is its own integral, not a difference of F values, so the
+# identity F = U - S/beta holds to rounding
+scale = abs(res.free_energy) + abs(res.internal_energy) + abs(res.entropy) / beta
 print(f"  |F - U + S/beta| = {res.identity_residual:.2e} "
-      f"({res.identity_residual / abs(res.free_energy):.2e} of |F|)")
+      f"({res.identity_residual / (sys.float_info.epsilon * scale):.2f} eps of "
+      f"|F| + |U| + |S|/beta: rounding level)")
 
 print("\nmass levels above the vacuum (s = 2, T_II = 1/pi):")
 cfg = QuantumStringConfig(2, 1.0 / math.pi)

@@ -15,7 +15,7 @@ import numpy as np
 from .core import StringConfig
 from .energy import EnergyResult
 from .errors import DomainError, ExtrapolationUnstableError, SpectrumTruncationError
-from .errors import _positive, _real
+from .errors import _instance, _positive, _real
 from .spectrum import _BISECT_RTOL, Spectrum, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
@@ -61,8 +61,7 @@ def damped_mode_sum(spec, epsilon):
     1e-17 of the retained sum.
     """
     _positive("epsilon", epsilon)
-    if not isinstance(spec, Spectrum):
-        raise DomainError("damped_mode_sum expects a Spectrum")
+    _instance("damped_mode_sum", spec, Spectrum)
     if len(spec.entries) == 0:
         return 0.0
     if spec.omega_max * epsilon < _OMEGA_EPS_MIN:
@@ -84,8 +83,7 @@ def casimir_by_cutoff(cfg, epsilons=None):
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
     """
-    if not isinstance(cfg, StringConfig):
-        raise DomainError("casimir_by_cutoff expects a StringConfig")
+    _instance("casimir_by_cutoff", cfg, StringConfig)
     length = cfg.total_length
     if epsilons is None:
         epsilons = [f * length for f in DEFAULT_EPSILON_FRACTIONS]

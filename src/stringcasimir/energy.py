@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import NPieceConfig, StringConfig, dispersion_2n
 from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
-from .errors import DomainError, QuadratureError, _count, _real
+from .errors import DomainError, QuadratureError, _count, _instance, _real
 
 __all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir_2n",
            "casimir_2n_x0", "scaling_function", "scaling_fit"]
@@ -123,8 +123,7 @@ def casimir_two_piece(cfg):
     Always <= 0, vanishing exactly for s = 1 (equal pieces) and x = 1
     (uniform string, short-circuited analytically).
     """
-    if not isinstance(cfg, StringConfig):
-        raise DomainError("casimir_two_piece expects a StringConfig")
+    _instance("casimir_two_piece", cfg, StringConfig)
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, xi_max = _two_piece_integrand(cfg)
@@ -147,8 +146,7 @@ def casimir_2n(cfg, slow_exact=False):
     integrand through explicit system-matrix powers (x > 0 only) as a
     cross-check of the eigenvalue-power route.
     """
-    if not isinstance(cfg, NPieceConfig):
-        raise DomainError("casimir_2n expects an NPieceConfig")
+    _instance("casimir_2n", cfg, NPieceConfig)
     n = cfg.piece_pairs
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)

@@ -1,8 +1,8 @@
 """Exception types shared across the package, and the input contract.
 
-Every argument check of the library goes through ``_real``, ``_positive``
-and ``_count``: a number must be finite and real (or an integer, for a
-count), never a bool, and meet its condition, or a DomainError names it.
+Every argument check of the library goes through ``_real``, ``_positive``,
+``_count`` (a finite real or an integer, never a bool, that meets its
+condition) and ``_instance`` (the class a function expects), or a DomainError names it.
 """
 
 import math
@@ -79,4 +79,11 @@ def _count(name, value, least=1):
     """``value`` if it is an integer >= ``least``, not a bool."""
     if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _instance(name, value, cls):
+    """``value`` if it is a ``cls``; ``name`` is the function that takes it."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} expects a {cls.__name__}")
     return value

@@ -40,14 +40,13 @@ class ModularPoint:
     tau: complex
 
     def __post_init__(self):
-        if not complex(self.tau).imag > 0:
-            raise DomainError(f"tau must have positive imaginary part, got {self.tau}")
+        _as_tau(self.tau)
 
 
 def _as_tau(p):
     tau = complex(p.tau) if isinstance(p, ModularPoint) else complex(p)
-    if not tau.imag > 0:
-        raise DomainError(f"tau must lie in the upper half-plane, got {tau}")
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        raise DomainError(f"tau must be a finite point of the upper half-plane, got {tau}")
     return tau
 
 
@@ -78,8 +77,7 @@ def dedekind_eta_with_bound(p):
 
 def dedekind_eta(p):
     """eta(tau) by the truncated q-product (real and positive on tau = iy)."""
-    value, _ = dedekind_eta_with_bound(p)
-    return value
+    return dedekind_eta_with_bound(p)[0]
 
 
 def jacobi_theta3_with_bound(v, xarg):
@@ -89,8 +87,8 @@ def jacobi_theta3_with_bound(v, xarg):
     the discarded tail is bounded by a geometric series in |e^{ix}|^{2n*}.
     """
     x = complex(xarg)
-    if not x.imag > 0:
-        raise DomainError(f"theta_3 needs Im(x) > 0, got {x}")
+    if not (cmath.isfinite(x) and x.imag > 0 and np.all(np.isfinite(v))):
+        raise DomainError(f"theta_3 needs finite v and x with Im(x) > 0, got v={v}, x={x}")
     decay = x.imag  # |e^{i x n^2}| = e^{-Im(x) n^2}
     n_star = max(1, int(math.ceil(math.sqrt(-math.log(_TRUNC) / decay))))
     ns = np.arange(-n_star, n_star + 1)
@@ -104,8 +102,7 @@ def jacobi_theta3_with_bound(v, xarg):
 
 def jacobi_theta3(v, xarg):
     """theta_3(v|x) = sum_n e^{i x n^2 + 2 pi i v n}; even and 1-periodic in v."""
-    value, _ = jacobi_theta3_with_bound(v, xarg)
-    return value
+    return jacobi_theta3_with_bound(v, xarg)[0]
 
 
 def log_abs_dedekind_eta(z):
@@ -124,8 +121,8 @@ def log_abs_dedekind_eta(z):
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z).copy()
-    if np.any(z.imag <= 0):
-        raise DomainError("log_abs_dedekind_eta needs Im(z) > 0")
+    if not np.all(np.isfinite(z) & (z.imag > 0)):
+        raise DomainError("log_abs_dedekind_eta needs finite z with Im(z) > 0")
     acc = np.zeros(z.shape, dtype=float)
     for _ in range(256):
         z.real -= np.round(z.real)

@@ -26,18 +26,19 @@ so the integral carries an explicit upper cutoff ``tau2_max``; all
 reported values are understood with that regularization.
 
 Everything is evaluated in log space: the bare prefactor is ~1e-34 while
-the integrand spans hundreds of e-folds.
+the integrand spans hundreds of e-folds.  beta enters only through theta_3,
+so dF/d beta, and with it U and S, is a second integral of the same kind.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .energy import _contour
-from .errors import DomainError, QuadratureError, _count, _positive, _real
+from .errors import DomainError, QuadratureError, _count, _instance, _positive, _real
 from .modular import log_abs_dedekind_eta
 
 __all__ = [
@@ -150,32 +151,40 @@ def hagedorn_beta(cfg):
 
 
 def _ln_theta3_minus_one(a):
-    """ln(theta_3(0 | i a) - 1) = ln(2 sum_{n>=1} e^{-a n^2}) for an array a > 0.
+    """ln(theta_3(0 | i a) - 1) = ln(2 sum_{n>=1} e^{-a n^2}) for a float array a > 0,
+    and its derivative in a from the same truncated sums.
 
     Summed directly for a >= 1 and after Poisson summation,
     sum_n e^{-a n^2} = sqrt(pi/a) sum_n e^{-pi^2 n^2 / a}, below; either way
     the terms left out are below e^{-48} of the sum.
     """
-    a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
+    out, slope = np.empty_like(a), np.empty_like(a)
     hi = a >= 1.0
     ah, al = a[hi], a[~hi]
-    tail = np.exp(-np.multiply.outer(ah, np.arange(2, 8) ** 2 - 1.0)).sum(axis=-1)
+    k = np.arange(2, 8) ** 2 - 1.0
+    terms = np.exp(-np.multiply.outer(ah, k))
+    tail = terms.sum(axis=-1)
     out[hi] = math.log(2.0) - ah + np.log1p(tail)
-    dual = np.exp(-np.multiply.outer(math.pi**2 / al, np.arange(1, 4) ** 2)).sum(axis=-1)
+    slope[hi] = -1.0 - terms @ k / (1.0 + tail)
+    k = np.arange(1, 4) ** 2
+    terms = np.exp(-np.multiply.outer(math.pi**2 / al, k))
+    dual = terms.sum(axis=-1)
     ln_theta = 0.5 * np.log(math.pi / al) + np.log1p(2.0 * dual)
-    out[~hi] = ln_theta + np.log(-np.expm1(-ln_theta))
-    return out
+    part = -np.expm1(-ln_theta)  # (theta - 1) / theta
+    out[~hi] = ln_theta + np.log(part)
+    slope[~hi] = (-0.5 / al + 2.0 * math.pi**2 / al**2 * (terms @ k) / (1.0 + 2.0 * dual)) / part
+    return out, slope
 
 
 def _log_integrand(tau2, s, beta, t, n_tau1):
-    """ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the
-    n_tau1-node trapezoid of the periodic direction, and the summed magnitude
-    of its terms, which sets its rounding error (about that times eps).
-    Each chunk of about _ETA_BLOCK eta arguments takes one eta call.
+    """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the
+    n_tau1-node trapezoid of the periodic direction; the summed magnitude of
+    its terms, which sets its rounding error (about that times eps); and its
+    beta derivative.  Each chunk of about _ETA_BLOCK eta arguments takes one
+    eta call.
     """
     tau1 = -0.5 + np.arange(n_tau1) / n_tau1
-    ln_value, magnitude = np.empty_like(tau2), np.empty_like(tau2)
+    out = np.empty((3, tau2.size))
     rows = max(1, _ETA_BLOCK // (n_tau1 + 1))
     for lo in range(0, tau2.size, rows):
         y = tau2[lo : lo + rows]
@@ -185,11 +194,12 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
         powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
         top = powers.max(axis=1)
         ln_tau1 = top + np.log(np.exp(powers - top[:, None]).sum(axis=1) / n_tau1)
-        ln_theta = _ln_theta3_minus_one(beta * beta * t / (8.0 * math.pi**2 * y))
+        a = beta * beta * t / (8.0 * math.pi**2 * y)
+        ln_theta, d_theta = _ln_theta3_minus_one(a)
         terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
-        ln_value[lo : lo + rows] = sum(terms)
-        magnitude[lo : lo + rows] = sum(np.abs(term) for term in terms) + 1.0
-    return ln_value, magnitude
+        out[:, lo : lo + rows] = (sum(terms), sum(np.abs(term) for term in terms) + 1.0,
+                                  2.0 * a / beta * d_theta)
+    return out
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
@@ -206,34 +216,40 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     rounding of the log integrand and of its exponential, about |ln| eps
     relative with |ln| up to hundreds, and the rounding of F itself.
     """
-    if not isinstance(cfg, QuantumStringConfig):
-        raise DomainError("free_energy expects a QuantumStringConfig")
+    return _free_energy(cfg, beta, tau2_max, n_tau1, max_octaves)[0]
+
+
+def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48, slope=False):
+    """``free_energy`` and, with ``slope``, dF/d beta (else None): with J the
+    kernel integral, a second pass over the integrand times its d ln / d beta,
+    with the same shift and checks, gives J' and d term / d beta = term J'/J."""
+    _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
     _positive("tau2_max", tau2_max)
     _count("n_tau1", n_tau1)
     _count("max_octaves", max_octaves)
     if math.log(tau2_max) - max_octaves * math.log(2.0) < -660.0:
         raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
-    s = cfg.s
-    t = translational_energy(cfg)
+    s, t = cfg.s, translational_energy(cfg)
     constant = -((s - 1) ** 2) / (24.0 * s)  # -(s + 1/s - 2)/24, rounded once
     if beta * beta * t / (8.0 * math.pi**2) < math.pi * (4.0 * s + 1.0) / (s * (1.0 + s)):
-        return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
+        return ThermoResult(-math.inf, beta, "diverged-below-hagedorn"), None
     shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
     if shift == -math.inf:  # the integrand underflows everywhere
-        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * abs(constant))
+        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * -constant), 0.0
     sums = np.zeros(2)  # sums of f and of f times its log magnitude over all nodes
 
-    def f(v):
-        ln_value, magnitude = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
+    def f(v, weighted=False):
+        ln_value, magnitude, d_beta = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
         excess = ln_value - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
         value = np.exp(excess)
         sums[:] += value.sum(), (value * magnitude).sum()
-        return value
+        return value * d_beta if weighted else value
 
-    integral = _contour(f, 1.0, max_octaves * math.log(2.0))
+    v_max = max_octaves * math.log(2.0)
+    integral = _contour(f, 1.0, v_max)
     ln_prefactor = -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
     ln_term = ln_prefactor + shift + math.log(integral.value)
     if ln_term > 700.0:
@@ -243,45 +259,24 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     rounding = _EPS * (sums[1] / sums[0] + abs(ln_term) + abs(ln_prefactor))
     error = term * (integral.abs_error_estimate / integral.value + rounding)
     error += _EPS * abs(constant - term)  # the rounding of the constant and of F
-    return ThermoResult(constant - term, beta, "converged", abs_error_estimate=float(error))
+    result = ThermoResult(constant - term, beta, "converged", abs_error_estimate=float(error))
+    if not slope:
+        return result, None
+    return result, -term * _contour(lambda v: f(v, True), 1.0, v_max).value / integral.value
 
 
 def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
-    """Internal energy U = d(beta F)/d beta and entropy S = beta^2 dF/d beta
-    by Richardson-refined central differences.
-
-    The residual of the identity F = U - S/beta measures the differencing
-    error alone (it holds algebraically) and is reported alongside;
-    ``abs_error_estimate`` is the bar of the central F.  ``step_frac`` must
-    lie in (0, 1), so that the stencil stays at positive beta.
+    """Internal energy U = d(beta F)/d beta and entropy S = beta^2 dF/d beta,
+    with dF/d beta a second kernel integral of the modulus integrand times its
+    d ln / d beta (beta enters only through theta_3), so F = U - S/beta holds
+    to rounding; the residual is reported.  ``abs_error_estimate`` is the bar
+    of F.  ``step_frac`` must lie in (0, 1) but no longer changes the result.
+    Below beta*, where F diverges, raises QuadratureError.
     """
-    _positive("beta", beta)
     _real("step_frac", step_frac, lambda v: 0 < v < 1, "in (0, 1)")
-    h = step_frac * beta
-    betas = [beta, beta + h, beta - h, beta + h / 2.0, beta - h / 2.0]
-    results = [free_energy(cfg, b, tau2_max=tau2_max) for b in betas]
-    if any(r.convergence_flag != "converged" for r in results):
-        raise QuadratureError(
-            f"free energy diverged at a difference stencil point near beta={beta}"
-        )
-    f0, fp, fm, fph, fmh = (r.free_energy for r in results)
-
-    def derivs(step, f_plus, f_minus):
-        d_f = (f_plus - f_minus) / (2.0 * step)
-        u = ((beta + step) * f_plus - (beta - step) * f_minus) / (2.0 * step)
-        return u, beta * beta * d_f
-
-    u_h, s_h = derivs(h, fp, fm)
-    u_h2, s_h2 = derivs(h / 2.0, fph, fmh)
-    u = (4.0 * u_h2 - u_h) / 3.0
-    entropy = (4.0 * s_h2 - s_h) / 3.0
-    residual = abs(f0 - u + entropy / beta)
-    return ThermoResult(
-        free_energy=f0,
-        beta=beta,
-        convergence_flag="converged",
-        internal_energy=u,
-        entropy=entropy,
-        identity_residual=residual,
-        abs_error_estimate=results[0].abs_error_estimate,
-    )
+    res, slope = _free_energy(cfg, beta, tau2_max, slope=True)
+    if res.convergence_flag != "converged":
+        raise QuadratureError(f"free energy diverged below the Hagedorn point at beta={beta}")
+    u, entropy = res.free_energy + beta * slope, beta * beta * slope
+    return replace(res, internal_energy=u, entropy=entropy,
+                   identity_residual=abs(res.free_energy - u + entropy / beta))

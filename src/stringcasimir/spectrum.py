@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StringConfig, dispersion_two_piece, dispersion_two_piece_deriv
-from .errors import DomainError, MultiplicityUndecidedError, _count, _positive
+from .errors import DomainError, MultiplicityUndecidedError, _count, _instance, _positive
 
 __all__ = [
     "Spectrum",
@@ -201,8 +201,7 @@ def find_spectrum(cfg, omega_max):
     multiplicity is the winding number of the dispersion function around a
     small rectangle isolating it.
     """
-    if not isinstance(cfg, StringConfig):
-        raise DomainError("find_spectrum expects a StringConfig")
+    _instance("find_spectrum", cfg, StringConfig)
     _positive("omega_max", omega_max)
     # scan past the ceiling so the last in-range roots know their true
     # right-hand isolation gaps (their winding rectangles may extend out)
@@ -229,8 +228,7 @@ def count_modes(cfg, omega_max, im_extent=0.5):
     outward by half the local root spacing, and the contour actually used
     is returned so callers can compare against the same interval.
     """
-    if not isinstance(cfg, StringConfig):
-        raise DomainError("count_modes expects a StringConfig")
+    _instance("count_modes", cfg, StringConfig)
     _positive("omega_max", omega_max)
     _positive("im_extent", im_extent)
     grid, vals = _scan_grid(cfg, omega_max + 2.0)

@@ -14,9 +14,9 @@ and the full lattice is summed.
 import math
 from dataclasses import dataclass
 
-from .core import NPieceConfig, imag_axis_log_ratio, tension_contrast
+from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, tension_contrast
 from .energy import EnergyResult, _trapezoid, _two_n_integrand, _two_piece_integrand
-from .errors import DomainError, _positive, _real
+from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
            "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
@@ -39,6 +39,12 @@ class ThermalConfig:
         return 1.0 / _positive("temperature", self.temperature)
 
 
+def _temperature(name, cfg, kind, th):
+    """``th.temperature`` once ``name`` is given a ``kind`` and a ThermalConfig."""
+    _instance(name, cfg, kind)
+    return _instance(name, th, ThermalConfig).temperature
+
+
 def _matsubara(f, b, h):
     """h/(2 pi) [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result."""
     nodes = b / h if h > 0 else math.inf
@@ -55,11 +61,11 @@ def casimir_two_piece_thermal(cfg, th):
     T = 0 callers should use :func:`..energy.casimir_two_piece`; the sum
     vanishes identically for s = 1 and for the uniform string x = 1.
     """
-    _positive("temperature", th.temperature)
+    t = _positive("temperature", _temperature("casimir_two_piece_thermal", cfg, StringConfig, th))
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, xi_max = _two_piece_integrand(cfg)
-    return _matsubara(f, xi_max, 2.0 * math.pi * th.temperature)
+    return _matsubara(f, xi_max, 2.0 * math.pi * t)
 
 
 def high_t_limit(cfg, th):
@@ -70,10 +76,10 @@ def high_t_limit(cfg, th):
     Valid once the thermal frequency exceeds the geometric one
     (``frequency_ratio`` >= 1).
     """
-    _positive("temperature", th.temperature)
+    t = _positive("temperature", _temperature("high_t_limit", cfg, StringConfig, th))
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    value = 0.5 * th.temperature * imag_axis_log_ratio(0.0, cfg)
+    value = 0.5 * t * imag_axis_log_ratio(0.0, cfg)
     return EnergyResult(value, "analytic-limit", 0.0)
 
 
@@ -87,7 +93,7 @@ def mirror_limit(x, th, printed_form=False):
     reproduce the bare -(1/2) ln(1 + 1/F) variant.
     """
     _real("x", x, lambda v: 0 < v < 1, "in (0, 1)")
-    _positive("temperature", th.temperature)
+    _positive("temperature", _instance("mirror_limit", th, ThermalConfig).temperature)
     value = -0.5 * math.log1p(1.0 / tension_contrast(x))
     if not printed_form:
         value *= th.temperature
@@ -102,12 +108,12 @@ def casimir_2n_thermal(cfg, th):
     contributes a classical zero mode), so that term is omitted and the
     remaining sum is finite.
     """
-    _positive("temperature", th.temperature)
+    t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
     n = cfg.piece_pairs
     if cfg.tension_ratio == 1.0 or n == 1:
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, q_max = _two_n_integrand(cfg)
-    return _matsubara(f, q_max, 2.0 * math.pi * th.temperature * cfg.total_length / n)
+    return _matsubara(f, q_max, 2.0 * math.pi * t * cfg.total_length / n)
 
 
 def casimir_2n_thermal_x0(piece_pairs, th, total_length):
@@ -128,4 +134,5 @@ def frequency_ratio(cfg, th):
     >= 1 marks the high-temperature regime (the n = 0 Matsubara term
     dominates); << 1 the low-temperature regime.
     """
-    return th.temperature * cfg.piece_length_i / (2.0 * math.pi)
+    t = _temperature("frequency_ratio", cfg, StringConfig, th)
+    return t * cfg.piece_length_i / (2.0 * math.pi)

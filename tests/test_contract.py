@@ -1,6 +1,7 @@
 """The input contract: every public entry point raises DomainError for a
-non-finite, boolean or out-of-range number, instead of returning nan or a
-wrong count or failing deeper down with another exception.
+non-finite, boolean or out-of-range number, or a config of the wrong class,
+instead of returning nan or a wrong count or failing deeper down with
+another exception.
 
 Each row names one argument of one entry point: a function of that
 argument alone, a value it accepts, and the values it must reject.
@@ -8,6 +9,7 @@ argument alone, a value it accepts, and the values it must reject.
 
 import math
 
+import numpy as np
 import pytest
 
 import stringcasimir as sc
@@ -15,6 +17,8 @@ import stringcasimir as sc
 NAN, INF = math.nan, math.inf
 REAL = [NAN, INF, -INF, True]  # never a valid real argument
 COUNT = [NAN, INF, -INF, True, 2.5]  # never a valid count
+# never a valid point of the upper half-plane
+TAU = [complex(NAN, 1), complex(INF, 1), complex(-INF, 1), complex(1, NAN), complex(1, INF), -1j]
 
 S2 = sc.StringConfig(2.0, 0.3)
 N3 = sc.NPieceConfig(3, 0.3)
@@ -80,6 +84,29 @@ CASES = {
                                 0.5, [0.0]),
     "casimir_2n_thermal_x0.total_length": (lambda v: sc.casimir_2n_thermal_x0(3, TH, v), math.pi,
                                            REAL + [0.0]),
+    # a config of the wrong class, or a bare number for the temperature
+    "casimir_two_piece_thermal.cfg": (lambda v: sc.casimir_two_piece_thermal(v, TH), S2, [N3, 2.0]),
+    "casimir_two_piece_thermal.th": (lambda v: sc.casimir_two_piece_thermal(S2, v), TH, [0.5, S2]),
+    "casimir_2n_thermal.cfg": (lambda v: sc.casimir_2n_thermal(v, TH), N3, [S2, 3]),
+    "casimir_2n_thermal.th": (lambda v: sc.casimir_2n_thermal(N3, v), TH, [0.5, N3]),
+    "casimir_2n_thermal_x0.th": (lambda v: sc.casimir_2n_thermal_x0(3, v, math.pi), TH, [0.5]),
+    "high_t_limit.cfg": (lambda v: sc.high_t_limit(v, TH), S2, [N3, 2.0]),
+    "high_t_limit.th": (lambda v: sc.high_t_limit(S2, v), TH, [0.5, S2]),
+    "mirror_limit.th": (lambda v: sc.mirror_limit(0.3, v), TH, [0.5]),
+    "frequency_ratio.cfg": (lambda v: sc.frequency_ratio(v, TH), S2, [N3, 2.0]),
+    "frequency_ratio.th": (lambda v: sc.frequency_ratio(S2, v), TH, [0.5, S2]),
+    # modular
+    "ModularPoint.tau": (sc.ModularPoint, 1j, TAU),
+    "dedekind_eta.tau": (sc.dedekind_eta, 1j, TAU),
+    "dedekind_eta_with_bound.tau": (sc.dedekind_eta_with_bound, 0.5 + 1j, TAU),
+    "jacobi_theta3.v": (lambda v: sc.jacobi_theta3(v, 1j), 0.25, [NAN, INF, -INF, complex(0, NAN)]),
+    "jacobi_theta3.x": (lambda v: sc.jacobi_theta3(0.25, v), 1j, TAU),
+    "jacobi_theta3_with_bound.v": (lambda v: sc.jacobi_theta3_with_bound(v, 1j), 0.25,
+                                   [NAN, INF, complex(INF, 0)]),
+    "jacobi_theta3_with_bound.x": (lambda v: sc.jacobi_theta3_with_bound(0.25, v), 1j, TAU),
+    "log_abs_dedekind_eta.z": (sc.log_abs_dedekind_eta, 1j, TAU),
+    "log_abs_dedekind_eta.z_array": (
+        lambda v: sc.log_abs_dedekind_eta(np.array([0.5 + 1j, v])), 1j, TAU),
     # cutoff
     "CutoffResult.fit_residual": (lambda v: sc.CutoffResult(-0.1, ((0.2, 1.0), (0.1, 0.5)), v),
                                   0.0, REAL),

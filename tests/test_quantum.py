@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -20,7 +21,10 @@ from stringcasimir import (
     thermo_derivatives,
     translational_energy,
 )
+from stringcasimir import quantum
 from stringcasimir.quantum import _ln_theta3_minus_one
+
+EPS = sys.float_info.epsilon
 
 
 def beta_star(s, tension_ii):
@@ -41,7 +45,7 @@ def diverges_by_probe(s, beta, t):
     def ray(tau2):
         a = beta * beta * t / (8.0 * math.pi**2 * tau2)
         return (
-            _ln_theta3_minus_one(np.array([a]))[0]
+            _ln_theta3_minus_one(np.array([a]))[0][0]
             - 48.0 * log_abs_dedekind_eta(1j * (1.0 + s) * tau2)
             - 24.0 * log_abs_dedekind_eta(2j * s * (1.0 + s) * tau2)
             - 14.0 * math.log(tau2)
@@ -373,3 +377,72 @@ class TestThermoDerivatives:
         cfg = QuantumStringConfig(2, math.pi)
         with pytest.raises(QuadratureError):
             thermo_derivatives(cfg, 1.2 * hagedorn_beta(cfg))
+
+
+def richardson(cfg, beta, step_frac):
+    """U and S by Richardson-refined central differences of F, steps h and
+    h/2 with h = step_frac beta: the stencil thermo_derivatives used before
+    its analytic route, kept as an independent check of it."""
+    h = step_frac * beta
+    f = {k: free_energy(cfg, beta + k * h).free_energy for k in (-1.0, -0.5, 0.5, 1.0)}
+
+    def central(k):
+        step = k * h
+        u = ((beta + step) * f[k] - (beta - step) * f[-k]) / (2.0 * step)
+        return u, beta * beta * (f[k] - f[-k]) / (2.0 * step)
+
+    (u_h, s_h), (u_h2, s_h2) = central(1.0), central(0.5)
+    return (4.0 * u_h2 - u_h) / 3.0, (4.0 * s_h2 - s_h) / 3.0
+
+
+class TestAnalyticDerivatives:
+    """U and S from a second kernel integral over the modulus integrand."""
+
+    @pytest.mark.parametrize("a", [0.02, 0.3, 0.9, 0.999999, 1.0, 1.000001, 1.7, 6.0, 30.0])
+    def test_theta_slope_against_mpmath(self, a):
+        # both sides of a = 1, where the sums switch to the Poisson-dual form;
+        # theta_3 - 1 cancels about a / ln 10 digits, so 30 are left of 50
+        with mp.workdps(50):
+            ref = mp.diff(lambda b: mp.log(mp.jtheta(3, 0, mp.exp(-b)) - 1), mp.mpf(a))
+        slope = _ln_theta3_minus_one(np.array([a]))[1][0]
+        assert abs(slope - ref) <= 4 * EPS * abs(ref)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_richardson_stencil_agrees(self, s):
+        cfg = QuantumStringConfig(s, math.pi)
+        beta = 1.5 * beta_star(s, math.pi)
+        res = thermo_derivatives(cfg, beta)
+        u, entropy = richardson(cfg, beta, 1e-4)
+        assert abs(u - res.internal_energy) <= 1e-10 * abs(res.internal_energy)
+        assert abs(entropy - res.entropy) <= 1e-10 * abs(res.entropy)
+        scale = abs(res.free_energy) + abs(res.internal_energy) + abs(res.entropy) / beta
+        assert res.identity_residual <= 8 * EPS * scale
+        assert res.free_energy == free_energy(cfg, beta).free_energy
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("frac", [1.0, 1.0005])
+    def test_converges_at_beta_star(self, s, frac):
+        # a difference stencil here reaches below beta*, where F diverges
+        res = thermo_derivatives(QuantumStringConfig(s, math.pi), frac * beta_star(s, math.pi))
+        assert res.convergence_flag == "converged"
+        assert all(math.isfinite(v) for v in (res.free_energy, res.internal_energy, res.entropy))
+        assert res.entropy > 0.0
+
+    def test_two_modulus_passes(self, monkeypatch):
+        calls, contour = [], quantum._contour
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return contour(*args, **kwargs)
+
+        cfg, beta = QuantumStringConfig(2, math.pi), 1.5 * beta_star(2, math.pi)
+        monkeypatch.setattr(quantum, "_contour", counting)
+        free_energy(cfg, beta)
+        assert len(calls) == 1
+        thermo_derivatives(cfg, beta)
+        assert len(calls) == 3
+
+    def test_step_frac_does_not_change_the_result(self):
+        cfg = QuantumStringConfig(1, math.pi)
+        beta = 3.0 * hagedorn_beta(cfg)
+        assert thermo_derivatives(cfg, beta, step_frac=0.5) == thermo_derivatives(cfg, beta)

@@ -2,6 +2,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from stringcasimir import (
     DomainError,
@@ -212,3 +214,31 @@ class TestFrequencyRatio:
         assert frequency_ratio(cfg, ThermalConfig(0.0)) == 0.0
         crossover = 2.0 * math.pi / cfg.piece_length_i
         assert frequency_ratio(cfg, ThermalConfig(crossover)) == pytest.approx(1.0, rel=1e-14)
+
+
+def n_ge_1_bound(cfg, th):
+    """A bound on T sum_{n>=1} |ln ratio(xi_n)|, what the n = 0 term leaves out.
+
+    ln ratio = log1p(-u) with u = r^2 / (F + 1), r = sinh(d xi/2) / sinh(L xi/2)
+    and L - d = 2m, m = min(L_I, L_II).  As sinh(a)/sinh(b) <= e^{a-b} for
+    0 <= a <= b, u <= r^2 <= e^{-2 m xi} = q^n at xi_n = 2 pi n T, and
+    |log1p(-u)| <= u/(1-u) <= q^n/(1-q), so the sum is at most T q/(1-q)^2.
+    """
+    m = min(cfg.piece_length_i, cfg.piece_length_ii)
+    q = math.exp(-4.0 * math.pi * m * th.temperature)
+    return th.temperature * q / (1.0 - q) ** 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(s=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+       x=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+       length=st.floats(0.1, 10.0), ratio=st.floats(1.0, 50.0))
+def test_high_t_limit_property(s, x, length, ratio):
+    # where frequency_ratio >= 1 the Matsubara sum is its n = 0 term,
+    # high_t_limit, up to the bar and the bounded n >= 1 terms
+    cfg = StringConfig(s, x, length)
+    th = ThermalConfig(ratio * 2.0 * math.pi / cfg.piece_length_i)
+    assume(frequency_ratio(cfg, th) >= 1.0)
+    full = casimir_two_piece_thermal(cfg, th)
+    limit = high_t_limit(cfg, th)
+    assert abs(full.value - limit.value) <= full.abs_error_estimate + n_ge_1_bound(cfg, th)
