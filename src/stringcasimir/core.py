@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count, _positive, _real
+from .errors import DomainError, _count, _nonnegative_array, _positive, _real
 
 __all__ = [
     "StringConfig",
@@ -140,7 +140,7 @@ def tension_contrast(x):
     uniform-string limit there).
     """
     _real("tension ratio", x, lambda v: v > 0 and v != 1, "> 0 and not 1 (the pole)")
-    return 4.0 * x / (1.0 - x) ** 2
+    return _contrast_or_zero(x)
 
 
 def alpha_param(x):
@@ -150,8 +150,9 @@ def alpha_param(x):
 
 
 def _contrast_or_zero(x):
-    # F(0) = 0 is regular even though tension_contrast rejects x <= 0.
-    return 0.0 if x == 0.0 else tension_contrast(x)
+    # F(x) for x in [0, 1), unchecked: F(0) = 0 is regular even though
+    # tension_contrast rejects x <= 0.
+    return 0.0 if x == 0.0 else 4.0 * x / (1.0 - x) ** 2
 
 
 def dispersion_two_piece(omega, cfg):
@@ -237,46 +238,40 @@ def log_sinh(z):
         return z - math.log(2.0) + np.log(-np.expm1(-2.0 * z))
 
 
-def _weight(x):
-    # w = 1 - alpha^2 = 4x/(1+x)^2, computed in the cancellation-free form
-    return 4.0 * x / (1.0 + x) ** 2
-
-
 def _log1mexp(x):
-    # log(1 - e^{-x}) for x > 0, accurate in both branches
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.where(
-            x < 0.693, np.log(-np.expm1(-np.maximum(x, 1e-300))), np.log1p(-np.exp(-x))
-        )
+    # log(1 - e^{-x}) for a float array x >= 0; log1p(-1) is never evaluated
+    out = np.log(-np.expm1(-np.maximum(x, 1e-300)))
+    np.log1p(-np.exp(-x), out=out, where=x >= 0.693)
+    return out
 
 
-def _log_growth(q, x):
+def _log_growth(q, w, a2):
     # ln G, where theta - q = 2 ln G - ln w and G = h + sqrt(h^2 + w e^{-q}),
-    # h = (1 - e^{-q})/2.  With c = (1 + e^{-q})/2 and w = 1 - alpha^2,
-    # G - 1 = -alpha^2 e^{-q} / (c + sqrt(h^2 + w e^{-q})): a quotient of
-    # positive terms.  ln G is its log1p near G = 1 and the log of G itself
-    # where G is small (x -> 0 and q -> 0).
+    # h = (1 - e^{-q})/2.  With c = (1 + e^{-q})/2, w = 1 - alpha^2 and
+    # a2 = alpha^2, G - 1 = -a2 e^{-q} / (c + sqrt(h^2 + w e^{-q})): a quotient
+    # of positive terms.  ln G is its log1p near G = 1 and the log of G itself
+    # where G is small (x -> 0 and q -> 0), where the log1p may reach log1p(-1).
     em = np.exp(-q)
     h = -0.5 * np.expm1(-q)
-    root = np.sqrt(h * h + _weight(x) * em)
-    gap = -alpha_param(x) ** 2 * em / (0.5 * (1.0 + em) + root)
-    with np.errstate(divide="ignore"):  # np.where evaluates both branches
-        return np.where(gap < -0.5, np.log(h + root), np.log1p(gap))
+    root = np.sqrt(h * h + w * em)
+    gap = -a2 * em / (0.5 * (1.0 + em) + root)
+    out = np.log(h + root)
+    np.log1p(gap, out=out, where=gap >= -0.5)
+    return out
 
 
-def _theta_minus_q(q, x):
+def _theta_minus_q(q, w, a2):
     # delta = theta - q >= 0, where sinh(theta/2) = sinh(q/2) / sqrt(w).
     # sinh(theta/2) - sinh(q/2) = 2 cosh((theta+q)/4) sinh(delta/4) equals
     # sinh(q/2) alpha^2 / (sqrt(w) (1 + sqrt(w))), so delta is a product of
     # positive terms, accurate as q -> 0 and as w -> 1.  Past q = 700 it no
     # longer changes in double precision, which keeps sinh finite.
-    w = _weight(x)
     u = np.minimum(q, 700.0) / 2.0
-    v = np.arcsinh(np.sinh(u) / math.sqrt(w))
-    ratio = np.sinh(u) / np.cosh((u + v) / 2.0)
+    sinh_u = np.sinh(u)
+    v = np.arcsinh(sinh_u / math.sqrt(w))
+    ratio = sinh_u / np.cosh((u + v) / 2.0)
     root = math.sqrt(w)
-    return 4.0 * np.arcsinh(ratio * alpha_param(x) ** 2 / (2.0 * root * (1.0 + root)))
+    return 4.0 * np.arcsinh(ratio * a2 / (2.0 * root * (1.0 + root)))
 
 
 def dispersion_2n(q, cfg, slow_exact=False):
@@ -309,7 +304,7 @@ def dispersion_2n(q, cfg, slow_exact=False):
         )
         scale = (1.0 + x) ** 2 / (4.0 * x)
         m = np.linalg.matrix_power(scale * lam, n)
-        return _weight(x) ** n * (2.0 - np.trace(m))
+        return (4.0 * x / (1.0 + x) ** 2) ** n * (2.0 - np.trace(m))
     if q == 0.0:
         return 0.0
     return -math.exp(math.log(4.0) + 2.0 * float(log_sinh(n * q / 2.0))
@@ -329,24 +324,20 @@ def imag_axis_log_ratio(xi, cfg):
     -m xi + ln(1 - e^{-d xi}) - ln(1 - e^{-L xi}) with m = min(L_I, L_II),
     so the parts linear in xi cancel algebraically, not in rounding, and
     the relative accuracy holds for every s.  Identically zero for s = 1
-    or x = 1.  Accepts scalar or array xi >= 0.
+    or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError.
     """
-    xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
+    xi, lo, scalar = _nonnegative_array("xi", xi)
     s = cfg.length_ratio
     length = cfg.total_length
-    out = np.zeros_like(xi)
-    if cfg.tension_ratio != 1.0 and s != 1.0:
-        f = _contrast_or_zero(cfg.tension_ratio)
+    if cfg.tension_ratio == 1.0 or s == 1.0:
+        out = np.zeros_like(xi)
+    else:
         d = length * abs(s - 1.0) / (s + 1.0)
         m = min(cfg.piece_length_i, cfg.piece_length_ii)
-        r = np.empty_like(xi)
-        zero = xi == 0.0
-        r[zero] = d / length
-        nz = xi[~zero]
-        r[~zero] = np.exp(-m * nz + _log1mexp(d * nz) - _log1mexp(length * nz))
-        out = np.log1p(-r * r / (f + 1.0))
+        r = np.exp(-m * xi + _log1mexp(d * xi) - _log1mexp(length * xi))
+        if lo == 0.0:
+            r[xi == 0.0] = d / length
+        out = np.log1p(-r * r / (_contrast_or_zero(cfg.tension_ratio) + 1.0))
     return float(out[0]) if scalar else out
 
 
@@ -362,25 +353,26 @@ def imag_axis_log_ratio_2n(q, cfg):
     x = 1.  Evaluated as N(ln w + delta) + 2 ln[1 + (1 - e^{-N delta}) /
     (e^{Nq} - 1)] with delta = theta - q, each factor formed without a
     difference of nearly equal terms, so the relative accuracy holds as
-    q -> 0 and as x -> 1.  Accepts scalar or array q >= 0.
+    q -> 0 and as x -> 1.  Scalar or array q >= 0, finite, else DomainError.
     """
-    q = np.asarray(q, dtype=float)
-    scalar = q.ndim == 0
-    q = np.atleast_1d(q)
+    q, lo, scalar = _nonnegative_array("q", q)
     n = cfg.piece_pairs
     x = cfg.tension_ratio
-    out = np.zeros_like(q)
     if x == 1.0 or n == 1:
-        return float(out[0]) if scalar else out
-    if x == 0.0:
+        out = np.zeros_like(q)
+    elif x == 0.0:
         # the linear-in-q parts cancel exactly:
         # ratio = (1 - e^{-q})^N / (1 - e^{-Nq})
         out = 2.0 * (n * _log1mexp(q) - _log1mexp(n * q))
-        out[q == 0.0] = -np.inf
-        return float(out[0]) if scalar else out
-    zero = q == 0.0
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        growth = -np.expm1(-n * _theta_minus_q(q, x)) / np.expm1(n * q)
-        out = 2.0 * n * _log_growth(q, x) + 2.0 * np.log1p(growth)
-    out[zero] = 2.0 * (n - 1) * float(_log_growth(0.0, x))  # (N-1) ln w
+        if lo == 0.0:
+            out[q == 0.0] = -np.inf
+    else:
+        w, a2 = 4.0 * x / (1.0 + x) ** 2, ((1.0 - x) / (1.0 + x)) ** 2  # w = 1 - a2
+        log_growth = _log_growth(q, w, a2)
+        with np.errstate(over="ignore", invalid="ignore"):  # e^{Nq} past 709; 0/0 at q = 0
+            growth = -np.expm1(-n * _theta_minus_q(q, w, a2)) / np.expm1(n * q)
+        out = 2.0 * n * log_growth + 2.0 * np.log1p(growth)
+        if lo == 0.0:
+            zero = q == 0.0
+            out[zero] = 2.0 * (n - 1) * log_growth[zero]  # (N-1) ln w
     return float(out[0]) if scalar else out

@@ -112,8 +112,11 @@ def _two_n_integrand(cfg):
     2N exp(-q).  At x = 0 the q = 0 value is the dropped zero mode, 0."""
     n = cfg.piece_pairs
     prefactor = n / (2.0 * math.pi * cfg.total_length)
-    n0 = 0.0 if cfg.tension_ratio == 0.0 else imag_axis_log_ratio_2n(0.0, cfg)
-    f = lambda q: prefactor * np.where(q > 0.0, imag_axis_log_ratio_2n(q, cfg), n0)
+
+    def f(q):
+        value = prefactor * imag_axis_log_ratio_2n(q, cfg)
+        return np.where(q > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
+
     return f, 48.0 + math.log(1.0 + n)
 
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package, and the input contract.
 
 Every argument check of the library goes through ``_real``, ``_positive``,
-``_count`` (a finite real or an integer, never a bool, that meets its
-condition) and ``_instance`` (the class a function expects), or a DomainError names it.
+``_count`` (a finite real or an integer, never a bool, that meets its condition),
+``_instance`` (the class a function expects) and ``_nonnegative_array``
+(an array kernel's argument), or a DomainError names it.
 """
 
 import math
@@ -87,3 +88,14 @@ def _instance(name, value, cls):
     if not isinstance(value, cls):
         raise DomainError(f"{name} expects a {cls.__name__}")
     return value
+
+
+def _nonnegative_array(name, value):
+    """``value`` as an at least 1-d float array, its least element and whether it
+    was a scalar, if every element is finite and >= 0 (one min, one max)."""
+    value = np.asarray(value, dtype=float)
+    lo = np.minimum.reduce(value, axis=None, initial=math.inf)
+    hi = np.maximum.reduce(value, axis=None, initial=0.0)
+    if not (lo >= 0.0 and hi < math.inf):  # a nan fails both
+        raise DomainError(f"{name} must hold finite real numbers >= 0, got values in [{lo}, {hi}]")
+    return np.atleast_1d(value), lo, value.ndim == 0

@@ -180,20 +180,23 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
     """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the
     n_tau1-node trapezoid of the periodic direction; the summed magnitude of
     its terms, which sets its rounding error (about that times eps); and its
-    beta derivative.  Each chunk of about _ETA_BLOCK eta arguments takes one
-    eta call.
+    beta derivative.  |eta| is even and 1-periodic in Re z, so eta is taken at
+    the distinct folded phases |r - round(r)|, r = (1+s) tau_1, weighted by
+    their counts: 17, 33, 9 of 64 nodes for s = 1, 2, 3.  Each chunk of about
+    _ETA_BLOCK eta arguments takes one eta call.
     """
-    tau1 = -0.5 + np.arange(n_tau1) / n_tau1
+    r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
+    phase, count = np.unique(np.abs(r - np.round(r)), return_counts=True)
     out = np.empty((3, tau2.size))
-    rows = max(1, _ETA_BLOCK // (n_tau1 + 1))
+    rows = max(1, _ETA_BLOCK // (phase.size + 1))
     for lo in range(0, tau2.size, rows):
         y = tau2[lo : lo + rows]
-        z = (1.0 + s) * (tau1 + 1j * y[:, None])
+        z = phase + 1j * ((1.0 + s) * y[:, None])
         ln_eta = log_abs_dedekind_eta(np.concatenate([z.ravel(), 2j * s * (1.0 + s) * y]))
         ln_eta_imag = ln_eta[z.size :]
         powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
         top = powers.max(axis=1)
-        ln_tau1 = top + np.log(np.exp(powers - top[:, None]).sum(axis=1) / n_tau1)
+        ln_tau1 = top + np.log(np.exp(powers - top[:, None]) @ count / n_tau1)
         a = beta * beta * t / (8.0 * math.pi**2 * y)
         ln_theta, d_theta = _ln_theta3_minus_one(a)
         terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
@@ -208,7 +211,8 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
 
     Below beta*, where delta(beta) < 0 (see the module docstring), the
     result is flagged ``diverged-below-hagedorn`` with ``free_energy`` =
-    -inf, the direction in which the integral term runs away.  Otherwise the
+    -inf, the direction in which the integral term runs away; a delta within
+    4 eps of its terms is delta = 0, which converges.  Otherwise the
     integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a
     trapezoid sum after the double-exponential map of the contour routes,
     which also resolves the tau2_max end, where the integrand is largest.
@@ -232,7 +236,8 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48, slope=False
         raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
     s, t = cfg.s, translational_energy(cfg)
     constant = -((s - 1) ** 2) / (24.0 * s)  # -(s + 1/s - 2)/24, rounded once
-    if beta * beta * t / (8.0 * math.pi**2) < math.pi * (4.0 * s + 1.0) / (s * (1.0 + s)):
+    heat, vacuum = beta * beta * t / (8.0 * math.pi**2), math.pi * (4.0 * s + 1.0) / (s * (1.0 + s))
+    if heat - vacuum < -4.0 * _EPS * (heat + vacuum):  # delta < 0 beyond the rounding of its terms
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn"), None
     shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
     if shift == -math.inf:  # the integrand underflows everywhere

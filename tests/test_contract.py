@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 import stringcasimir as sc
+from stringcasimir import core
 
 NAN, INF = math.nan, math.inf
 REAL = [NAN, INF, -INF, True]  # never a valid real argument
 COUNT = [NAN, INF, -INF, True, 2.5]  # never a valid count
+# never a valid argument of the array kernels, alone or in an array
+KERNEL = [NAN, INF, -INF, -1.0, -1e-300]
 # never a valid point of the upper half-plane
 TAU = [complex(NAN, 1), complex(INF, 1), complex(-INF, 1), complex(1, NAN), complex(1, INF), -1j]
 
@@ -43,6 +46,12 @@ CASES = {
     "lambda_pair.alpha": (lambda v: sc.lambda_pair(v, 0.5), 0.3, REAL + [-0.1, 1.0]),
     "lambda_pair.q": (lambda v: sc.lambda_pair(0.3, v), 0.5, REAL + [-1.0]),
     "dispersion_2n.q": (lambda v: sc.dispersion_2n(v, N3), 0.5, REAL + [-1.0]),
+    "imag_axis_log_ratio.xi": (lambda v: core.imag_axis_log_ratio(v, S2), 0.0, KERNEL),
+    "imag_axis_log_ratio.xi_array": (
+        lambda v: core.imag_axis_log_ratio(np.array([0.0, 0.5, v]), S2), 2.0, KERNEL),
+    "imag_axis_log_ratio_2n.q": (lambda v: core.imag_axis_log_ratio_2n(v, N3), 0.0, KERNEL),
+    "imag_axis_log_ratio_2n.q_array": (
+        lambda v: core.imag_axis_log_ratio_2n(np.array([0.0, 0.5, v]), N3), 2.0, KERNEL),
     # spectrum
     "Spectrum.multiplicity": (lambda v: sc.Spectrum(((1.0, v),), 5.0), 2, COUNT + [0]),
     "Spectrum.omega_max": (lambda v: sc.Spectrum(((1.0, 2),), v), 5.0, REAL + [0.0]),

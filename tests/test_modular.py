@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -17,6 +18,7 @@ from stringcasimir import (
 )
 
 mp.mp.dps = 30
+EPS = sys.float_info.epsilon
 
 
 def _eta_reference(tau):
@@ -153,6 +155,29 @@ class TestLogAbsEta:
         assert np.all(np.isfinite(got))
         for y, g in zip(ys[::50], got[::50]):
             assert g == pytest.approx(math.log(abs(_eta_reference(0.5 + 1j * y))), rel=1e-12)
+
+    def test_against_mpmath(self):
+        # the five-term pentagonal series drops less than 2 |q|^12 ~ 1e-28, so
+        # what is left is the rounding of the reduction, about eps / Im z
+        rng = np.random.default_rng(3)
+        ys = [1e-5, 3e-5, 1e-4, 1e-3, 0.01, 0.1, 0.5, math.sqrt(3) / 2, 1.0, 2.0, 5.0]
+        zs = [complex(x, y) for x in (-1.5, -0.5, -0.3, 0.0, 0.1, 0.25, 1 / 3, 0.5, 0.7, 2.5)
+              for y in ys]
+        zs += [cmath.exp(1j * th) for th in np.linspace(math.pi / 3, 2 * math.pi / 3, 9)]
+        zs += [complex(0.5, y) for y in np.linspace(0.1, 0.99, 7)]
+        zs += list(rng.uniform(-2, 2, 100) + 1j * np.exp(rng.uniform(math.log(1e-5), 1, 100)))
+        got = log_abs_dedekind_eta(np.array(zs))
+        with mp.workdps(40):
+            for z, g in zip(zs, got):
+                w, ref = mp.mpc(z.real, z.imag), mp.mpf(0)
+                while True:
+                    w -= mp.nint(w.real)
+                    if abs(w) >= 1 - mp.mpf(10) ** -30:
+                        break
+                    ref -= mp.log(abs(w)) / 2
+                    w = -1 / w
+                ref += -mp.pi * w.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * w))))
+                assert abs(g - ref) <= 4 * EPS * (1 + 1 / z.imag), z
 
     def test_array_input(self):
         zs = np.array([0.3 + 0.8j, 1.2 + 0.4j, 0.1 + 2.5j])

@@ -355,6 +355,67 @@ class TestHagedornRule:
                 assert (res.free_energy == -math.inf) == probe
 
 
+class TestDeltaRounding:
+    """delta(beta*) = 0 rounds to either sign; within 4 eps of its terms it
+    counts as 0, where the integral converges like tau_2^22."""
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_converges_at_beta_star(self, s):
+        # tau2_max = 0.5 keeps F representable up to s = 8
+        cfg, beta = QuantumStringConfig(s, math.pi), beta_star(s, math.pi)
+        res = free_energy(cfg, beta, tau2_max=0.5)
+        assert res.convergence_flag == "converged"
+        assert math.isfinite(res.free_energy) and res.free_energy < 0.0
+        assert free_energy(cfg, 0.99 * beta, tau2_max=0.5).convergence_flag == (
+            "diverged-below-hagedorn")
+
+
+def unfolded_log_integrand(tau2, s, beta, t, n_tau1):
+    """The rows of ``quantum._log_integrand`` with eta taken at every one of
+    the n_tau1 tau_1 nodes, as before the fold."""
+    tau1 = -0.5 + np.arange(n_tau1) / n_tau1
+    z = (1.0 + s) * (tau1 + 1j * tau2[:, None])
+    ln_eta = log_abs_dedekind_eta(np.concatenate([z.ravel(), 2j * s * (1.0 + s) * tau2]))
+    powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
+    top = powers.max(axis=1)
+    ln_tau1 = top + np.log(np.exp(powers - top[:, None]).sum(axis=1) / n_tau1)
+    a = beta * beta * t / (8.0 * math.pi**2 * tau2)
+    ln_theta, d_theta = _ln_theta3_minus_one(a)
+    terms = (ln_theta, -24.0 * ln_eta[z.size :], -13.0 * np.log(tau2), ln_tau1)
+    return np.array([sum(terms), sum(np.abs(term) for term in terms) + 1.0,
+                     2.0 * a / beta * d_theta])
+
+
+class TestTau1Fold:
+    """eta at the distinct folded tau_1 phases only, weighted by multiplicity."""
+
+    TAU2 = np.geomspace(2.0**-40, 2.0, 41)
+
+    @pytest.mark.parametrize("s", range(1, 7))
+    @pytest.mark.parametrize("n_tau1", [1, 7, 64, 256])
+    def test_matches_unfolded(self, s, n_tau1):
+        cfg = QuantumStringConfig(s, math.pi)
+        beta, t = 1.5 * beta_star(s, math.pi), translational_energy(cfg)
+        got = quantum._log_integrand(self.TAU2, s, beta, t, n_tau1)
+        ref = unfolded_log_integrand(self.TAU2, s, beta, t, n_tau1)
+        # each row's rounding is a few eps of the summed magnitude of its terms
+        assert np.all(np.abs(got[:2] - ref[:2]) <= 2 * EPS * ref[1])
+        assert np.array_equal(got[2], ref[2])
+
+    @pytest.mark.parametrize("s, per_node", [(1, 18), (2, 34), (3, 10)])
+    def test_eta_arguments_per_node(self, s, per_node, monkeypatch):
+        # 17, 33 and 9 folded phases of the 64 nodes, and eta on the imaginary axis
+        points, eta = [], quantum.log_abs_dedekind_eta
+
+        def counting(z):
+            points.append(np.size(z))
+            return eta(z)
+
+        monkeypatch.setattr(quantum, "log_abs_dedekind_eta", counting)
+        quantum._log_integrand(self.TAU2, s, 20.0, 1.0, 64)
+        assert sum(points) == per_node * self.TAU2.size
+
+
 class TestThermoDerivatives:
     def test_identity_residual_small(self):
         cfg = QuantumStringConfig(1, math.pi)
