@@ -176,21 +176,6 @@ def dispersion_two_piece(omega, cfg):
     return val / (f + 1.0)
 
 
-def dispersion_two_piece_deriv(omega, cfg):
-    """d g / d omega for the two-piece dispersion function."""
-    omega = np.asarray(omega)
-    l_i = cfg.piece_length_i
-    l_ii = cfg.piece_length_ii
-    length = cfg.total_length
-    if cfg.tension_ratio == 1.0:
-        return 0.5 * length * np.sin(omega * length)
-    f = _contrast_or_zero(cfg.tension_ratio)
-    val = 0.5 * f * length * np.sin(omega * length)
-    val += l_i * np.cos(omega * l_i) * np.sin(omega * l_ii)
-    val += l_ii * np.sin(omega * l_i) * np.cos(omega * l_ii)
-    return val / (f + 1.0)
-
-
 def transfer_matrix(alpha, p):
     """Transfer matrix entries a = e^{-ip} - alpha^2, b = alpha (e^{-ip} - 1)."""
     _real("alpha", alpha, lambda v: 0 <= v < 1, "in [0, 1)")

@@ -1,17 +1,30 @@
 """Eigenfrequency spectra of the two-piece string.
 
-Real roots of the dispersion function are located by a fine bracketing
-scan, and every multiplicity is confirmed by an argument-principle winding
-integral on a small rectangle around the root.  The windings of all roots
-are computed together: each sampling level evaluates the perimeters of
-every rectangle not yet settled as one array, in blocks of at most
-_BLOCK_NODES nodes, so memory stays bounded.  Tangential zeros (where the
-dispersion function touches zero without a sign change, e.g. the doubly
-degenerate modes of the uniform string) are caught by refining local
-extrema to critical points and testing the winding there; naive
-sign-change counting alone would miss them.  Roots and critical points are
-polished by one vectorised bisection that halves all brackets at once down
-to adjacent floats, so the module needs numpy only.
+Up to the positive factor 2(F+1), the dispersion function is
+g(omega) = F + cos(omega D) - (F+1) cos(omega L), with D = L_II - L_I and
+|D| < L.  At the odd points (2k+1) pi/L it equals 2F + 1 + cos(omega D),
+which is positive for x > 0; at the even points 2 pi k/L it equals
+-2 sin^2(pi frac(2k/(1+s))) <= 0.  On each vertical line through an odd
+point Re g >= F (1 + cosh(L Im omega)) > 0, and far from the real axis the
+cos(omega L) term dominates, so the argument principle finds exactly as
+many complex zeros in the strip between neighbouring odd points as
+1 - cos(omega L) has: two (Polya's theorem on exponential sums; B. Ya.
+Levin, Distribution of Zeros of Entire Functions, AMS 1964).  The signs
+make both real, one in each half-period, and leave none in (0, pi/L],
+whose strip holds the double zero at omega = 0.  The exception is an even point where
+2k/(1+s) is an integer: g and g' both vanish there, and it is a double
+root with both neighbouring half-periods empty.
+
+So the spectrum needs no scan and no per-root winding.  The sign at each
+even point is taken from the closed form, never from g, whose rounding
+can flip it next to a double root.  Every other half-period is bisected
+in one vectorised pass down to adjacent floats, and a pair of roots either
+side of an even point that the bisection cannot tell apart becomes one
+double root there.  At x = 1 the spectrum is the uniform string's; at
+x = 0, where F = 0 and g can also vanish at the odd points, it is the
+union of the decoupled branches n pi/L_I and m pi/L_II, coincident roots
+merged.  Only ``count_modes`` still winds: once, around a whole window,
+as a count independent of the interlacing.  The module needs numpy only.
 """
 
 import math
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StringConfig, dispersion_two_piece, dispersion_two_piece_deriv
+from .core import StringConfig, dispersion_two_piece
 from .errors import DomainError, MultiplicityUndecidedError, _count, _instance, _positive
 
 __all__ = [
@@ -31,9 +44,9 @@ __all__ = [
     "uniform_spectrum",
 ]
 
-_BISECT_RTOL = 1e-13  # a conservative bound on a polished root's relative error
-_MERGE_TOL = 1e-9
-_BLOCK_NODES = 2**13  # perimeter nodes evaluated at once by _winding_number
+# A conservative bound on a polished root's relative error; two roots split
+# by less are one double root.
+_BISECT_RTOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -70,80 +83,43 @@ class ContourCount:
     contour: tuple  # (re_min, re_max, im_extent)
 
 
-def _perimeters(lo, hi, height, per_edge):
-    """Counter-clockwise perimeter nodes of the rectangles
-    (lo, hi) x (-height, height), one row of 4 per_edge nodes each."""
-    edge = lambda a, b: np.linspace(a, b, per_edge, endpoint=False, axis=1)
-    col = lambda a: a[:, None]
-    return np.concatenate([edge(lo, hi) - 1j * col(height),
-                           col(hi) + 1j * edge(-height, height),
-                           edge(hi, lo) + 1j * col(height),
-                           col(lo) + 1j * edge(height, -height)], axis=1)
+def _winding_number(func, re_lo, re_hi, height, n_start=64, n_max=8192):
+    """Accumulated-phase winding of func around the rectangle
+    (re_lo, re_hi) x (-height, height).
 
-
-def _winding_number(func, re_lo, re_hi, height, n_start=64, n_max=8192, roots=None):
-    """Accumulated-phase winding of func around each rectangle
-    (re_lo, re_hi) x (-height, height): an int array, or a plain int for
-    scalar bounds.
-
-    Each rectangle doubles its sampling from n_start until two consecutive
-    levels round to the same integer and land within 0.01 of it; a level
-    with a zero or a non-finite value is passed over and leaves the
-    previous level's integer standing.  Settled rectangles leave the
-    pending set, and each level is evaluated in blocks of whole rectangles
-    of at most _BLOCK_NODES nodes (or one rectangle, if it alone has more).
-    The error for the first rectangle still undecided past n_max names its
-    entry of ``roots``.
+    The sampling doubles from n_start until two consecutive levels round to
+    the same integer and land within 0.01 of it; a level with a zero or a
+    non-finite value is passed over and leaves the previous level's integer
+    standing.
     """
-    scalar = np.ndim(re_lo) == np.ndim(re_hi) == np.ndim(height) == 0
-    lo, hi, h = np.broadcast_arrays(*np.atleast_1d(re_lo, re_hi, height))
-    prev = np.full(len(lo), np.nan)  # the last level's integer, or nan
-    pending = np.arange(len(lo))
+    prev = None
     n = n_start
-    while pending.size and n <= n_max:
-        per_edge = max(n // 4, 8)
-        rows = max(1, _BLOCK_NODES // (4 * per_edge))
-        settled = np.zeros(pending.size, dtype=bool)
-        for b in range(0, pending.size, rows):
-            k = pending[b:b + rows]
-            vals = func(_perimeters(lo[k], hi[k], h[k], per_edge))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                phases = np.angle(np.roll(vals, -1, axis=1) / vals)
-            wind = np.sum(phases, axis=1) / (2.0 * math.pi)
-            near = np.rint(wind)
-            usable = np.all(np.isfinite(vals) & (vals != 0), axis=1)
-            close = usable & (np.abs(wind - near) < 0.01)
-            settled[b:b + rows] = close & (prev[k] == near)
-            prev[k] = np.where(close, near, np.where(usable, np.nan, prev[k]))
-        pending = pending[~settled]
+    while n <= n_max:
+        edge = lambda a, b: np.linspace(a, b, max(n // 4, 8), endpoint=False)
+        vals = func(np.concatenate([edge(re_lo, re_hi) - 1j * height,
+                                    re_hi + 1j * edge(-height, height),
+                                    edge(re_hi, re_lo) + 1j * height,
+                                    re_lo + 1j * edge(height, -height)]))
+        if np.all(np.isfinite(vals) & (vals != 0)):
+            wind = np.sum(np.angle(np.roll(vals, -1) / vals)) / (2.0 * math.pi)
+            near = round(wind)
+            if abs(wind - near) >= 0.01:
+                near = None
+            elif near == prev:
+                return int(near)
+            prev = near
         n *= 2
-    if pending.size:
-        i = pending[0]
-        if roots is None:
-            raise MultiplicityUndecidedError(
-                f"multiplicity-undecided: winding failed to stabilize on ({lo[i]:.6g}, {hi[i]:.6g})"
-            )
-        raise MultiplicityUndecidedError(
-            f"multiplicity-undecided at omega={roots[i]:.12g}", omega=float(roots[i])
-        )
-    wind = prev.astype(int)
-    return int(wind[0]) if scalar else wind
+    raise MultiplicityUndecidedError(
+        f"multiplicity-undecided: winding failed to stabilize on ({re_lo:.6g}, {re_hi:.6g})"
+    )
 
 
-def _scan_grid(cfg, omega_max):
-    s = cfg.length_ratio
-    step = math.pi * min(1.0, s) / (4.0 * cfg.total_length * (1.0 + s))
-    n = int(math.ceil(omega_max / step)) + 1
-    grid = np.linspace(0.0, omega_max, n + 1)
-    return grid, dispersion_two_piece(grid, cfg)
-
-
-def _bisect(f, lo, hi):
+def _bisect(f, lo, hi, side):
     """Roots of the vectorised f in the brackets [lo, hi], across each of which
-    f changes sign: every bracket is halved at once until its ends are
-    adjacent floats, and the end with the smaller |f| is returned."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    side = np.sign(f(lo))
+    f changes sign from ``side`` at lo: every bracket is halved at once until
+    its ends are adjacent floats, and the end with the smaller |f| is
+    returned.  The sign at lo is given, so rounding of f there cannot flip
+    it."""
     while True:
         mid = 0.5 * (lo + hi)
         open_ = (lo < mid) & (mid < hi)
@@ -154,67 +130,50 @@ def _bisect(f, lo, hi):
         hi = np.where(open_ & ~same, mid, hi)
 
 
-def _candidate_roots(cfg, grid, vals):
-    """Bracketed sign-change roots plus refined tangential candidates."""
+def _merged(roots):
+    """Distinct roots and their multiplicities: neighbours closer than the
+    bisection's resolution are one root."""
+    roots = np.sort(roots)
+    first = np.flatnonzero(np.diff(roots, prepend=-math.inf) > _BISECT_RTOL * roots)
+    return roots[first], np.diff(first, append=roots.size)
+
+
+def _roots(cfg, omega_max):
+    """Distinct positive roots of the dispersion function, sorted, with their
+    multiplicities: every root up to omega_max and perhaps a few above."""
+    x, s = cfg.tension_ratio, cfg.length_ratio
+    if x == 1.0:
+        spec = uniform_spectrum(cfg.total_length, omega_max)
+        return spec.omegas(), spec.multiplicities()
+    if x == 0.0:
+        return _merged(np.concatenate([np.arange(1, omega_max * piece / math.pi + 2) * (math.pi / piece)
+                                       for piece in (cfg.piece_length_i, cfg.piece_length_ii)]))
+    step = math.pi / cfg.total_length
+    two_k = 2.0 * np.arange(1, omega_max / (2.0 * step) + 2)
+    depth = np.sin(math.pi * np.modf(two_k / (1.0 + s))[0]) ** 2
+    split, double = two_k[depth > 0], two_k[depth == 0] * step
     g = lambda w: dispersion_two_piece(w, cfg)
-    gp = lambda w: dispersion_two_piece_deriv(w, cfg)
-    step = grid[1] - grid[0]
-
-    sign_change = (vals[:-1] * vals[1:] < 0) & (grid[:-1] > 0)
-    lo, hi = [grid[:-1][sign_change]], [grid[1:][sign_change]]
-
-    # tangential / near-degenerate candidates: local extrema of g close to
-    # zero, with no sign change on either side, refined to critical points
-    dip_threshold = min(0.25, 2.0 * (cfg.total_length * step) ** 2)
-    i = np.arange(1, len(grid) - 1)
-    local_min = (vals[i] < vals[i - 1]) & (vals[i] <= vals[i + 1])
-    local_max = (vals[i] > vals[i - 1]) & (vals[i] >= vals[i + 1])
-    crossed = (vals[i - 1] * vals[i] < 0) | (vals[i] * vals[i + 1] < 0)
-    i = i[(local_min | local_max) & (np.abs(vals[i]) < dip_threshold) & ~crossed]
-    a, b = grid[i - 1], grid[i + 1]
-    bracketed = gp(a) * gp(b) < 0
-    i, a, b = i[bracketed], a[bracketed], b[bracketed]
-    crit = _bisect(gp, a, b)
-    gc = g(crit)
-    touch = np.abs(gc) < 1e-9
-    # a dip that crosses zero crosses it twice inside one cell
-    twice = ~touch & (gc * vals[i - 1] < 0)
-    lo += [a[twice], crit[twice]]
-    hi += [crit[twice], b[twice]]
-    roots = np.concatenate([crit[touch & (crit > 0)],
-                            _bisect(g, np.concatenate(lo), np.concatenate(hi))])
-
-    merged = []
-    for r in np.sort(roots).tolist():
-        if merged and abs(r - merged[-1]) < _MERGE_TOL * max(1.0, r):
-            continue
-        merged.append(r)
-    return merged
+    lo = np.concatenate([(split - 1.0) * step, split * step])
+    hi = np.concatenate([split * step, (split + 1.0) * step])
+    left, right = np.split(_bisect(g, lo, hi, np.repeat([1.0, -1.0], split.size)), 2)
+    close = right - left <= _BISECT_RTOL * right
+    left[close] = right[close] = split[close] * step
+    return _merged(np.concatenate([left, right, double, double]))
 
 
 def find_spectrum(cfg, omega_max):
-    """All eigenfrequencies in (0, omega_max] with winding-confirmed
-    multiplicities.
+    """All eigenfrequencies in (0, omega_max] with their multiplicities.
 
-    Roots are bracketed on a grid finer than the tightest branch spacing,
-    polished by bisection to adjacent floats, and each root's
-    multiplicity is the winding number of the dispersion function around a
-    small rectangle isolating it.
+    One root per half-period between the points k pi/L, bisected to
+    adjacent floats, except for the double roots at even points where
+    2k/(1+s) is an integer (see the module docstring); x = 0 and x = 1
+    take their closed forms.
     """
     _instance("find_spectrum", cfg, StringConfig)
     _positive("omega_max", omega_max)
-    # scan past the ceiling so the last in-range roots know their true
-    # right-hand isolation gaps (their winding rectangles may extend out)
-    grid, vals = _scan_grid(cfg, omega_max + 1.2)
-    roots = np.array([r for r in _candidate_roots(cfg, grid, vals) if r > 0.0])
-
-    gaps = np.diff(roots, prepend=0.0, append=math.inf)
-    half = np.minimum(0.5, 0.45 * np.minimum(gaps[:-1], gaps[1:]))
+    roots, mults = _roots(cfg, omega_max)
     keep = roots <= omega_max * (1.0 + 1e-12)
-    roots, half = roots[keep], half[keep]
-    func = lambda z: dispersion_two_piece(z, cfg)
-    mults = _winding_number(func, roots - half, roots + half, half, roots=roots)
-    entries = tuple((r, m) for r, m in zip(roots.tolist(), mults.tolist()) if m > 0)
+    entries = tuple(zip(roots[keep].tolist(), mults[keep].tolist()))
     return Spectrum(entries=entries, omega_max=omega_max)
 
 
@@ -231,9 +190,8 @@ def count_modes(cfg, omega_max, im_extent=0.5):
     _instance("count_modes", cfg, StringConfig)
     _positive("omega_max", omega_max)
     _positive("im_extent", im_extent)
-    grid, vals = _scan_grid(cfg, omega_max + 2.0)
-    roots = np.array(_candidate_roots(cfg, grid, vals))
-    roots = roots[roots > 0]
+    roots = _roots(cfg, omega_max + 2.0)[0]
+    roots = roots[roots < omega_max + 2.0]
 
     if len(roots) == 0 or omega_max < roots[0]:
         re_min = 0.5 * omega_max

@@ -2,8 +2,11 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stringcasimir import (
     DomainError,
@@ -15,8 +18,7 @@ from stringcasimir import (
     find_spectrum,
     uniform_spectrum,
 )
-from stringcasimir import spectrum
-from stringcasimir.spectrum import _winding_number
+from stringcasimir.spectrum import _BISECT_RTOL, _winding_number
 
 
 class TestWindingRefinement:
@@ -31,23 +33,7 @@ class TestWindingRefinement:
 
 
 class TestBatchedWinding:
-    """_winding_number over many rectangles at once, level by level."""
-
-    @pytest.mark.parametrize("block", [64, 320])
-    def test_blocked_equals_one_at_a_time(self, monkeypatch, block):
-        # the oracle's spectrum: about 850 roots up to omega = 40 / (0.0125 pi)
-        cfg = StringConfig(2, 0.3)
-        batched = find_spectrum(cfg, 1021.0)
-        assert len(batched.entries) > 800
-        one = spectrum._winding_number
-
-        def one_at_a_time(func, lo, hi, h, roots=None):
-            return np.array([one(func, *rect) for rect in zip(lo, hi, h)], dtype=int)
-
-        monkeypatch.setattr(spectrum, "_BLOCK_NODES", block)
-        assert find_spectrum(cfg, 1021.0) == batched
-        monkeypatch.setattr(spectrum, "_winding_number", one_at_a_time)
-        assert find_spectrum(cfg, 1021.0) == batched
+    """The winding's level rule, and the oracle's memory."""
 
     def test_level_with_a_zero_keeps_the_previous_integer(self):
         calls = []
@@ -55,50 +41,16 @@ class TestBatchedWinding:
         def func(z):
             calls.append(z.shape)
             vals = (z - 0.5) * (z - 2.5) ** 2
-            if len(calls) == 2:  # the 128-node level of the first rectangle
-                vals[0, 3] = 0.0
+            if len(calls) == 2:  # the 128-node level
+                vals[3] = 0.0
             return vals
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            wind = _winding_number(func, np.array([0.0, 2.0]), np.array([1.0, 3.0]), 0.4, n_max=256)
-        # 64: both 1 and 2; 128: the first has a zero, the second settles;
-        # 256: the first settles on the 1 kept from level 64
-        assert wind.tolist() == [1, 2]
-        assert calls == [(2, 64), (2, 128), (1, 256)]
-
-    def test_undecided_rectangle_is_named(self):
-        roots = np.array([0.5, 2.5, 4.5, 6.5])
-
-        def func(z):
-            vals = (z - 0.5) * (z - 2.5) * (z - 4.5) * (z - 6.5)
-            return np.where(np.abs(z.real - 2.5) <= 0.45, 0.0, vals)
-
-        assert _winding_number(func, roots[[0, 2, 3]] - 0.45, roots[[0, 2, 3]] + 0.45,
-                               0.45, roots=roots[[0, 2, 3]]).tolist() == [1, 1, 1]
-        with pytest.raises(MultiplicityUndecidedError, match=r"^multiplicity-undecided at omega=2.5$") as exc:
-            _winding_number(func, roots - 0.45, roots + 0.45, 0.45, n_max=1024, roots=roots)
-        assert exc.value.omega == 2.5
-
-    def test_find_spectrum_names_the_first_undecided_root(self, monkeypatch):
-        cfg = StringConfig(2, 0.3)
-        omegas = find_spectrum(cfg, 10.0).omegas()
-        undecided = omegas[[2, 4]]
-        g = spectrum.dispersion_two_piece
-
-        def blind(z, cfg):
-            if not np.iscomplexobj(z):
-                return g(z, cfg)
-            # zero every perimeter that encloses one of the two chosen roots
-            lo = z.real.min(axis=-1, keepdims=True)[..., None]
-            hi = z.real.max(axis=-1, keepdims=True)[..., None]
-            return np.where(np.any((lo < undecided) & (undecided < hi), axis=-1), 0.0, g(z, cfg))
-
-        monkeypatch.setattr(spectrum, "dispersion_two_piece", blind)
-        with pytest.raises(MultiplicityUndecidedError) as exc:
-            find_spectrum(cfg, 10.0)
-        assert exc.value.omega == omegas[2]
-        assert str(exc.value) == f"multiplicity-undecided at omega={omegas[2]:.12g}"
+            wind = _winding_number(func, 2.0, 3.0, 0.4, n_max=256)
+        # 64: 2; 128: a zero, passed over; 256: settles on the 2 kept from level 64
+        assert wind == 2
+        assert calls == [(64,), (128,), (256,)]
 
     def test_oracle_memory_is_bounded(self):
         # an unblocked level holds every perimeter at once: about 10 MB here
@@ -174,6 +126,65 @@ class TestFindSpectrum:
     def test_domain(self):
         with pytest.raises(DomainError):
             find_spectrum(StringConfig(1, 0.5), 0.0)
+
+
+def _mp_roots(cfg, omega_max):
+    """The roots of g in (0, omega_max] at 40 digits: one per sign change of
+    g between neighbouring points k pi/L, bisected 140 times."""
+    with mpmath.workdps(40):
+        length, s, x = (mpmath.mpf(v) for v in (cfg.total_length, cfg.length_ratio, cfg.tension_ratio))
+        f = 4 * x / (1 - x) ** 2
+        l_i = length / (1 + s)
+        g = lambda w: f * mpmath.sin(w * length / 2) ** 2 + mpmath.sin(w * l_i) * mpmath.sin(w * s * l_i)
+        nodes = [k * mpmath.pi / length for k in range(1, int(omega_max * cfg.total_length / math.pi) + 3)]
+        roots = []
+        for a, b in zip(nodes, nodes[1:]):
+            side = mpmath.sign(g(a))
+            if side * g(b) >= 0:
+                continue
+            for _ in range(140):
+                mid = (a + b) / 2
+                a, b = (mid, b) if mpmath.sign(g(mid)) == side else (a, mid)
+            roots.append(a)
+        return [float(r) for r in roots if r <= omega_max]
+
+
+class TestInterlacing:
+    """One root per half-period between the points k pi/L, or a double root
+    at an even point where 2k/(1+s) is an integer."""
+
+    @pytest.mark.parametrize("s, x, omega_max", [(0.25, 0.999999, 3.0), (1.0000001, 0.5, 3.0),
+                                                 (1e5, 0.5, 4e-3), (1e5, 0.5, 10.0),
+                                                 (1e-3, 0.5, 10.0)])
+    def test_roots_match_mpmath(self, s, x, omega_max):
+        # the first two are narrow pairs, 2 -+ 3.03e-7 and 2 -+ 3.33e-8, that a
+        # tangency test on |g| once merged into one double root each
+        cfg = StringConfig(s, x)
+        spec = find_spectrum(cfg, omega_max)
+        exact = _mp_roots(cfg, omega_max)
+        assert spec.multiplicities().tolist() == [1] * len(exact)
+        np.testing.assert_allclose(spec.omegas(), exact, rtol=_BISECT_RTOL, atol=0)
+
+    def test_double_roots_missed_by_rounding(self):
+        # 2k/(1+s) misses an integer by rounding only: the sign at 2k pi/L comes
+        # from the closed form, so no spurious root appears at the odd point 43
+        cfg = StringConfig(20.000000000000004, 0.2)
+        spec = find_spectrum(cfg, 60.0)
+        assert [e for e in spec.entries if e[1] == 2] == [(42.0, 2)]
+        assert np.min(np.abs(spec.omegas() - 43.0)) > 0.1
+        assert spec.total_count() == 59
+        third = find_spectrum(StringConfig(1 / 3, 0.5), 60.0)
+        doubles = [w for w, m in third.entries if m == 2]
+        np.testing.assert_allclose(doubles, 4.0 * np.arange(1, 16), rtol=1e-15)
+        assert third.total_count() == 60 and len(third.entries) == 45
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(s=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+           x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_count_equals_contour_count_property(self, s, x):
+        cfg = StringConfig(s, x)
+        count = count_modes(cfg, 20.0)
+        assert find_spectrum(cfg, count.contour[1]).total_count() == count.zeros_minus_poles
 
 
 class TestCountModes:
