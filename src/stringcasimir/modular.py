@@ -123,22 +123,26 @@ def log_abs_dedekind_eta(z):
     are below 2 |q|^12 ~ 1e-28, so what remains is rounding.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
+    shape = z.shape
+    z = z.flatten()
     if not np.all(np.isfinite(z) & (z.imag > 0)):
         raise DomainError("log_abs_dedekind_eta needs finite z with Im(z) > 0")
     acc = np.zeros(z.shape, dtype=float)
+    z.real -= np.round(z.real)
+    live = np.flatnonzero(np.abs(z) < 1.0 - 1e-12)  # outside the domain: only these move on
     for _ in range(256):
-        z.real -= np.round(z.real)
-        small = np.abs(z) < 1.0 - 1e-12
-        if not np.any(small):
+        if not live.size:
             break
-        acc[small] += -0.5 * np.log(np.abs(z[small]))
-        z[small] = -1.0 / z[small]
+        w = z[live]
+        acc[live] += -0.5 * np.log(np.abs(w))
+        w = -1.0 / w
+        w.real -= np.round(w.real)
+        z[live] = w
+        live = live[np.abs(w) < 1.0 - 1e-12]
     else:
         raise DomainError("fundamental-domain reduction did not terminate")
     q = np.exp(2j * math.pi * z)
     q2 = q * q
     euler = 1.0 - q - q2 + q2 * q2 * q * (1.0 + q2)  # 1 - q - q^2 + q^5 + q^7
     out = acc - math.pi * z.imag / 12.0 + np.log(np.abs(euler))
-    return float(out[0]) if scalar else out
+    return out.reshape(shape) if shape else float(out[0])

@@ -183,36 +183,30 @@ def count_modes(cfg, omega_max, im_extent=0.5):
 
     The contour is the rectangle (re_min, re_max) x (-h, +h).  Its left
     edge sits below the first root (the trivial zero at omega = 0 is
-    excluded); if omega_max falls on a root the right edge is shifted
-    outward by half the local root spacing, and the contour actually used
-    is returned so callers can compare against the same interval.
+    excluded) and its right edge halfway between the last root up to
+    omega_max (a root within 1e-12 of omega_max, relative, counts as on it)
+    and the next, so no root lies near either edge.  The contour actually
+    used is returned so callers can compare against the same interval.
     """
     _instance("count_modes", cfg, StringConfig)
     _positive("omega_max", omega_max)
     _positive("im_extent", im_extent)
-    roots = _roots(cfg, omega_max + 2.0)[0]
-    roots = roots[roots < omega_max + 2.0]
-
-    if len(roots) == 0 or omega_max < roots[0]:
-        re_min = 0.5 * omega_max
-        return ContourCount(0, (re_min, omega_max, im_extent))
+    # consecutive roots are at most 2 pi/L apart, so the next root above omega_max is in
+    roots = _roots(cfg, omega_max + 4.0 * math.pi / cfg.total_length)[0]
+    below = np.count_nonzero(roots <= omega_max * (1.0 + 1e-12))
+    if below == 0:
+        return ContourCount(0, (0.5 * omega_max, omega_max, im_extent))
 
     re_min = 0.5 * roots[0]
-    re_max = omega_max
-    spacing = np.median(np.diff(roots)) if len(roots) > 1 else roots[0]
-    if np.min(np.abs(roots - re_max)) < 0.25 * spacing:
-        re_max = re_max + 0.5 * spacing
-
-    inside = roots[(roots > re_min) & (roots < re_max)]
-    expected = max(len(inside), 1)
+    re_max = 0.5 * (roots[below - 1] + roots[below])
     func = lambda z: dispersion_two_piece(z, cfg)
     count = _winding_number(
         func,
         re_min,
         re_max,
         im_extent,
-        n_start=max(256, 16 * expected),
-        n_max=max(16384, 256 * expected),
+        n_start=max(256, 16 * below),
+        n_max=max(16384, 256 * below),
     )
     return ContourCount(count, (re_min, re_max, im_extent))
 

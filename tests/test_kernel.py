@@ -4,6 +4,7 @@ Every error bar is checked against an independent value: a closed form, an
 mpmath quadrature of the original integrand, or the other route.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from stringcasimir import (
     NPieceConfig,
     QuadratureError,
+    QuantumStringConfig,
     StringConfig,
     ThermalConfig,
     casimir_2n,
@@ -25,6 +27,7 @@ from stringcasimir import (
     casimir_two_piece,
     casimir_two_piece_thermal,
     casimir_two_piece_x0,
+    free_energy,
 )
 from stringcasimir import energy, thermal
 
@@ -78,6 +81,124 @@ class TestLattice:
         with pytest.raises(QuadratureError) as info:
             casimir_2n_thermal(NPieceConfig(2, 0.0), ThermalConfig(1e-3))
         assert info.value.best_estimate is not None
+
+
+def _level_by_level(g, a, b, step, halvings=None, floor=0.0):
+    """The kernel with one call of g per level, each evaluating only that
+    level's new nodes: the reference the batched first call must reproduce."""
+    parts, mass, evals = [], 0.0, 0
+    value = diff = bound = math.nan
+    for k in itertools.count():
+        h = step / 2**k
+        top = int((b - a) / h)
+        first, stride = (0, 1) if k == 0 else (1, 2)
+        evals += (top - first) // stride + 1
+        if evals > energy._MAX_NODES:
+            raise QuadratureError("over budget", value, abs_error=diff)
+        for lo in range(first, top + 1, stride * energy._BLOCK):
+            v = g(a + h * np.arange(lo, min(lo + stride * energy._BLOCK, top + 1), stride))
+            if lo == 0:
+                v[0] *= 0.5
+            parts.append(math.fsum(v))
+            mass += float(np.sum(np.abs(v)))
+        value, prev = h * math.fsum(parts), value
+        last, last_bound = diff, bound
+        diff, bound = abs(value - prev), energy._NOISE * h * mass + floor
+        if k == halvings:
+            return value, bound, evals
+        if diff <= bound and (8.0 * diff <= last or halvings is None and last <= last_bound):
+            return value, diff + bound, evals
+
+
+def _run(kernel, g, *args, **kwargs):
+    """The kernel's result, or the estimate and bar its QuadratureError
+    carries, with the nodes of each call of g."""
+    calls = []
+
+    def recorded(x):
+        calls.append(x.copy())
+        return g(x)
+
+    try:
+        return kernel(recorded, *args, **kwargs), calls
+    except QuadratureError as err:
+        return ("raised", err.best_estimate, err.abs_error), calls
+
+
+_SUMMANDS = {"gauss": lambda x: np.exp(-x * x), "exp": lambda x: np.exp(-x), "linear": lambda x: x}
+
+
+class TestBatchedFirstCall:
+    """The first call takes every level within _BATCH nodes; the sums, bars and
+    levels must be those of one call per level."""
+
+    @pytest.mark.parametrize("name", sorted(_SUMMANDS))
+    @pytest.mark.parametrize("coarse", [8, 15])  # nodes of the coarsest level
+    @pytest.mark.parametrize("halvings", [None, 0, 3, 4, 6, 9])
+    def test_identical_to_one_call_per_level(self, name, coarse, halvings, monkeypatch):
+        monkeypatch.setattr(energy, "_MAX_NODES", 1 << 14)  # e^-x and x without a lattice raise
+        step = 0.5
+        args = (_SUMMANDS[name], 0.0, (coarse - 0.5) * step, step, halvings, 1e-3 * (name == "linear"))
+        got, calls = _run(energy._trapezoid, *args)
+        ref, ref_calls = _run(_level_by_level, *args)
+        assert got[:2] == ref[:2]
+        later = len(calls) - 1  # calls past the first are the reference's last ones
+        assert [c.size for c in calls[1:]] == [c.size for c in ref_calls[len(ref_calls) - later:]]
+        assert calls[0].size <= energy._BATCH
+        assert np.isin(np.concatenate(ref_calls), np.concatenate(calls)).all()  # the same floats
+        if got[0] != "raised":
+            assert got[2] == sum(c.size for c in calls) >= ref[2]
+
+    def test_contour_runs_past_the_first_call(self):
+        # the step of a contour: 17 nodes at level 0, 129 in the first call
+        g = lambda t: np.exp(-np.exp(t)) * np.exp(t) * np.cos(3.0 * np.exp(t))
+        got, calls = _run(energy._trapezoid, g, -4.5, 3.5, 0.5)
+        ref, ref_calls = _run(_level_by_level, g, -4.5, 3.5, 0.5)
+        assert got == ref and len(calls) > 1 and calls[0].size == 129
+
+    def test_node_budget_raise_carries_the_same_estimate(self, monkeypatch):
+        monkeypatch.setattr(energy, "_MAX_NODES", 1000)
+        args = (lambda x: np.exp(-x), 0.0, 7.5, 0.5)
+        got, _ = _run(energy._trapezoid, *args)
+        ref, _ = _run(_level_by_level, *args)
+        assert got[0] == "raised" and got == ref and math.isfinite(got[1])
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """The number of integrand calls of each kernel pass."""
+    calls = []
+    kernel = energy._trapezoid
+
+    def counting(g, *args, **kwargs):
+        calls.append(0)
+
+        def counted(x):
+            calls[-1] += 1
+            return g(x)
+
+        return kernel(counted, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "_trapezoid", counting)
+    monkeypatch.setattr(thermal, "_trapezoid", counting)
+    return calls
+
+
+class TestIntegrandCalls:
+    """Most of a summand call's cost is fixed, so the kernel's call count is
+    its cost; one call per level was 5, 4 and 4 calls here."""
+
+    def test_matsubara_sum(self, integrand_calls):
+        casimir_two_piece_thermal(StringConfig(2, 0.3), ThermalConfig(1e-3))
+        assert integrand_calls == [1]
+
+    def test_contour(self, integrand_calls):
+        casimir_two_piece(StringConfig(2, 0.3))
+        assert integrand_calls == [1]
+
+    def test_modulus_integral(self, integrand_calls):
+        free_energy(QuantumStringConfig(1, math.pi), 17.0)
+        assert integrand_calls and max(integrand_calls) <= 2
 
 
 class TestFormerQuadratureFailures:

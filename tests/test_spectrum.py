@@ -219,6 +219,15 @@ class TestCountModes:
         assert res.contour[1] > 2.0
         assert res.zeros_minus_poles == 2
 
+    @pytest.mark.parametrize("omega_max", [29.9, 30.0, 30.01])
+    def test_edge_halfway_between_the_roots_either_side(self, omega_max):
+        # roots at 29.64 and 30.30, and a double root at 32 that moved a shift
+        # by the median gap far enough to count 30.30 too
+        cfg = StringConfig(2.2, 0.3)
+        res = count_modes(cfg, omega_max)
+        assert res.zeros_minus_poles == find_spectrum(cfg, omega_max).total_count() == 29
+        assert res.contour[1] == pytest.approx(0.5 * (29.644816595999515 + 30.299688738255014))
+
 
 class TestBranchSpectrum:
     def test_first_branch_examples(self):
