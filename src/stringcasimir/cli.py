@@ -50,6 +50,8 @@ def parse_value(text):
         if m:
             mult = float(m.group(1)) if m.group(1) else 1.0
             div = float(m.group(2)) if m.group(2) else 1.0
+            if div == 0.0:
+                raise DomainError(f"division by zero: {text!r}")
             return mult * math.pi / div
         try:
             return float(text)

@@ -92,8 +92,6 @@ def casimir_by_cutoff(cfg, epsilons=None):
         raise DomainError("need at least 4 epsilon samples")
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilon samples must be strictly decreasing")
-    if epsilons[-1] < 1e-3:
-        raise DomainError("smallest epsilon below 1e-3: spectrum size would explode")
 
     omega_max = _OMEGA_EPS_MIN / epsilons[-1] * 1.002
     composite = find_spectrum(cfg, omega_max)

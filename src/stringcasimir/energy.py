@@ -14,10 +14,11 @@ exponentially, so the integrals are truncated where the rest falls below
 e^{-40} of the whole.  Each is a trapezoid sum after the double-exponential
 map q = scale exp(t - e^{-t}), which resolves the piece scales and the
 q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`
-and, through the same map, the modulus integral of :mod:`.quantum`.
-Each call of an integrand costs mostly a fixed overhead, so the kernel's
-first call evaluates all the levels that fit in 256 nodes at once; its
-evaluation count is every node evaluated, used or not.
+and, through the same map, the modulus integral of :mod:`.quantum`, whose
+rows (value, rounding, beta slope) it sums in one pass.  Each call of an
+integrand costs mostly a fixed overhead, so the kernel's first call
+evaluates all the levels that fit in 256 nodes at once; its evaluation
+count is every node evaluated, used or not.
 """
 
 import itertools
@@ -63,21 +64,23 @@ def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
     levels sums its new nodes as a strided slice of that one array.  The nodes
     are the same floats as level by level (h m = (h / 2^j)(m 2^j) exactly), so
     are the sums.  Each later level evaluates its new nodes, _BLOCK per call.
+    g may return rows: the values, their evaluation errors (>= 0), then any
+    others, each summed by the same per-level fsums; row 0 alone is tested.
 
-    The noise bound is _NOISE h sum|g| + ``floor``, the caller's bound on other
-    evaluation error.  A level is accepted when |S(h) - S(2h)| is within it
-    and shrank eightfold, as only faster than geometric convergence does.
+    The noise bound is _NOISE h sum|g| + h sum(error) + ``floor``, the caller's
+    bound on other evaluation error.  A level is accepted when |S(h) - S(2h)|
+    is within it and shrank eightfold, as only super-geometric convergence does.
     With ``halvings`` = K the level step/2^K is itself the answer (a Matsubara
     lattice), returned with the noise bound if no earlier level is accepted;
     without, two differences within noise in a row also end the sums.
-    Returns (value, error bound, evaluations), where the evaluations count
-    every node g was called at, including batched levels past the accepted
-    one; raises past _MAX_NODES.
+    Returns (value, error bound, evaluations), the value the list of row sums
+    for rows, where the evaluations count every node g was called at,
+    including batched levels past the accepted one; raises past _MAX_NODES.
     """
     depth = 0  # the deepest level of the first call
     while depth != halvings and 0 < (b - a) / (step / 2 ** (depth + 1)) < _BATCH:
         depth += 1
-    parts, mass, evals = [], 0.0, 0
+    parts, extra, mass, evals = [], [], 0.0, 0
     value = diff = bound = math.nan
     for k in itertools.count():
         h = step / 2**k
@@ -91,25 +94,30 @@ def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
             blocks = [g(a + fine * np.arange(lo, min(lo + stride * _BLOCK, top + 1), stride))
                       for lo in range(first, top + 1, stride * _BLOCK)]
             if k == 0:
-                blocks[0][0] *= 0.5
+                blocks[0][..., 0] *= 0.5
                 batch = blocks[0]  # all of the first call when depth > 0
         if 0 < depth and k <= depth:
             r = 2 ** (depth - k)  # level k's new nodes in the first call
-            blocks = [batch[::r] if k == 0 else batch[r :: 2 * r]]
+            blocks = [batch[..., ::r] if k == 0 else batch[..., r :: 2 * r]]
         for v in blocks:
-            parts.append(math.fsum(v))
+            if v.ndim > 1:  # rows: the values, then their errors and others
+                v, *others = v
+                extra.append([math.fsum(row.tolist()) for row in others])
+            parts.append(math.fsum(v.tolist()))
             mass += float(np.sum(np.abs(v)))
-        value, prev = h * math.fsum(parts), value
-        last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + floor
+        sums = [h * math.fsum(row) for row in zip(*extra)]  # none for one array
+        value, prev, noise = h * math.fsum(parts), value, sum(sums[:1]) + floor
+        last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + noise
+        out = [value, *sums] if sums else value
         if k == halvings:
-            return value, bound, evals
+            return out, bound, evals
         if diff <= bound and (8.0 * diff <= last or halvings is None and last <= last_bound):
-            return value, diff + bound, evals
+            return out, diff + bound, evals
 
 
 def _contour(f, scale, q_max, floor=0.0):
-    """Int_0^q_max f(q) dq as an EnergyResult, through q = scale exp(t - e^{-t})
-    from t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max."""
+    """(Int_0^q_max f(q) dq, error bound) through q = scale exp(t - e^{-t}) from
+    t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max; f may return rows."""
 
     def g(t):
         e = np.exp(-t)
@@ -117,8 +125,7 @@ def _contour(f, scale, q_max, floor=0.0):
         return f(q) * q * (1.0 + e)
 
     y = math.log(q_max / scale)  # q(y + e^{-y}) is just above q_max
-    value, err, _ = _trapezoid(g, -4.5, y + math.exp(-y), 0.5, floor=floor)
-    return EnergyResult(value, "contour", err)
+    return _trapezoid(g, -4.5, y + math.exp(-y), 0.5, floor=floor)[:2]
 
 
 def _two_piece_integrand(cfg):
@@ -150,7 +157,8 @@ def casimir_two_piece(cfg):
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, xi_max = _two_piece_integrand(cfg)
-    return _contour(f, 1.0 / cfg.total_length, xi_max)
+    value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
+    return EnergyResult(value, "contour", err)
 
 
 def casimir_two_piece_x0(s, total_length):
@@ -175,7 +183,8 @@ def casimir_2n(cfg, slow_exact=False):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, q_max = _two_n_integrand(cfg)
     if not slow_exact:
-        return _contour(f, 1.0 / n, q_max)
+        value, err = _contour(f, 1.0 / n, q_max)
+        return EnergyResult(value, "contour", err)
     # Matrix powers overflow past e^700; for N > 13 the truncation then drops
     # up to the tail below.  Under q = 1e-4/N, 2 - tr(M^N) keeps too few digits
     # and the q -> 0 value stands in; the floor adds the rounding (16 N eps).
@@ -190,7 +199,8 @@ def casimir_2n(cfg, slow_exact=False):
 
     tail = 2.0 * (n + 1) * math.exp(-q_max) * (q_max + 1.0)
     floor = (1e3 * sys.float_info.epsilon * n * q_max + tail) * prefactor
-    return _contour(np.vectorize(slow), 1.0 / n, q_max, floor)
+    value, err = _contour(np.vectorize(slow), 1.0 / n, q_max, floor)
+    return EnergyResult(value, "contour", err)
 
 
 def casimir_2n_x0(piece_pairs, total_length):

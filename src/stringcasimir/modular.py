@@ -87,10 +87,15 @@ def jacobi_theta3_with_bound(v, xarg):
 
     Symmetric sum over n = -n*..n* with n* chosen so |e^{i x n^2}| < 1e-18;
     the discarded tail is bounded by a geometric series in |e^{ix}|^{2n*}.
+    Below Im(x) = 1e-6, where n* passes 6000, the series is refused.
     """
     x = complex(xarg)
     if not (cmath.isfinite(x) and x.imag > 0 and np.all(np.isfinite(v))):
         raise DomainError(f"theta_3 needs finite v and x with Im(x) > 0, got v={v}, x={x}")
+    if x.imag < _MIN_IM:
+        raise ModularLiftRequiredError(
+            f"Im(x) = {x.imag:.3e} too small for the theta_3 series; apply modular lift"
+        )
     decay = x.imag  # |e^{i x n^2}| = e^{-Im(x) n^2}
     n_star = max(1, int(math.ceil(math.sqrt(-math.log(_TRUNC) / decay))))
     ns = np.arange(-n_star, n_star + 1)

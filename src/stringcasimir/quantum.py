@@ -27,7 +27,7 @@ reported values are understood with that regularization.
 
 Everything is evaluated in log space: the bare prefactor is ~1e-34 while
 the integrand spans hundreds of e-folds.  beta enters only through theta_3,
-so dF/d beta, and with it U and S, is a second integral of the same kind.
+so dF/d beta, and with it U and S, is one more row of the same kernel pass.
 """
 
 import math
@@ -223,10 +223,8 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     return _free_energy(cfg, beta, tau2_max, n_tau1, max_octaves)[0]
 
 
-def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48, slope=False):
-    """``free_energy`` and, with ``slope``, dF/d beta (else None): with J the
-    kernel integral, a second pass over the integrand times its d ln / d beta,
-    with the same shift and checks, gives J' and d term / d beta = term J'/J."""
+def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
+    """``free_energy`` and dF/d beta = -term J'/J, J and J' the kernel sums of rows 0 and 2."""
     _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
     _positive("tau2_max", tau2_max)
@@ -242,44 +240,36 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48, slope=False
     shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
     if shift == -math.inf:  # the integrand underflows everywhere
         return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * -constant), 0.0
-    sums = np.zeros(2)  # sums of f and of f times its log magnitude over all nodes
 
-    def f(v, weighted=False):
-        ln_value, magnitude, d_beta = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
-        excess = ln_value - shift
+    def f(v):
+        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
+        excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
-        value = np.exp(excess)
-        sums[:] += value.sum(), (value * magnitude).sum()
-        return value * d_beta if weighted else value
+        rows[0], rows[1] = 1.0, _EPS * rows[1]  # the value, its rounding, its beta slope
+        return np.exp(excess) * rows
 
-    v_max = max_octaves * math.log(2.0)
-    integral = _contour(f, 1.0, v_max)
+    (integral, _, d_integral), err = _contour(f, 1.0, max_octaves * math.log(2.0))
     ln_prefactor = -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
-    ln_term = ln_prefactor + shift + math.log(integral.value)
+    ln_term = ln_prefactor + shift + math.log(integral)
     if ln_term > 700.0:
         raise QuadratureError(f"modulus integral not representable in double precision "
                               f"(ln {ln_term:.1f}); lower tau2_max")
     term = math.exp(ln_term)
-    rounding = _EPS * (sums[1] / sums[0] + abs(ln_term) + abs(ln_prefactor))
-    error = term * (integral.abs_error_estimate / integral.value + rounding)
+    error = term * (err / integral + _EPS * (abs(ln_term) + abs(ln_prefactor)))
     error += _EPS * abs(constant - term)  # the rounding of the constant and of F
-    result = ThermoResult(constant - term, beta, "converged", abs_error_estimate=float(error))
-    if not slope:
-        return result, None
-    return result, -term * _contour(lambda v: f(v, True), 1.0, v_max).value / integral.value
+    result = ThermoResult(constant - term, beta, "converged", abs_error_estimate=error)
+    return result, -term * d_integral / integral
 
 
 def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
     """Internal energy U = d(beta F)/d beta and entropy S = beta^2 dF/d beta,
-    with dF/d beta a second kernel integral of the modulus integrand times its
-    d ln / d beta (beta enters only through theta_3), so F = U - S/beta holds
-    to rounding; the residual is reported.  ``abs_error_estimate`` is the bar
-    of F.  ``step_frac`` must lie in (0, 1) but no longer changes the result.
-    Below beta*, where F diverges, raises QuadratureError.
-    """
+    with dF/d beta one more row of the single kernel pass of F, so F = U - S/beta
+    holds to rounding; the residual is reported.  ``abs_error_estimate`` is the
+    bar of F.  ``step_frac`` must lie in (0, 1) but no longer changes the result.
+    Below beta*, where F diverges, raises QuadratureError."""
     _real("step_frac", step_frac, lambda v: 0 < v < 1, "in (0, 1)")
-    res, slope = _free_energy(cfg, beta, tau2_max, slope=True)
+    res, slope = _free_energy(cfg, beta, tau2_max)
     if res.convergence_flag != "converged":
         raise QuadratureError(f"free energy diverged below the Hagedorn point at beta={beta}")
     u, entropy = res.free_energy + beta * slope, beta * beta * slope

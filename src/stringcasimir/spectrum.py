@@ -47,6 +47,11 @@ __all__ = [
 # A conservative bound on a polished root's relative error; two roots split
 # by less are one double root.
 _BISECT_RTOL = 1e-13
+# Most half-periods pi/L up to omega_max that a spectrum spans: the bisection
+# holds about 100 B per half-period (26 MB at the limit), and count_modes
+# winds about 2.4 kB per root.
+_MAX_HALF_PERIODS = 1 << 18
+_MAX_WOUND_ROOTS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -138,9 +143,18 @@ def _merged(roots):
     return roots[first], np.diff(first, append=roots.size)
 
 
-def _roots(cfg, omega_max):
+def _check_span(length, omega_max, limit=_MAX_HALF_PERIODS):
+    """Refuses a spectrum over more than ``limit`` half-periods pi/L, before
+    anything is allocated for it."""
+    if omega_max * length / math.pi > limit:
+        raise DomainError(f"omega_max={omega_max:g} spans over the limit of {limit} half-periods pi/L "
+                          f"(L={length:g}): lower it")
+
+
+def _roots(cfg, omega_max, limit=_MAX_HALF_PERIODS):
     """Distinct positive roots of the dispersion function, sorted, with their
     multiplicities: every root up to omega_max and perhaps a few above."""
+    _check_span(cfg.total_length, omega_max, limit)
     x, s = cfg.tension_ratio, cfg.length_ratio
     if x == 1.0:
         spec = uniform_spectrum(cfg.total_length, omega_max)
@@ -167,7 +181,8 @@ def find_spectrum(cfg, omega_max):
     One root per half-period between the points k pi/L, bisected to
     adjacent floats, except for the double roots at even points where
     2k/(1+s) is an integer (see the module docstring); x = 0 and x = 1
-    take their closed forms.
+    take their closed forms.  Past 2^18 half-periods (omega_max L / pi)
+    raises DomainError before anything is allocated.
     """
     _instance("find_spectrum", cfg, StringConfig)
     _positive("omega_max", omega_max)
@@ -187,12 +202,15 @@ def count_modes(cfg, omega_max, im_extent=0.5):
     omega_max (a root within 1e-12 of omega_max, relative, counts as on it)
     and the next, so no root lies near either edge.  The contour actually
     used is returned so callers can compare against the same interval.
+    Past 2^13 half-periods, or an im_extent L over 700, raises DomainError.
     """
     _instance("count_modes", cfg, StringConfig)
     _positive("omega_max", omega_max)
     _positive("im_extent", im_extent)
+    if im_extent * cfg.total_length > 700.0:  # where sin^2(omega L / 2) overflows
+        raise DomainError(f"im_extent * L must not exceed 700, got {im_extent * cfg.total_length:g}")
     # consecutive roots are at most 2 pi/L apart, so the next root above omega_max is in
-    roots = _roots(cfg, omega_max + 4.0 * math.pi / cfg.total_length)[0]
+    roots = _roots(cfg, omega_max + 4.0 * math.pi / cfg.total_length, _MAX_WOUND_ROOTS)[0]
     below = np.count_nonzero(roots <= omega_max * (1.0 + 1e-12))
     if below == 0:
         return ContourCount(0, (0.5 * omega_max, omega_max, im_extent))
@@ -219,7 +237,8 @@ def branch_spectrum_x0(s, branch, n_max):
     frequencies between the two branches are the caller's bookkeeping.
     """
     _count("s", s)
-    _count("n_max", n_max)
+    if _count("n_max", n_max) > _MAX_HALF_PERIODS:  # about 100 B per entry
+        raise DomainError(f"n_max={n_max} is over the limit of {_MAX_HALF_PERIODS} entries")
     if branch == "first":
         rate = 1.0 + s
     elif branch == "second":
@@ -234,6 +253,7 @@ def uniform_spectrum(total_length, omega_max):
     """Uniform closed string: omega_n = 2 pi n / L, each doubly degenerate."""
     _positive("total_length", total_length)
     _positive("omega_max", omega_max)
+    _check_span(total_length, omega_max)
     base = 2.0 * math.pi / total_length
     n_top = int(math.floor(omega_max / base + 1e-12))
     entries = tuple((base * n, 2) for n in range(1, n_top + 1))

@@ -219,6 +219,8 @@ class TestInputContract:
         ["scan", "--command", "oracle", "--s", "2", "--x", "0.3", "--epsilons", "0.1:0.2:0.1"],
         ["scan", "--config", "derivatives.json"],
         ["scan", "--config", "jobs.json"],
+        ["energy", "--s", "2", "--x", "0.3", "--L", "pi/0"],
+        ["spectrum", "--s", "2", "--x", "0.3", "--omega-max", "1e9"],
     ])
     def test_exit_one_with_record(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -61,6 +61,9 @@ CASES = {
     "count_modes.omega_max": (lambda v: sc.count_modes(S2, v), 10.0, REAL + [0.0, -1.0]),
     "count_modes.im_extent": (lambda v: sc.count_modes(S2, 10.0, im_extent=v), 0.5,
                               REAL + [0.0, -1.0]),
+    # sin^2(omega L / 2) overflows once im_extent L passes about 700
+    "count_modes.im_extent_times_L": (lambda v: sc.count_modes(S2, 10.0, im_extent=v), 200.0,
+                                      [223.0, 300.0, 1e6]),
     "branch_spectrum_x0.s": (lambda v: sc.branch_spectrum_x0(v, "first", 3), 2, COUNT + [0]),
     "branch_spectrum_x0.n_max": (lambda v: sc.branch_spectrum_x0(2, "first", v), 3, COUNT + [0]),
     "uniform_spectrum.total_length": (lambda v: sc.uniform_spectrum(v, 10.0), math.pi,
@@ -113,6 +116,9 @@ CASES = {
     "jacobi_theta3_with_bound.v": (lambda v: sc.jacobi_theta3_with_bound(v, 1j), 0.25,
                                    [NAN, INF, complex(INF, 0)]),
     "jacobi_theta3_with_bound.x": (lambda v: sc.jacobi_theta3_with_bound(0.25, v), 1j, TAU),
+    # the theta_3 series would need 1.3e7 terms at Im x = 1e-12
+    "jacobi_theta3.x_near_the_real_axis": (lambda v: sc.jacobi_theta3(0.0, v), 1e-6j,
+                                           [1e-300j, 1e-12j, 0.5 + 9e-7j]),
     "log_abs_dedekind_eta.z": (sc.log_abs_dedekind_eta, 1j, TAU),
     "log_abs_dedekind_eta.z_array": (
         lambda v: sc.log_abs_dedekind_eta(np.array([0.5 + 1j, v])), 1j, TAU),

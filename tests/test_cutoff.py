@@ -55,6 +55,15 @@ class TestCasimirByCutoff:
         assert res.extrapolated_energy == pytest.approx(-1.0 / 48.0, abs=1e-4)
         assert res.as_energy_result().method == "cutoff-oracle"
 
+    @pytest.mark.parametrize("length", [1e-3, 0.05, 1e3])
+    def test_default_grid_is_scale_free(self, length):
+        # the default damping grid scales with L and spans about 1020
+        # half-periods pi/L at every L, so E L is the same within the bars
+        ref = casimir_by_cutoff(StringConfig(2, 0.3, math.pi)).as_energy_result()
+        res = casimir_by_cutoff(StringConfig(2, 0.3, length)).as_energy_result()
+        bar = res.abs_error_estimate * length + ref.abs_error_estimate * math.pi
+        assert abs(res.value * length - ref.value * math.pi) <= bar
+
     def test_agrees_with_contour(self):
         cfg = StringConfig(3, 0.4, math.pi)
         oracle = casimir_by_cutoff(cfg).extrapolated_energy

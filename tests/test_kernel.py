@@ -149,6 +149,33 @@ class TestBatchedFirstCall:
         if got[0] != "raised":
             assert got[2] == sum(c.size for c in calls) >= ref[2]
 
+    @pytest.mark.parametrize("name", sorted(_SUMMANDS))
+    @pytest.mark.parametrize("coarse", [8, 15])
+    @pytest.mark.parametrize("halvings", [None, 0, 3, 4, 6, 9])
+    def test_rows_with_a_zero_error_row(self, name, coarse, halvings, monkeypatch):
+        # row 0 of [g, 0] is the one-array call to the bit: value, bound and
+        # evaluations; so it is the reference's
+        monkeypatch.setattr(energy, "_MAX_NODES", 1 << 14)
+        g = _SUMMANDS[name]
+        args = (0.0, (coarse - 0.5) * 0.5, 0.5, halvings, 1e-3 * (name == "linear"))
+        got, _ = _run(energy._trapezoid, lambda x: np.stack([g(x), np.zeros_like(x)]), *args)
+        one, _ = _run(energy._trapezoid, g, *args)
+        ref, _ = _run(_level_by_level, g, *args)
+        if got[0] == "raised":
+            assert got == one == ref
+        else:
+            assert (got[0][0], *got[1:]) == one and one[:2] == ref[:2]
+            assert got[0][1] == 0.0
+
+    def test_rows_sum_alike_and_errors_join_the_bound(self):
+        g = lambda x: np.exp(-x * x)
+        value, bound, evals = energy._trapezoid(g, 0.0, 6.0, 0.5)
+        rows, row_bound, row_evals = energy._trapezoid(
+            lambda x: np.stack([g(x), np.full_like(x, 1e-9), -2.0 * g(x)]), 0.0, 6.0, 0.5)
+        assert rows[0] == value and rows[2] == -2.0 * value and row_evals == evals
+        # h sum(error) is 1e-9 times the interval, up to the trapezoid's end nodes
+        assert row_bound - bound == pytest.approx(rows[1]) and rows[1] == pytest.approx(6e-9, rel=0.1)
+
     def test_contour_runs_past_the_first_call(self):
         # the step of a contour: 17 nodes at level 0, 129 in the first call
         g = lambda t: np.exp(-np.exp(t)) * np.exp(t) * np.cos(3.0 * np.exp(t))

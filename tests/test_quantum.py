@@ -21,7 +21,7 @@ from stringcasimir import (
     thermo_derivatives,
     translational_energy,
 )
-from stringcasimir import quantum
+from stringcasimir import energy, quantum
 from stringcasimir.quantum import _ln_theta3_minus_one
 
 EPS = sys.float_info.epsilon
@@ -330,6 +330,38 @@ class TestFreeEnergy:
             free_energy(QuantumStringConfig(1, math.pi), 0.0)
 
 
+class TestRoundingBar:
+    """The kernel's noise bound includes the rounding of the log integrand, so
+    far below the Hagedorn temperature, where F is the constant to rounding,
+    the sums stop instead of chasing noise."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("frac", [300.0, 1000.0])
+    def test_low_temperature_converges(self, s, frac, monkeypatch):
+        nodes, log_integrand = [], quantum._log_integrand
+
+        def counting(tau2, *args):
+            nodes.append(tau2.size)
+            return log_integrand(tau2, *args)
+
+        monkeypatch.setattr(quantum, "_log_integrand", counting)
+        res = free_energy(QuantumStringConfig(s, math.pi), frac * beta_star(s, math.pi))
+        assert res.convergence_flag == "converged"
+        assert abs(res.free_energy + (s - 1) ** 2 / (24 * s)) <= res.abs_error_estimate
+        assert sum(nodes) <= 2**10
+
+    @pytest.mark.parametrize("s, tension, frac", [(1, math.pi, 1.3), (2, math.pi, 3.0), (3, 2.0, 1.05)])
+    def test_independent_of_the_first_call_size(self, s, tension, frac, monkeypatch):
+        # every row is summed level by level, so batching moves no bit of F or its bar
+        cfg, beta = QuantumStringConfig(s, tension), frac * beta_star(s, tension)
+        res = free_energy(cfg, beta)
+        for batch in (64, 1024):
+            monkeypatch.setattr(energy, "_BATCH", batch)
+            other = free_energy(cfg, beta)
+            assert (other.free_energy, other.abs_error_estimate) == (
+                res.free_energy, res.abs_error_estimate)
+
+
 class TestHagedornRule:
     """The divergence is the sign of delta(beta); the empirical ray probe,
     which the library used before, agrees on a grid that straddles beta*."""
@@ -457,7 +489,7 @@ def richardson(cfg, beta, step_frac):
 
 
 class TestAnalyticDerivatives:
-    """U and S from a second kernel integral over the modulus integrand."""
+    """U and S from the beta-slope row of the kernel pass that gives F."""
 
     @pytest.mark.parametrize("a", [0.02, 0.3, 0.9, 0.999999, 1.0, 1.000001, 1.7, 6.0, 30.0])
     def test_theta_slope_against_mpmath(self, a):
@@ -489,7 +521,8 @@ class TestAnalyticDerivatives:
         assert all(math.isfinite(v) for v in (res.free_energy, res.internal_energy, res.entropy))
         assert res.entropy > 0.0
 
-    def test_two_modulus_passes(self, monkeypatch):
+    def test_one_modulus_pass(self, monkeypatch):
+        # F, its rounding and dF/d beta are rows of one kernel pass
         calls, contour = [], quantum._contour
 
         def counting(*args, **kwargs):
@@ -501,7 +534,7 @@ class TestAnalyticDerivatives:
         free_energy(cfg, beta)
         assert len(calls) == 1
         thermo_derivatives(cfg, beta)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     def test_step_frac_does_not_change_the_result(self):
         cfg = QuantumStringConfig(1, math.pi)

@@ -258,3 +258,39 @@ class TestUniformSpectrum:
         analytic = uniform_spectrum(math.pi, 9.0)
         assert direct.multiplicities().tolist() == analytic.multiplicities().tolist()
         assert np.allclose(direct.omegas(), analytic.omegas(), atol=1e-10)
+
+
+class TestSizeLimit:
+    """A spectrum is refused past a count of half-periods pi/L, before any of
+    it is allocated."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: find_spectrum(StringConfig(2, 0.3), 1e9),
+        lambda: find_spectrum(StringConfig(2, 0.0), 1e9),
+        lambda: find_spectrum(StringConfig(2, 1.0), 1e9),
+        lambda: find_spectrum(StringConfig(2, 0.3, total_length=1e6), 1.0),
+        lambda: count_modes(StringConfig(2, 0.3), 1e5),
+        lambda: uniform_spectrum(math.pi, 1e9),
+        lambda: branch_spectrum_x0(2, "first", 10**9),
+    ])
+    def test_over_the_limit_raises_at_once(self, call):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="limit"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_limits(self):
+        # omega_max L / pi half-periods: 2^18 for a spectrum, 2^13 for count_modes;
+        # the x = 0 spectrum is the cheap one to take up to its limit
+        cfg = StringConfig(2, 0.0, total_length=1.0)
+        assert find_spectrum(cfg, 0.99 * math.pi * 2**18).total_count() > 2**17
+        with pytest.raises(DomainError):
+            find_spectrum(cfg, 1.01 * math.pi * 2**18)
+        cfg = StringConfig(2, 0.3, total_length=1.0)
+        assert count_modes(cfg, 0.99 * math.pi * 2**13 - 4 * math.pi).zeros_minus_poles > 2**12
+        with pytest.raises(DomainError):
+            count_modes(cfg, 1.01 * math.pi * 2**13)
