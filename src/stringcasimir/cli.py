@@ -152,14 +152,13 @@ def compare_methods(cfg, epsilons=None):
     contour = energy.casimir_two_piece(cfg)
     oracle = cutoff.casimir_by_cutoff(cfg, epsilons=epsilons).as_energy_result()
     difference = abs(contour.value - oracle.value)
-    combined = contour.abs_error_estimate + oracle.abs_error_estimate + 1e-4
     return {
         "contour_value": contour.value,
         "contour_error": contour.abs_error_estimate,
         "oracle_value": oracle.value,
         "oracle_error": oracle.abs_error_estimate,
         "abs_difference": difference,
-        "agree": bool(difference <= combined),
+        "agree": bool(difference <= contour.abs_error_estimate + oracle.abs_error_estimate),
     }
 
 

@@ -269,31 +269,41 @@ def dispersion_2n(q, cfg, slow_exact=False):
     exact and free of the q -> 0 cancellation of the eigenvalue-power form.
     Strictly negative for q > 0; identically 2 - 2 cosh(Nq) at x = 1.
     Evaluated as -exp(ln 4 + 2 ln sinh(Nq/2) + ``imag_axis_log_ratio_2n``),
-    which keeps its relative accuracy at every x and q.  With
-    ``slow_exact`` the value is recomputed from explicit powers of the
-    system matrix (the recursion route, x > 0 only), kept as an
-    independent cross-check.
+    which keeps its relative accuracy at every x and q; ``slow_exact`` takes
+    the log ratio from powers of the junction matrix instead (x > 0 only), a
+    cross-check.  Past the float range, N q above about 709, it is -inf.
     """
     _real("q", q, lambda v: v >= 0, ">= 0")
-    n = cfg.piece_pairs
-    x = cfg.tension_ratio
-    if slow_exact:
-        if x == 0.0:
-            raise DomainError("slow_exact path requires x > 0")
-        alpha = alpha_param(x)
-        lam = np.array(
-            [
-                [math.exp(q) - alpha * alpha, alpha * (math.exp(q) - 1.0)],
-                [alpha * (math.exp(-q) - 1.0), math.exp(-q) - alpha * alpha],
-            ]
-        )
-        scale = (1.0 + x) ** 2 / (4.0 * x)
-        m = np.linalg.matrix_power(scale * lam, n)
-        return (4.0 * x / (1.0 + x) ** 2) ** n * (2.0 - np.trace(m))
+    ratio = (_log_ratio_2n_by_powers(np.array([q]), cfg)[0, 0] if slow_exact
+             else imag_axis_log_ratio_2n(q, cfg))
     if q == 0.0:
         return 0.0
-    return -math.exp(math.log(4.0) + 2.0 * float(log_sinh(n * q / 2.0))
-                     + imag_axis_log_ratio_2n(q, cfg))
+    exponent = math.log(4.0) + 2.0 * float(log_sinh(cfg.piece_pairs * q / 2.0)) + float(ratio)
+    return -math.exp(exponent) if exponent < 709.7827 else -math.inf  # ln of the largest float
+
+
+def _log_ratio_2n_by_powers(q, cfg):
+    """Rows ln|D_N(q) / (4 sinh^2(Nq/2))| = ln|2 w^N e^{-Nq} - tr L^N| - 2 ln(1 - e^{-Nq})
+    and its rounding at a 1-d array q >= 0, with L = e^{-q} Lambda(alpha, iq) = [[a, b], [c, d]]
+    raised to the N-th power at all q at once (x > 0 only).  Its eigenvalues w e^{-q} e^{+-theta}
+    are <= 1, so no power overflows.  The rounding is 4 N eps times the terms' size over their
+    difference, times the cancellation in (a - d)^2 + 4bc, the squared eigenvalue split.
+    Below q = 1e-4/N the q -> 0 value (N-1) ln w stands in."""
+    n, x = cfg.piece_pairs, cfg.tension_ratio
+    w, alpha = 4.0 * x / (1.0 + x) ** 2, alpha_param(x)
+    if x == 0.0 or (n - 1) * math.log(w) < -600.0:  # w^N would underflow
+        raise DomainError("the matrix powers need x > 0 and (4x/(1+x)^2)^(N-1) above e^-600")
+    low, q = q < 1e-4 / n, np.maximum(q, 1e-4 / n)
+    e, em1 = np.exp(-q), np.expm1(-q)
+    a, b, c, d = w - alpha * alpha * em1, -alpha * em1, alpha * e * em1, e * (w + em1)
+    power = np.linalg.matrix_power(np.stack([a, b, c, d], axis=-1).reshape(q.shape + (2, 2)), n)
+    first = 2.0 * w**n * np.exp(-n * q)
+    diff = first - np.trace(power, axis1=-2, axis2=-1)
+    value = np.log(np.abs(diff)) - 2.0 * _log1mexp(n * q)
+    value[low] = (n - 1) * math.log(w)
+    cancel = ((a - d) ** 2 + 4.0 * np.abs(b * c)) / np.abs((a - d) ** 2 + 4.0 * b * c)
+    scale = np.abs(power).sum(axis=(-2, -1)) + first
+    return np.stack([value, 4.0 * n * np.finfo(float).eps * cancel * scale / np.abs(diff)])
 
 
 def imag_axis_log_ratio(xi, cfg):

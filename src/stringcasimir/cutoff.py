@@ -82,6 +82,7 @@ def casimir_by_cutoff(cfg, epsilons=None):
     composite one; the differences are fit with c0 + c1 eps + c2 eps^2 and
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
+    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error.
     """
     _instance("casimir_by_cutoff", cfg, StringConfig)
     length = cfg.total_length
@@ -104,7 +105,12 @@ def casimir_by_cutoff(cfg, epsilons=None):
     fit = np.polynomial.polynomial.polyval(eps, coeffs)
     residual = float(np.max(np.abs(fit - diffs)))
     c0 = float(coeffs[0])
-    if residual > 1e-3 * abs(c0) + 1e-6:
+    # A root off by r w moves its term w e^{-eps w} by r |1 - eps w| w e^{-eps w};
+    # over a mode density like the uniform one that sums to at most 3 r times
+    # the damped sum.  c0 weighs the samples by the fit's first pseudo-inverse row.
+    weights = np.abs(np.linalg.pinv(np.vander(eps, 3, increasing=True))[0])
+    root_error = 4.0 * _BISECT_RTOL * float(weights @ sums.sum(axis=1))
+    if residual > 1e-3 * abs(c0) + root_error:
         raise ExtrapolationUnstableError(
             f"extrapolation unstable: fit residual {residual:.3e} vs c0={c0:.6e}",
             diagnostics={
@@ -114,9 +120,4 @@ def casimir_by_cutoff(cfg, epsilons=None):
             },
         )
     samples = tuple(zip(epsilons, diffs.tolist()))
-    # A root off by r w moves its term w e^{-eps w} by r |1 - eps w| w e^{-eps w};
-    # over a mode density like the uniform one that sums to at most 3 r times
-    # the damped sum.  c0 weighs the samples by the fit's first pseudo-inverse row.
-    weights = np.abs(np.linalg.pinv(np.vander(eps, 3, increasing=True))[0])
-    root_error = 4.0 * _BISECT_RTOL * float(weights @ sums.sum(axis=1))
     return CutoffResult(c0, samples, residual, root_error)

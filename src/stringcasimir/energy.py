@@ -15,10 +15,11 @@ e^{-40} of the whole.  Each is a trapezoid sum after the double-exponential
 map q = scale exp(t - e^{-t}), which resolves the piece scales and the
 q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`
 and, through the same map, the modulus integral of :mod:`.quantum`, whose
-rows (value, rounding, beta slope) it sums in one pass.  Each call of an
-integrand costs mostly a fixed overhead, so the kernel's first call
-evaluates all the levels that fit in 256 nodes at once; its evaluation
-count is every node evaluated, used or not.
+rows (value, rounding, beta slope) it sums in one pass; an integrand with
+more than a few eps of evaluation error returns it as such a second row.
+Each call of an integrand costs mostly a fixed overhead, so the kernel's
+first call evaluates all the levels that fit in 256 nodes at once; its
+evaluation count is every node evaluated, used or not.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NPieceConfig, StringConfig, dispersion_2n
+from .core import NPieceConfig, StringConfig, _log_ratio_2n_by_powers
 from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 from .errors import DomainError, QuadratureError, _count, _instance, _real
 
@@ -57,7 +58,7 @@ class EnergyResult:
             raise DomainError(f"unknown method tag {self.method!r}")
 
 
-def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
+def _trapezoid(g, a, b, step, halvings=None):
     """Trapezoid sums S(h) = h [g(a)/2 + sum_{m>=1} g(a + m h)], a + m h <= b,
     with h = step, step/2, ...  The first call of g evaluates every level
     whose nodes together fit in _BATCH (up to ``halvings``), and each of these
@@ -67,9 +68,9 @@ def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
     g may return rows: the values, their evaluation errors (>= 0), then any
     others, each summed by the same per-level fsums; row 0 alone is tested.
 
-    The noise bound is _NOISE h sum|g| + h sum(error) + ``floor``, the caller's
-    bound on other evaluation error.  A level is accepted when |S(h) - S(2h)|
-    is within it and shrank eightfold, as only super-geometric convergence does.
+    The noise bound is _NOISE h sum|g| + h sum(error).  A level is accepted
+    when |S(h) - S(2h)| is within it and shrank eightfold, as only
+    super-geometric convergence does.
     With ``halvings`` = K the level step/2^K is itself the answer (a Matsubara
     lattice), returned with the noise bound if no earlier level is accepted;
     without, two differences within noise in a row also end the sums.
@@ -106,7 +107,7 @@ def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
             parts.append(math.fsum(v.tolist()))
             mass += float(np.sum(np.abs(v)))
         sums = [h * math.fsum(row) for row in zip(*extra)]  # none for one array
-        value, prev, noise = h * math.fsum(parts), value, sum(sums[:1]) + floor
+        value, prev, noise = h * math.fsum(parts), value, sum(sums[:1])
         last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + noise
         out = [value, *sums] if sums else value
         if k == halvings:
@@ -115,7 +116,7 @@ def _trapezoid(g, a, b, step, halvings=None, floor=0.0):
             return out, diff + bound, evals
 
 
-def _contour(f, scale, q_max, floor=0.0):
+def _contour(f, scale, q_max):
     """(Int_0^q_max f(q) dq, error bound) through q = scale exp(t - e^{-t}) from
     t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max; f may return rows."""
 
@@ -125,7 +126,7 @@ def _contour(f, scale, q_max, floor=0.0):
         return f(q) * q * (1.0 + e)
 
     y = math.log(q_max / scale)  # q(y + e^{-y}) is just above q_max
-    return _trapezoid(g, -4.5, y + math.exp(-y), 0.5, floor=floor)[:2]
+    return _trapezoid(g, -4.5, y + math.exp(-y), 0.5)[:2]
 
 
 def _two_piece_integrand(cfg):
@@ -134,14 +135,14 @@ def _two_piece_integrand(cfg):
     return (lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)), 21.0 / m
 
 
-def _two_n_integrand(cfg):
-    """(N / 2 pi L) ln|ratio_N(q)| and its truncation point: it decays like
-    2N exp(-q).  At x = 0 the q = 0 value is the dropped zero mode, 0."""
+def _two_n_integrand(cfg, log_ratio=imag_axis_log_ratio_2n):
+    """(N / 2 pi L) ``log_ratio`` (ln|ratio_N(q)|, or its rows) and its truncation point:
+    it decays like 2N exp(-q).  At x = 0 the q = 0 value is the dropped zero mode, 0."""
     n = cfg.piece_pairs
     prefactor = n / (2.0 * math.pi * cfg.total_length)
 
     def f(q):
-        value = prefactor * imag_axis_log_ratio_2n(q, cfg)
+        value = prefactor * log_ratio(q, cfg)
         return np.where(q > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
     return f, 48.0 + math.log(1.0 + n)
@@ -174,33 +175,17 @@ def casimir_2n(cfg, slow_exact=False):
     E_1 = 0 for every x; |E_N| grows with N at fixed x < 1.  At x = 0 the
     integrand has an integrable logarithmic singularity at q = 0, which
     the double-exponential map resolves.  ``slow_exact`` recomputes the
-    integrand through explicit system-matrix powers (x > 0 only) as a
-    cross-check of the eigenvalue-power route.
+    integrand and its rounding through explicit powers of the junction
+    matrix (x > 0 only), up to the same truncation point, as a cross-check.
     """
     _instance("casimir_2n", cfg, NPieceConfig)
     n = cfg.piece_pairs
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, q_max = _two_n_integrand(cfg)
-    if not slow_exact:
-        value, err = _contour(f, 1.0 / n, q_max)
-        return EnergyResult(value, "contour", err)
-    # Matrix powers overflow past e^700; for N > 13 the truncation then drops
-    # up to the tail below.  Under q = 1e-4/N, 2 - tr(M^N) keeps too few digits
-    # and the q -> 0 value stands in; the floor adds the rounding (16 N eps).
-    q_max = min(q_max, 650.0 / n)
-    prefactor = n / (2.0 * math.pi * cfg.total_length)
-
-    def slow(q):
-        if q < 1e-4 / n:
-            return prefactor * imag_axis_log_ratio_2n(0.0, cfg)
-        d = dispersion_2n(q, cfg, slow_exact=True)
-        return prefactor * math.log(abs(d) / (4.0 * math.sinh(n * q / 2.0) ** 2))
-
-    tail = 2.0 * (n + 1) * math.exp(-q_max) * (q_max + 1.0)
-    floor = (1e3 * sys.float_info.epsilon * n * q_max + tail) * prefactor
-    value, err = _contour(np.vectorize(slow), 1.0 / n, q_max, floor)
-    return EnergyResult(value, "contour", err)
+    f, q_max = _two_n_integrand(cfg, _log_ratio_2n_by_powers if slow_exact
+                                else imag_axis_log_ratio_2n)
+    value, err = _contour(f, 1.0 / n, q_max)
+    return EnergyResult(value[0] if slow_exact else value, "contour", err)
 
 
 def casimir_2n_x0(piece_pairs, total_length):

@@ -33,6 +33,7 @@ __all__ = [
 
 _TRUNC = 1e-18
 _MIN_IM = 1e-6
+_CHUNK = 1 << 14  # factors of the eta product formed at once, which bounds memory
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ def _as_tau(p):
 def dedekind_eta_with_bound(p):
     """eta(tau) together with an absolute truncation-error bound.
 
-    The product is cut at the first n with |q|^n < 1e-18 (q = e^{2 pi i tau});
-    the neglected factors multiply the result by at most
-    exp(2 |q|^{n*+1} / (1 - |q|)), which is returned as a bound on the
-    absolute error.  Below Im(tau) = 1e-6 the series is refused; use
+    The product, 2^14 factors at a time until it underflows to 0, is cut at the
+    first n with |q|^n < 1e-18 (q = e^{2 pi i tau}); the neglected factors multiply
+    the result by at most exp(2 |q|^{n*+1} / (1 - |q|)), which is returned as a
+    bound on the absolute error.  Below Im(tau) = 1e-6 the series is refused; use
     ``log_abs_dedekind_eta`` (modular lift) instead.
     """
     tau = _as_tau(p)
@@ -69,9 +70,11 @@ def dedekind_eta_with_bound(p):
     q = cmath.exp(2j * math.pi * tau)
     absq = abs(q)
     n_star = max(1, int(math.ceil(math.log(_TRUNC) / math.log(absq)))) if absq > 0 else 1
-    ns = np.arange(1, n_star + 1)
-    factors = 1.0 - q**ns
-    prod = cmath.exp(1j * math.pi * tau / 12.0) * complex(np.prod(factors))
+    prod = cmath.exp(1j * math.pi * tau / 12.0)
+    for lo in range(1, n_star + 1, _CHUNK):
+        prod *= complex(np.prod(1.0 - q ** np.arange(lo, min(lo + _CHUNK, n_star + 1))))
+        if prod == 0.0:  # no further factor can change it
+            break
     rem = 2.0 * absq ** (n_star + 1) / (1.0 - absq)
     bound = abs(prod) * (math.exp(rem) - 1.0) + 1e-16 * n_star * abs(prod)
     return prod, bound

@@ -197,11 +197,12 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
         powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
         top = powers.max(axis=1)
         ln_tau1 = top + np.log(np.exp(powers - top[:, None]) @ count / n_tau1)
-        a = beta * beta * t / (8.0 * math.pi**2 * y)
-        ln_theta, d_theta = _ln_theta3_minus_one(a)
-        terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
-        out[:, lo : lo + rows] = (sum(terms), sum(np.abs(term) for term in terms) + 1.0,
-                                  2.0 * a / beta * d_theta)
+        with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
+            a = beta * beta * t / (8.0 * math.pi**2 * y)
+            ln_theta, d_theta = _ln_theta3_minus_one(a)
+            terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
+            out[:, lo : lo + rows] = (sum(terms), sum(np.abs(term) for term in terms) + 1.0,
+                                      2.0 * a / beta * d_theta)
     return out
 
 
@@ -247,6 +248,7 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
         rows[0], rows[1] = 1.0, _EPS * rows[1]  # the value, its rounding, its beta slope
+        rows[:, excess < -746.0] = 0.0  # e^excess = 0: no 0 * inf where a overflowed
         return np.exp(excess) * rows
 
     (integral, _, d_integral), err = _contour(f, 1.0, max_octaves * math.log(2.0))

@@ -3,10 +3,11 @@ import json
 import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from stringcasimir import DomainError, StringConfig, cli
+from stringcasimir import DomainError, EnergyResult, StringConfig, cli
 from stringcasimir.cli import RunConfig, compare_methods, dispatch, main, parse_range, parse_value
 
 
@@ -142,6 +143,14 @@ class TestCompareMethods:
         assert report["abs_difference"] < 1e-4
         assert report["agree"]
 
+    def test_zero_oracle_disagrees_at_large_length(self, monkeypatch):
+        # E = -1.84e-5 at L = 1e3; an absolute 1e-4 in the tolerance let an
+        # oracle value of 0 agree with it
+        zero = EnergyResult(0.0, "cutoff-oracle", 0.0)
+        monkeypatch.setattr(cli.cutoff, "casimir_by_cutoff",
+                            lambda cfg, epsilons=None: SimpleNamespace(as_energy_result=lambda: zero))
+        assert not compare_methods(StringConfig(2, 0.3, 1e3))["agree"]
+
 
 class TestMain:
     def test_energy_exit_zero(self, capsys):
@@ -221,6 +230,8 @@ class TestInputContract:
         ["scan", "--config", "jobs.json"],
         ["energy", "--s", "2", "--x", "0.3", "--L", "pi/0"],
         ["spectrum", "--s", "2", "--x", "0.3", "--omega-max", "1e9"],
+        ["scan", "--command", "energy", "--s", "2", "--x", "0.3"],
+        ["scan", "--command", "energy", "--s", "1:2:1", "--x", "0:0.2:0.1"],
     ])
     def test_exit_one_with_record(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

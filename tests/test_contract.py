@@ -46,6 +46,8 @@ CASES = {
     "lambda_pair.alpha": (lambda v: sc.lambda_pair(v, 0.5), 0.3, REAL + [-0.1, 1.0]),
     "lambda_pair.q": (lambda v: sc.lambda_pair(0.3, v), 0.5, REAL + [-1.0]),
     "dispersion_2n.q": (lambda v: sc.dispersion_2n(v, N3), 0.5, REAL + [-1.0]),
+    "dispersion_2n.slow_exact_x": (
+        lambda v: sc.dispersion_2n(0.5, sc.NPieceConfig(3, v), slow_exact=True), 0.3, [0.0]),
     "imag_axis_log_ratio.xi": (lambda v: core.imag_axis_log_ratio(v, S2), 0.0, KERNEL),
     "imag_axis_log_ratio.xi_array": (
         lambda v: core.imag_axis_log_ratio(np.array([0.0, 0.5, v]), S2), 2.0, KERNEL),
@@ -54,6 +56,8 @@ CASES = {
         lambda v: core.imag_axis_log_ratio_2n(np.array([0.0, 0.5, v]), N3), 2.0, KERNEL),
     # spectrum
     "Spectrum.multiplicity": (lambda v: sc.Spectrum(((1.0, v),), 5.0), 2, COUNT + [0]),
+    "Spectrum.entries": (lambda v: sc.Spectrum(v, 5.0), ((1.0, 2), (2.0, 1)),
+                         [((2.0, 1), (1.0, 2)), ((1.0, 2), (1.0, 1))]),
     "Spectrum.omega_max": (lambda v: sc.Spectrum(((1.0, 2),), v), 5.0, REAL + [0.0]),
     "find_spectrum.cfg": (lambda v: sc.find_spectrum(v, 5.0), S2, [N3]),
     "find_spectrum.omega_max": (lambda v: sc.find_spectrum(S2, v), 5.0, REAL + [0.0, -1.0]),
@@ -78,6 +82,12 @@ CASES = {
                                           REAL + [0.0]),
     "casimir_2n_x0.piece_pairs": (lambda v: sc.casimir_2n_x0(v, math.pi), 3, COUNT + [0]),
     "casimir_2n_x0.total_length": (lambda v: sc.casimir_2n_x0(3, v), math.pi, REAL + [0.0]),
+    # the matrix powers need x > 0 and w^(N-1) = (4x/(1+x)^2)^(N-1) above e^-600
+    "casimir_2n.slow_exact_x": (lambda v: sc.casimir_2n(sc.NPieceConfig(3, v), slow_exact=True),
+                                0.3, [0.0]),
+    "casimir_2n.slow_exact_piece_pairs": (
+        lambda v: sc.casimir_2n(sc.NPieceConfig(v, 1e-3), slow_exact=True), 100, [120, 1000]),
+    "EnergyResult.method": (lambda v: sc.EnergyResult(1.0, v), "contour", ["exact", ""]),
     "scaling_function.piece_pairs": (lambda v: sc.scaling_function(v, 0.5), 2, COUNT + [1]),
     "scaling_function.x": (lambda v: sc.scaling_function(2, v), 0.5, REAL + [0.0, 1.0]),
     "scaling_fit.x": (sc.scaling_fit, 0.5, REAL + [-0.1, 1.5]),
@@ -125,6 +135,9 @@ CASES = {
     # cutoff
     "CutoffResult.fit_residual": (lambda v: sc.CutoffResult(-0.1, ((0.2, 1.0), (0.1, 0.5)), v),
                                   0.0, REAL),
+    "CutoffResult.epsilon_samples": (lambda v: sc.CutoffResult(-0.1, v, 0.0),
+                                     ((0.2, 1.0), (0.1, 0.5)),
+                                     [((0.1, 0.5), (0.2, 1.0)), ((0.1, 0.5), (0.1, 1.0))]),
     "damped_mode_sum.epsilon": (lambda v: sc.damped_mode_sum(SPEC, v), 1.0, REAL + [0.0, -1.0]),
     "casimir_by_cutoff.epsilons": (lambda v: sc.casimir_by_cutoff(S2, [v] + EPSILONS), 0.12,
                                    REAL + [-1.0]),
@@ -139,6 +152,8 @@ CASES = {
     "OccupationState.occupation": (lambda v: sc.OccupationState(c_modes={(1, 1): v}), 0,
                                    COUNT + [-1]),
     "ThermoResult.beta": (lambda v: sc.ThermoResult(-1.0, v, "converged"), 20.0, REAL + [0.0]),
+    "ThermoResult.convergence_flag": (lambda v: sc.ThermoResult(-1.0, 20.0, v), "converged",
+                                      ["diverged", ""]),
     "ThermoResult.abs_error_estimate": (
         lambda v: sc.ThermoResult(-1.0, 20.0, "converged", abs_error_estimate=v), 0.0,
         REAL + [-1.0]),

@@ -28,6 +28,7 @@ class TestConfigs:
     def test_tension_ratio_above_one_maps_to_reciprocal(self):
         cfg = StringConfig(length_ratio=2.0, tension_ratio=4.0)
         assert cfg.tension_ratio == 0.25
+        assert NPieceConfig(piece_pairs=3, tension_ratio=4.0).tension_ratio == 0.25
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
@@ -231,6 +232,14 @@ class TestDispersion2N:
             fast = dispersion_2n(q, cfg)
             slow = dispersion_2n(q, cfg, slow_exact=True)
             assert abs(fast - slow) <= 1e-10 * max(1.0, abs(slow))
+
+    @pytest.mark.parametrize("slow_exact", [False, True])
+    @pytest.mark.parametrize("n, x, q", [(2, 0.5, 360.0), (2, 0.5, 400.0), (2, 0.01, 1e4),
+                                         (40, 0.3, 18.0), (100, 0.9, 100.0), (3, 0.9, 1e300)])
+    def test_minus_infinity_past_the_float_range(self, n, x, q, slow_exact):
+        # D_N leaves the float range once N q passes about 709; this raised
+        # OverflowError (fast route) or warned (matrix powers)
+        assert dispersion_2n(q, NPieceConfig(n, x), slow_exact=slow_exact) == -math.inf
 
     def test_negative_on_imaginary_axis(self):
         for n in range(2, 9):

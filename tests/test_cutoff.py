@@ -4,6 +4,7 @@ import pytest
 
 from stringcasimir import (
     DomainError,
+    ExtrapolationUnstableError,
     Spectrum,
     SpectrumTruncationError,
     StringConfig,
@@ -63,6 +64,14 @@ class TestCasimirByCutoff:
         res = casimir_by_cutoff(StringConfig(2, 0.3, length)).as_energy_result()
         bar = res.abs_error_estimate * length + ref.abs_error_estimate * math.pi
         assert abs(res.value * length - ref.value * math.pi) <= bar
+
+    @pytest.mark.parametrize("length", [math.pi, 1e3])
+    def test_fit_residual_rule_is_scale_free(self, length):
+        # on a grid 4x coarser than the default the residual is 0.13% of c0 at
+        # every L; an absolute 1e-6 in the rule let it pass at L = 1e3 only
+        epsilons = [4.0 * f * length for f in DEFAULT_EPSILON_FRACTIONS]
+        with pytest.raises(ExtrapolationUnstableError):
+            casimir_by_cutoff(StringConfig(2, 0.3, length), epsilons)
 
     def test_agrees_with_contour(self):
         cfg = StringConfig(3, 0.4, math.pi)

@@ -114,6 +114,17 @@ class TestNPiece:
         slow = casimir_2n(NPieceConfig(4, 0.3, math.pi), slow_exact=True).value
         assert abs(fast - slow) <= 1e-8
 
+    @pytest.mark.parametrize("n", [2, 13, 20, 40, 100])
+    @pytest.mark.parametrize("x", [0.001, 0.3, 0.9])
+    def test_matrix_power_route_within_bars(self, n, x):
+        # the powers are scaled by e^{-Nq}, so the route integrates to the
+        # contour's own truncation point; with unscaled powers it warned,
+        # raised or ran for seconds from N = 20 at small x
+        cfg = NPieceConfig(n, x)
+        fast, slow = casimir_2n(cfg), casimir_2n(cfg, slow_exact=True)
+        assert abs(fast.value - slow.value) <= fast.abs_error_estimate + slow.abs_error_estimate
+        assert slow.abs_error_estimate <= 1e-11 * abs(fast.value) + 1e-9
+
     def test_monotone_in_piece_count(self):
         for x in (0.1, 0.5, 0.9):
             values = [casimir_2n(NPieceConfig(n, x)).value for n in range(1, 9)]

@@ -66,14 +66,15 @@ class TestLattice:
         assert evaluations[-1] == int(40.0 / h) + 1
 
     def test_geometric_levels_do_not_stop_early(self):
-        # sums of g = xi are (1 + h)/2, differences h/2 (ratio 1/2); with a floor
-        # of 1e-3 two differences in a row fall within the bound at h = 1/512
-        # and 1/1024.  Sums without a finest level stop there; a lattice, whose
-        # differences never shrink eightfold, runs to its finest step 1/4096.
-        g = lambda xi: xi
-        _, _, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8, halvings=9, floor=1e-3)
+        # sums of g = xi are (1 + h)/2, differences h/2 (ratio 1/2); with an
+        # error row of 1e-3, which sums to 1e-3 (1 + h/2), two differences in a
+        # row fall within the bound at h = 1/512 and 1/1024.  Sums without a
+        # finest level stop there; a lattice, whose differences never shrink
+        # eightfold, runs to its finest step 1/4096.
+        g = lambda xi: np.stack([xi, np.full_like(xi, 1e-3)])
+        _, _, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8, halvings=9)
         assert evals == 4096 + 1
-        value, err, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8, floor=1e-3)
+        (value, _), err, evals = energy._trapezoid(g, 0.0, 1.0, 1 / 8)
         assert evals == 1024 + 1 and abs(value - 0.5) <= err
 
     def test_node_budget_raises_instead_of_a_partial_sum(self, monkeypatch):
@@ -83,10 +84,10 @@ class TestLattice:
         assert info.value.best_estimate is not None
 
 
-def _level_by_level(g, a, b, step, halvings=None, floor=0.0):
+def _level_by_level(g, a, b, step, halvings=None):
     """The kernel with one call of g per level, each evaluating only that
     level's new nodes: the reference the batched first call must reproduce."""
-    parts, mass, evals = [], 0.0, 0
+    parts, extra, mass, evals = [], [], 0.0, 0
     value = diff = bound = math.nan
     for k in itertools.count():
         h = step / 2**k
@@ -98,16 +99,21 @@ def _level_by_level(g, a, b, step, halvings=None, floor=0.0):
         for lo in range(first, top + 1, stride * energy._BLOCK):
             v = g(a + h * np.arange(lo, min(lo + stride * energy._BLOCK, top + 1), stride))
             if lo == 0:
-                v[0] *= 0.5
+                v[..., 0] *= 0.5
+            if v.ndim > 1:  # rows: the values, then their errors and others
+                v, *others = v
+                extra.append([math.fsum(row) for row in others])
             parts.append(math.fsum(v))
             mass += float(np.sum(np.abs(v)))
+        sums = [h * math.fsum(row) for row in zip(*extra)]
         value, prev = h * math.fsum(parts), value
         last, last_bound = diff, bound
-        diff, bound = abs(value - prev), energy._NOISE * h * mass + floor
+        diff, bound = abs(value - prev), energy._NOISE * h * mass + sum(sums[:1])
+        out = [value, *sums] if sums else value
         if k == halvings:
-            return value, bound, evals
+            return out, bound, evals
         if diff <= bound and (8.0 * diff <= last or halvings is None and last <= last_bound):
-            return value, diff + bound, evals
+            return out, diff + bound, evals
 
 
 def _run(kernel, g, *args, **kwargs):
@@ -125,7 +131,9 @@ def _run(kernel, g, *args, **kwargs):
         return ("raised", err.best_estimate, err.abs_error), calls
 
 
-_SUMMANDS = {"gauss": lambda x: np.exp(-x * x), "exp": lambda x: np.exp(-x), "linear": lambda x: x}
+# x converges only like h^2; its error row of 1e-3 lets two levels agree
+_SUMMANDS = {"gauss": lambda x: np.exp(-x * x), "exp": lambda x: np.exp(-x),
+             "linear": lambda x: np.stack([x, np.full_like(x, 1e-3)])}
 
 
 class TestBatchedFirstCall:
@@ -138,7 +146,7 @@ class TestBatchedFirstCall:
     def test_identical_to_one_call_per_level(self, name, coarse, halvings, monkeypatch):
         monkeypatch.setattr(energy, "_MAX_NODES", 1 << 14)  # e^-x and x without a lattice raise
         step = 0.5
-        args = (_SUMMANDS[name], 0.0, (coarse - 0.5) * step, step, halvings, 1e-3 * (name == "linear"))
+        args = (_SUMMANDS[name], 0.0, (coarse - 0.5) * step, step, halvings)
         got, calls = _run(energy._trapezoid, *args)
         ref, ref_calls = _run(_level_by_level, *args)
         assert got[:2] == ref[:2]
@@ -153,19 +161,20 @@ class TestBatchedFirstCall:
     @pytest.mark.parametrize("coarse", [8, 15])
     @pytest.mark.parametrize("halvings", [None, 0, 3, 4, 6, 9])
     def test_rows_with_a_zero_error_row(self, name, coarse, halvings, monkeypatch):
-        # row 0 of [g, 0] is the one-array call to the bit: value, bound and
-        # evaluations; so it is the reference's
+        # g with one more row of zeros is the call of g to the bit: value, bound
+        # and evaluations; so it is the reference's
         monkeypatch.setattr(energy, "_MAX_NODES", 1 << 14)
         g = _SUMMANDS[name]
-        args = (0.0, (coarse - 0.5) * 0.5, 0.5, halvings, 1e-3 * (name == "linear"))
-        got, _ = _run(energy._trapezoid, lambda x: np.stack([g(x), np.zeros_like(x)]), *args)
+        args = (0.0, (coarse - 0.5) * 0.5, 0.5, halvings)
+        got, _ = _run(energy._trapezoid, lambda x: np.vstack([g(x), np.zeros_like(x)]), *args)
         one, _ = _run(energy._trapezoid, g, *args)
         ref, _ = _run(_level_by_level, g, *args)
         if got[0] == "raised":
             assert got == one == ref
         else:
-            assert (got[0][0], *got[1:]) == one and one[:2] == ref[:2]
-            assert got[0][1] == 0.0
+            rows = one[0] if isinstance(one[0], list) else [one[0]]
+            assert (got[0][:-1], *got[1:]) == (rows, *one[1:]) and one[:2] == ref[:2]
+            assert got[0][-1] == 0.0
 
     def test_rows_sum_alike_and_errors_join_the_bound(self):
         g = lambda x: np.exp(-x * x)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -77,6 +78,16 @@ class TestDedekindEta:
         for tau in (0.2 + 0.4j, 1.7 + 0.9j, 0.05 + 0.05j):
             value, bound = dedekind_eta_with_bound(tau)
             assert abs(value - _eta_reference(tau)) <= bound + 1e-15
+
+    def test_product_memory_is_bounded(self):
+        # n* = 6.5 million factors here; all at once they took 261 MB
+        tracemalloc.start()
+        try:
+            assert dedekind_eta_with_bound(0.3 + 1.01e-6j) == (0j, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestJacobiTheta3:

@@ -317,6 +317,14 @@ class TestFreeEnergy:
         res = free_energy(cfg, 8.0 * hagedorn_beta(cfg))
         assert res.free_energy == pytest.approx(-1.0 / 48.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [1e147, 1e148, 1e150, 1e152, 1e153, 1.3e154])
+    def test_huge_beta_is_the_constant(self, beta):
+        # beta^2 t / (8 pi^2 tau_2) overflows at small tau_2 from beta ~ 1e147;
+        # those nodes turned the rows into nan and ran the kernel out of nodes
+        cfg = QuantumStringConfig(2, math.pi)
+        assert free_energy(cfg, beta).free_energy == -1.0 / 48.0
+        assert thermo_derivatives(cfg, beta).entropy == 0.0
+
     def test_integral_term_grows_toward_transition(self):
         # at fixed s the integral part swells as beta drops toward the
         # divergence, i.e. F decreases

@@ -31,6 +31,10 @@ def test_thermal_config_rejects_non_finite_or_negative(t):
         ThermalConfig(t)
 
 
+def test_matsubara_frequency():
+    assert ThermalConfig(0.5).matsubara(3) == 3.0 * math.pi
+
+
 @pytest.mark.parametrize("thermal_sum, cfg", [
     (casimir_two_piece_thermal, StringConfig(2, 0.3)),
     (casimir_2n_thermal, NPieceConfig(3, 0.3)),
@@ -87,6 +91,10 @@ class TestTwoPieceThermal:
 class TestHighTLimit:
     def test_equal_pieces_vanish(self):
         assert high_t_limit(StringConfig(1, 0.4), ThermalConfig(2.0)).value == 0.0
+
+    def test_uniform_vanishes(self):
+        res = high_t_limit(StringConfig(2, 1.0), ThermalConfig(2.0))
+        assert (res.value, res.method) == (0.0, "analytic-limit")
 
     def test_closed_form_value(self):
         res = high_t_limit(StringConfig(2, 0.5), ThermalConfig(1.0))
