@@ -6,14 +6,15 @@ expressed as an integral of the log dispersion ratio along the imaginary
 frequency axis:
 
     two-piece:  E = (1/2 pi) Int_0^inf ln|ratio(xi)| d xi
-    2N-piece:   E_N(x) = (N / 2 pi L) Int_0^inf ln|ratio_N(q)| dq
+    2N-piece:   E_N(x) = (1/2 pi) Int_0^inf ln|ratio_N(xi L / N)| d xi
 
-The integrands come from :mod:`.core`.  They vanish identically in the
+The log ratios come from :mod:`.core`, the 2N one in q = xi L/N, and
+``_integrand`` is the one integrand in xi of both.  They vanish identically in the
 degenerate cases (s = 1, x = 1, N = 1), are negative otherwise, and decay
 exponentially, so the integrals are truncated where the rest falls below
 e^{-40} of the whole.  Each is a trapezoid sum after the double-exponential
-map q = scale exp(t - e^{-t}), which resolves the piece scales and the
-q -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`
+map xi = exp(t - e^{-t}) / L, which resolves the piece scales and the
+xi -> 0 end.  The same kernel takes the Matsubara sums of :mod:`.thermal`
 and, through the same map, the modulus integral of :mod:`.quantum`, whose
 rows (value, rounding, beta slope) it sums in one pass; an integrand with
 more than a few eps of evaluation error returns it as such a second row.
@@ -129,23 +130,22 @@ def _contour(f, scale, q_max):
     return _trapezoid(g, -4.5, y + math.exp(-y), 0.5)[:2]
 
 
-def _two_piece_integrand(cfg):
-    """(1/2 pi) ln|ratio(xi)| and its truncation point; it decays like e^{-2 m xi}."""
-    m = min(cfg.piece_length_i, cfg.piece_length_ii)
-    return (lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)), 21.0 / m
+def _integrand(cfg, slow_exact=False):
+    """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
+    point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)|
+    at q = xi L/N, or its rows from the matrix powers with ``slow_exact``; it decays
+    like 2N e^{-q}, and at x = 0 its xi = 0 value is the dropped zero mode, 0."""
+    if isinstance(cfg, StringConfig):
+        m = min(cfg.piece_length_i, cfg.piece_length_ii)
+        return (lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)), 21.0 / m
+    n, per_xi = cfg.piece_pairs, cfg.total_length / cfg.piece_pairs  # q per unit xi
+    log_ratio = _log_ratio_2n_by_powers if slow_exact else imag_axis_log_ratio_2n
 
+    def f(xi):
+        value = log_ratio(xi * per_xi, cfg) / (2.0 * math.pi)
+        return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
-def _two_n_integrand(cfg, log_ratio=imag_axis_log_ratio_2n):
-    """(N / 2 pi L) ``log_ratio`` (ln|ratio_N(q)|, or its rows) and its truncation point:
-    it decays like 2N exp(-q).  At x = 0 the q = 0 value is the dropped zero mode, 0."""
-    n = cfg.piece_pairs
-    prefactor = n / (2.0 * math.pi * cfg.total_length)
-
-    def f(q):
-        value = prefactor * log_ratio(q, cfg)
-        return np.where(q > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
-
-    return f, 48.0 + math.log(1.0 + n)
+    return f, (48.0 + math.log(1.0 + n)) / per_xi
 
 
 def casimir_two_piece(cfg):
@@ -157,7 +157,7 @@ def casimir_two_piece(cfg):
     _instance("casimir_two_piece", cfg, StringConfig)
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, xi_max = _two_piece_integrand(cfg)
+    f, xi_max = _integrand(cfg)
     value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
     return EnergyResult(value, "contour", err)
 
@@ -173,18 +173,16 @@ def casimir_2n(cfg, slow_exact=False):
     """Zero-temperature Casimir energy of the 2N-piece string.
 
     E_1 = 0 for every x; |E_N| grows with N at fixed x < 1.  At x = 0 the
-    integrand has an integrable logarithmic singularity at q = 0, which
+    integrand has an integrable logarithmic singularity at xi = 0, which
     the double-exponential map resolves.  ``slow_exact`` recomputes the
     integrand and its rounding through explicit powers of the junction
     matrix (x > 0 only), up to the same truncation point, as a cross-check.
     """
     _instance("casimir_2n", cfg, NPieceConfig)
-    n = cfg.piece_pairs
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, q_max = _two_n_integrand(cfg, _log_ratio_2n_by_powers if slow_exact
-                                else imag_axis_log_ratio_2n)
-    value, err = _contour(f, 1.0 / n, q_max)
+    f, xi_max = _integrand(cfg, slow_exact)
+    value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
     return EnergyResult(value[0] if slow_exact else value, "contour", err)
 
 

@@ -16,11 +16,12 @@ sum_k (-1)^k q^{k(3k-1)/2} = 1 - q - q^2 + q^5 + q^7 - q^12 - ..., cut after q^7
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModularLiftRequiredError
+from .errors import DomainError, ModularLiftRequiredError, _real
 
 __all__ = [
     "ModularPoint",
@@ -34,6 +35,7 @@ __all__ = [
 _TRUNC = 1e-18
 _MIN_IM = 1e-6
 _CHUNK = 1 << 14  # factors of the eta product formed at once, which bounds memory
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,12 @@ def dedekind_eta_with_bound(p):
 
     The product, 2^14 factors at a time until it underflows to 0, is cut at the
     first n with |q|^n < 1e-18 (q = e^{2 pi i tau}); the neglected factors multiply
-    the result by at most exp(2 |q|^{n*+1} / (1 - |q|)), which is returned as a
-    bound on the absolute error.  Below Im(tau) = 1e-6 the series is refused; use
-    ``log_abs_dedekind_eta`` (modular lift) instead.
+    the result by at most exp(2 |q|^{n*+1} / (1 - |q|)).  The bound on the absolute
+    error adds the rounding, eps |eta| (2 n* + 2 pi |tau| |q| / (1 - |q|)^2): q^n
+    carries n times the error of q, about n eps |2 pi tau|.  Below the smallest
+    normal float the product has no relative accuracy, and |eta| itself is added.
+    Below Im(tau) = 1e-6 the series is refused; use ``log_abs_dedekind_eta``
+    (modular lift) instead.
     """
     tau = _as_tau(p)
     if tau.imag < _MIN_IM:
@@ -76,7 +81,9 @@ def dedekind_eta_with_bound(p):
         if prod == 0.0:  # no further factor can change it
             break
     rem = 2.0 * absq ** (n_star + 1) / (1.0 - absq)
-    bound = abs(prod) * (math.exp(rem) - 1.0) + 1e-16 * n_star * abs(prod)
+    size = abs(prod)
+    rounding = _EPS * (2 * n_star + 2.0 * math.pi * abs(tau) * absq / (1.0 - absq) ** 2)
+    bound = size * (math.exp(rem) - 1.0 + rounding) + (size if size < sys.float_info.min else 0.0)
     return prod, bound
 
 
@@ -88,13 +95,16 @@ def dedekind_eta(p):
 def jacobi_theta3_with_bound(v, xarg):
     """theta_3(v|x) with an absolute truncation-error bound.
 
-    Symmetric sum over n = -n*..n* with n* chosen so |e^{i x n^2}| < 1e-18;
-    the discarded tail is bounded by a geometric series in |e^{ix}|^{2n*}.
+    Symmetric sum over n = -n*..n* with n* chosen so |e^{i x n^2}| < 1e-18, for
+    a real v; the discarded tail is bounded by a geometric series in |e^{ix}|^{2n*}.
+    The bound adds the rounding, eps sum |t_n| (4 + |x| n^2 + 2 pi |v| |n|): each
+    term's phase x n^2 + 2 pi v n is rounded to eps of its own size.
     Below Im(x) = 1e-6, where n* passes 6000, the series is refused.
     """
+    _real("v", v)
     x = complex(xarg)
-    if not (cmath.isfinite(x) and x.imag > 0 and np.all(np.isfinite(v))):
-        raise DomainError(f"theta_3 needs finite v and x with Im(x) > 0, got v={v}, x={x}")
+    if not (cmath.isfinite(x) and x.imag > 0):
+        raise DomainError(f"theta_3 needs a finite x with Im(x) > 0, got x={x}")
     if x.imag < _MIN_IM:
         raise ModularLiftRequiredError(
             f"Im(x) = {x.imag:.3e} too small for the theta_3 series; apply modular lift"
@@ -106,7 +116,8 @@ def jacobi_theta3_with_bound(v, xarg):
     total = complex(np.sum(terms))
     t_next = math.exp(-decay * (n_star + 1) ** 2)
     ratio = math.exp(-decay * (2 * n_star + 3))
-    bound = 2.0 * t_next / (1.0 - ratio) + 1e-16 * (2 * n_star + 1)
+    phase = 4.0 + abs(x) * ns**2 + 2.0 * math.pi * abs(v) * np.abs(ns)  # its size, and exp's
+    bound = 2.0 * t_next / (1.0 - ratio) + _EPS * float(np.sum(np.abs(terms) * phase))
     return total, bound
 
 

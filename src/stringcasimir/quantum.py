@@ -240,7 +240,7 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn"), None
     shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
     if shift == -math.inf:  # the integrand underflows everywhere
-        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * -constant), 0.0
+        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * abs(constant)), 0.0
 
     def f(v):
         rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)

@@ -20,11 +20,12 @@ even point is taken from the closed form, never from g, whose rounding
 can flip it next to a double root.  Every other half-period is bisected
 in one vectorised pass down to adjacent floats, and a pair of roots either
 side of an even point that the bisection cannot tell apart becomes one
-double root there.  At x = 1 the spectrum is the uniform string's; at
-x = 0, where F = 0 and g can also vanish at the odd points, it is the
-union of the decoupled branches n pi/L_I and m pi/L_II, coincident roots
-merged.  Only ``count_modes`` still winds: once, around a whole window,
-as a count independent of the interlacing.  The module needs numpy only.
+double root there.  At x = 0, where F = 0 and g can also vanish at the
+odd points, the spectrum is the union of the decoupled branches n pi/L_I
+and m pi/L_II, coincident roots merged; at x = 1 it is the same closed
+form for two halves of length L/2, the uniform string's 2 pi n/L, each
+double.  Only ``count_modes`` still winds: once, around a whole window, as
+a count independent of the interlacing.  The module needs numpy only.
 """
 
 import math
@@ -143,26 +144,20 @@ def _merged(roots):
     return roots[first], np.diff(first, append=roots.size)
 
 
-def _check_span(length, omega_max, limit=_MAX_HALF_PERIODS):
-    """Refuses a spectrum over more than ``limit`` half-periods pi/L, before
-    anything is allocated for it."""
+def _roots(cfg, omega_max, limit=_MAX_HALF_PERIODS):
+    """Distinct positive roots of the dispersion function, sorted, with their
+    multiplicities: every root up to omega_max and perhaps a few above.  Over
+    ``limit`` half-periods pi/L it raises before anything is allocated."""
+    length = cfg.total_length
     if omega_max * length / math.pi > limit:
         raise DomainError(f"omega_max={omega_max:g} spans over the limit of {limit} half-periods pi/L "
                           f"(L={length:g}): lower it")
-
-
-def _roots(cfg, omega_max, limit=_MAX_HALF_PERIODS):
-    """Distinct positive roots of the dispersion function, sorted, with their
-    multiplicities: every root up to omega_max and perhaps a few above."""
-    _check_span(cfg.total_length, omega_max, limit)
     x, s = cfg.tension_ratio, cfg.length_ratio
-    if x == 1.0:
-        spec = uniform_spectrum(cfg.total_length, omega_max)
-        return spec.omegas(), spec.multiplicities()
-    if x == 0.0:
+    if x in (0.0, 1.0):  # decoupled pieces; at x = 1 two equal halves have the same modes
+        pieces = (cfg.piece_length_i, cfg.piece_length_ii) if x == 0.0 else (0.5 * length,) * 2
         return _merged(np.concatenate([np.arange(1, omega_max * piece / math.pi + 2) * (math.pi / piece)
-                                       for piece in (cfg.piece_length_i, cfg.piece_length_ii)]))
-    step = math.pi / cfg.total_length
+                                       for piece in pieces]))
+    step = math.pi / length
     two_k = 2.0 * np.arange(1, omega_max / (2.0 * step) + 2)
     depth = np.sin(math.pi * np.modf(two_k / (1.0 + s))[0]) ** 2
     split, double = two_k[depth > 0], two_k[depth == 0] * step
@@ -250,11 +245,7 @@ def branch_spectrum_x0(s, branch, n_max):
 
 
 def uniform_spectrum(total_length, omega_max):
-    """Uniform closed string: omega_n = 2 pi n / L, each doubly degenerate."""
-    _positive("total_length", total_length)
-    _positive("omega_max", omega_max)
-    _check_span(total_length, omega_max)
-    base = 2.0 * math.pi / total_length
-    n_top = int(math.floor(omega_max / base + 1e-12))
-    entries = tuple((base * n, 2) for n in range(1, n_top + 1))
-    return Spectrum(entries=entries, omega_max=omega_max)
+    """Uniform closed string: omega_n = 2 pi n / L, each doubly degenerate, up to
+    omega_max; ``find_spectrum`` at x = 1, so a mode within 1e-12 of omega_max,
+    relative, counts."""
+    return find_spectrum(StringConfig(1.0, 1.0, total_length), omega_max)

@@ -3,8 +3,9 @@
 The thermal energy replaces the imaginary-axis integral of :mod:`.energy`
 by the primed sum over Matsubara frequencies xi_n = 2 pi n T (n = 0 term
 at half weight, evaluated through the analytic xi -> 0 limit of the
-summand): the trapezoid rule with step 2 pi T for the same integral.  It
-is summed over sub-lattices from 8 to 15 nodes down to the full lattice.
+summand): the trapezoid rule with step 2 pi T for the same integrand in xi,
+``energy._integrand``, of both geometries.  It is summed over sub-lattices
+from 8 to 15 nodes down to the full lattice.
 The summand is even and analytic for x > 0, so the sub-lattice sums
 converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.  At x = 0 the dropped 2N zero mode leaves a T ln T term
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, tension_contrast
-from .energy import EnergyResult, _trapezoid, _two_n_integrand, _two_piece_integrand
+from .energy import EnergyResult, _integrand, _trapezoid
 from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
@@ -46,7 +47,8 @@ def _temperature(name, cfg, kind, th):
 
 
 def _matsubara(f, b, h):
-    """h/(2 pi) [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result."""
+    """h [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result; with h = 2 pi T and
+    f = (1/2 pi) ln|ratio| it is T times the primed sum of ln|ratio(xi_n)|."""
     nodes = b / h if h > 0 else math.inf
     if not math.isfinite(nodes):  # a temperature so small that h underflows
         raise DomainError(f"temperature too small: the Matsubara step {h:g} underflows")
@@ -64,8 +66,7 @@ def casimir_two_piece_thermal(cfg, th):
     t = _positive("temperature", _temperature("casimir_two_piece_thermal", cfg, StringConfig, th))
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, xi_max = _two_piece_integrand(cfg)
-    return _matsubara(f, xi_max, 2.0 * math.pi * t)
+    return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
 
 
 def high_t_limit(cfg, th):
@@ -109,11 +110,9 @@ def casimir_2n_thermal(cfg, th):
     remaining sum is finite.
     """
     t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
-    n = cfg.piece_pairs
-    if cfg.tension_ratio == 1.0 or n == 1:
+    if cfg.tension_ratio == 1.0 or cfg.piece_pairs == 1:
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, q_max = _two_n_integrand(cfg)
-    return _matsubara(f, q_max, 2.0 * math.pi * t * cfg.total_length / n)
+    return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
 
 
 def casimir_2n_thermal_x0(piece_pairs, th, total_length):

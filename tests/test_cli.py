@@ -182,6 +182,21 @@ class TestMain:
         out = capsys.readouterr().out
         assert "analytic-limit" in out  # x overridden to 0 adds the cross-check row
 
+    @pytest.mark.parametrize("fmt, want", [("csv", ""), ("json", {"results": []})])
+    def test_no_rows_exit_zero(self, fmt, want, capsys):
+        # no mode of the two-piece string lies below omega_max = 0.5
+        assert main(["spectrum", "--s", "2", "--x", "0.3", "--omega-max", "0.5", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert (json.loads(out) if fmt == "json" else out) == want
+
+    def test_modulus_integral_not_representable_exit_two(self, capsys):
+        argv = ["free-energy", "--s", "5", "--T-II", "1", "--beta", "25", "--tau2-max", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert captured.out == "" and record["error"] == "numerical"
+        assert "modulus integral not representable" in record["message"]
+
     def test_numerical_error_exit_two(self, capsys):
         # damping grid too coarse for a quadratic fit: extrapolation unstable
         code = main(["oracle", "--s", "2", "--x", "0", "--L", "pi",

@@ -126,6 +126,11 @@ CASES = {
     "jacobi_theta3_with_bound.v": (lambda v: sc.jacobi_theta3_with_bound(v, 1j), 0.25,
                                    [NAN, INF, complex(INF, 0)]),
     "jacobi_theta3_with_bound.x": (lambda v: sc.jacobi_theta3_with_bound(0.25, v), 1j, TAU),
+    # the truncation assumes |e^{2 pi i v n}| = 1: v is a real number, not a bool
+    "jacobi_theta3.v_real": (lambda v: sc.jacobi_theta3(v, 1j), 0.25,
+                             [True, 0.25 + 2j, np.array([0.25, 0.5]), "0.25"]),
+    "jacobi_theta3_with_bound.v_real": (lambda v: sc.jacobi_theta3_with_bound(v, 0.3j), 0.25,
+                                        [True, 0.25 + 2j, np.array([0.25, 0.5]), "0.25"]),
     # the theta_3 series would need 1.3e7 terms at Im x = 1e-12
     "jacobi_theta3.x_near_the_real_axis": (lambda v: sc.jacobi_theta3(0.0, v), 1e-6j,
                                            [1e-300j, 1e-12j, 0.5 + 9e-7j]),

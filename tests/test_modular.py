@@ -79,6 +79,15 @@ class TestDedekindEta:
             value, bound = dedekind_eta_with_bound(tau)
             assert abs(value - _eta_reference(tau)) <= bound + 1e-15
 
+    @pytest.mark.parametrize("tau", [1e-3j, 0.5 + 1e-3j, 0.5 + 3e-4j, 0.5 + 1e-4j, 3e-4j])
+    def test_bound_covers_rounding(self, tau):
+        # the error of q^n grows like n eps |2 pi tau|, and at 3e-4j the product
+        # ends in gradual underflow, where it has no relative accuracy left
+        value, bound = dedekind_eta_with_bound(tau)
+        with mp.workdps(50):
+            exact = complex(mp.eta(mp.mpc(tau)))
+        assert abs(value - exact) <= bound
+
     def test_product_memory_is_bounded(self):
         # n* = 6.5 million factors here; all at once they took 261 MB
         tracemalloc.start()
@@ -130,6 +139,19 @@ class TestJacobiTheta3:
             value, bound = jacobi_theta3_with_bound(v, x)
             ref = complex(mp.jtheta(3, mp.pi * mp.mpf(str(v)), mp.e ** (1j * mp.mpc(x))))
             assert abs(value - ref) <= bound + 1e-15
+
+    @pytest.mark.parametrize("v, x", [(0.25, 3.1 + 1e-3j), (0.4, 6 + 1e-4j), (3.7, 10 + 1e-4j),
+                                      (0.25, 3.1 + 2e-6j)])
+    def test_bound_covers_rounding(self, v, x):
+        # each term's phase x n^2 + 2 pi v n is rounded to eps of its own size;
+        # the terms past |n| = sqrt(100 / Im x) are below e^-100
+        value, bound = jacobi_theta3_with_bound(v, x)
+        top = math.ceil(math.sqrt(100.0 / x.imag))
+        with mp.workdps(40):
+            xm, vm = mp.mpc(x), mp.mpf(v)
+            exact = complex(mp.fsum(mp.exp(1j * xm * n * n + 2j * mp.pi * vm * n)
+                                    for n in range(-top, top + 1)))
+        assert abs(value - exact) <= bound
 
 
 class TestLogAbsEta:

@@ -324,6 +324,9 @@ class TestFreeEnergy:
         cfg = QuantumStringConfig(2, math.pi)
         assert free_energy(cfg, beta).free_energy == -1.0 / 48.0
         assert thermo_derivatives(cfg, beta).entropy == 0.0
+        for s in (1, 2, 3):  # the bar is never -0.0, not even where the constant is 0
+            bar = free_energy(QuantumStringConfig(s, math.pi), beta).abs_error_estimate
+            assert math.copysign(1.0, bar) == 1.0
 
     def test_integral_term_grows_toward_transition(self):
         # at fixed s the integral part swells as beta drops toward the

@@ -259,6 +259,21 @@ class TestUniformSpectrum:
         assert direct.multiplicities().tolist() == analytic.multiplicities().tolist()
         assert np.allclose(direct.omegas(), analytic.omegas(), atol=1e-10)
 
+    @pytest.mark.parametrize("s", [0.25, 1.0, 3.7])
+    @pytest.mark.parametrize("length", [0.01, math.pi, 100.0])
+    def test_is_find_spectrum_at_x_one(self, s, length):
+        for omega_max in (0.5, 9.0, 60.0, 2 * math.pi * 7):
+            assert (uniform_spectrum(length, omega_max / length)
+                    == find_spectrum(StringConfig(s, 1.0, length), omega_max / length))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+    def test_mode_within_the_edge_tolerance_counts(self, n):
+        # a mode within 1e-12 of omega_max, relative, counts, as at x != 1
+        length = math.pi
+        omega = 2 * math.pi * n / length
+        assert uniform_spectrum(length, omega * (1 - 5e-13)).total_count() == 2 * n
+        assert uniform_spectrum(length, omega * (1 - 2e-12)).total_count() == 2 * (n - 1)
+
 
 class TestSizeLimit:
     """A spectrum is refused past a count of half-periods pi/L, before any of
