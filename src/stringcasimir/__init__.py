@@ -12,74 +12,15 @@ decoupled limit provides the one-loop free energy and its Hagedorn
 temperature.
 """
 
-from .core import (
-    EigenPair,
-    NPieceConfig,
-    StringConfig,
-    TransferMatrix,
-    alpha_param,
-    dispersion_2n,
-    dispersion_two_piece,
-    lambda_pair,
-    system_matrix,
-    tension_contrast,
-    transfer_matrix,
-)
-from .cutoff import CutoffResult, casimir_by_cutoff, damped_mode_sum
-from .energy import (
-    EnergyResult,
-    casimir_2n,
-    casimir_2n_x0,
-    casimir_two_piece,
-    casimir_two_piece_x0,
-    scaling_fit,
-    scaling_function,
-)
-from .errors import (
-    DomainError,
-    ExtrapolationUnstableError,
-    ModularLiftRequiredError,
-    MultiplicityUndecidedError,
-    QuadratureError,
-    SpectrumTruncationError,
-    StringCasimirError,
-)
-from .modular import (
-    ModularPoint,
-    dedekind_eta,
-    dedekind_eta_with_bound,
-    jacobi_theta3,
-    jacobi_theta3_with_bound,
-    log_abs_dedekind_eta,
-)
-from .quantum import (
-    OccupationState,
-    QuantumStringConfig,
-    ThermoResult,
-    free_energy,
-    hagedorn_beta,
-    mass_squared_excess,
-    mean_tension,
-    thermo_derivatives,
-    translational_energy,
-)
-from .spectrum import (
-    ContourCount,
-    Spectrum,
-    branch_spectrum_x0,
-    count_modes,
-    find_spectrum,
-    uniform_spectrum,
-)
-from .thermal import (
-    ThermalConfig,
-    casimir_2n_thermal,
-    casimir_2n_thermal_x0,
-    casimir_two_piece_thermal,
-    frequency_ratio,
-    high_t_limit,
-    mirror_limit,
-)
+# each module's __all__ declares its public names; the package's own __all__ pins what it exports
+from .core import *
+from .spectrum import *
+from .energy import *
+from .thermal import *
+from .cutoff import *
+from .modular import *
+from .quantum import *
+from .errors import *
 
 __version__ = "0.1.0"
 

@@ -317,9 +317,12 @@ def imag_axis_log_ratio(xi, cfg):
     <= 0 everywhere, equals log1p(-((s-1)/(s+1))^2 / (F+1)) at xi = 0, and
     decays like exp(-2 xi min(L_I, L_II)).  ln r is formed as
     -m xi + ln(1 - e^{-d xi}) - ln(1 - e^{-L xi}) with m = min(L_I, L_II),
-    so the parts linear in xi cancel algebraically, not in rounding, and
-    the relative accuracy holds for every s.  Identically zero for s = 1
-    or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError.
+    so the parts linear in xi cancel algebraically, not in rounding.  Where
+    r^2/(F+1) > 1/2, which needs F < 1 and s outside [3-2 sqrt 2, 3+2 sqrt 2],
+    1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
+    ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
+    2m/L at xi = 0: the relative accuracy holds for every s.  Identically
+    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError.
     """
     xi, lo, scalar = _nonnegative_array("xi", xi)
     s = cfg.length_ratio
@@ -332,7 +335,16 @@ def imag_axis_log_ratio(xi, cfg):
         r = np.exp(-m * xi + _log1mexp(d * xi) - _log1mexp(length * xi))
         if lo == 0.0:
             r[xi == 0.0] = d / length
-        out = np.log1p(-r * r / (_contrast_or_zero(cfg.tension_ratio) + 1.0))
+        f = _contrast_or_zero(cfg.tension_ratio)
+        part = r * r / (f + 1.0)
+        if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
+            out = np.log1p(-part)
+        else:  # where r^2/(F+1) > 1/2, F + 1 - r^2 from 1 - r, a product of positive terms
+            gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + _log1mexp(m * xi)
+                         - _log1mexp(length * xi))
+            gap[xi == 0.0] = 2.0 * m / length
+            out = np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
+                           np.log1p(-np.minimum(part, 0.5)))
     return float(out[0]) if scalar else out
 
 

@@ -119,7 +119,8 @@ def _trapezoid(g, a, b, step, halvings=None):
 
 def _contour(f, scale, q_max):
     """(Int_0^q_max f(q) dq, error bound) through q = scale exp(t - e^{-t}) from
-    t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max; f may return rows."""
+    t = -4.5 (q = scale e^{-94.5}, below which nothing counts) to q_max; f may return rows.
+    QuadratureError where a node or a sum overflows."""
 
     def g(t):
         e = np.exp(-t)
@@ -127,25 +128,41 @@ def _contour(f, scale, q_max):
         return f(q) * q * (1.0 + e)
 
     y = math.log(q_max / scale)  # q(y + e^{-y}) is just above q_max
-    return _trapezoid(g, -4.5, y + math.exp(-y), 0.5)[:2]
+    try:
+        with np.errstate(over="raise"):
+            return _trapezoid(g, -4.5, y + math.exp(-y), 0.5)[:2]
+    except (FloatingPointError, OverflowError):
+        raise QuadratureError(f"integral to {q_max:g} not representable in double precision") from None
+
+
+def _representable(value):
+    """``value`` if it is a float, else QuadratureError: an energy past the float range."""
+    if not math.isfinite(value):
+        raise QuadratureError(f"energy not representable in double precision: {value}")
+    return value
 
 
 def _integrand(cfg, slow_exact=False):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
     point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)|
     at q = xi L/N, or its rows from the matrix powers with ``slow_exact``; it decays
-    like 2N e^{-q}, and at x = 0 its xi = 0 value is the dropped zero mode, 0."""
+    like 2N e^{-q}, and at x = 0 its xi = 0 value is the dropped zero mode, 0.
+    DomainError where the truncation point, alone or times L, is not a float."""
     if isinstance(cfg, StringConfig):
-        m = min(cfg.piece_length_i, cfg.piece_length_ii)
-        return (lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)), 21.0 / m
-    n, per_xi = cfg.piece_pairs, cfg.total_length / cfg.piece_pairs  # q per unit xi
-    log_ratio = _log_ratio_2n_by_powers if slow_exact else imag_axis_log_ratio_2n
+        reach, piece = 21.0, min(cfg.piece_length_i, cfg.piece_length_ii)
+        f = lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)
+    else:
+        reach, piece = 48.0 + math.log(1.0 + cfg.piece_pairs), cfg.total_length / cfg.piece_pairs
+        log_ratio = _log_ratio_2n_by_powers if slow_exact else imag_axis_log_ratio_2n
 
-    def f(xi):
-        value = log_ratio(xi * per_xi, cfg) / (2.0 * math.pi)
-        return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
+        def f(xi):  # piece is q per unit xi
+            value = log_ratio(xi * piece, cfg) / (2.0 * math.pi)
+            return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
-    return f, (48.0 + math.log(1.0 + n)) / per_xi
+    if not (piece > 0.0 and math.isfinite(reach / piece * cfg.total_length)):
+        raise DomainError(f"length scales {piece:g} and L = {cfg.total_length:g} put the "
+                          "truncation point past the float range")
+    return f, reach / piece
 
 
 def casimir_two_piece(cfg):
@@ -166,7 +183,7 @@ def casimir_two_piece_x0(s, total_length):
     """Decoupled-limit (x -> 0) closed form  -(pi / 24 L)(s + 1/s - 2)."""
     StringConfig(s, 0.0, total_length)  # checks s and L
     value = -(math.pi / (24.0 * total_length)) * (s + 1.0 / s - 2.0)
-    return EnergyResult(value, "analytic-limit", 0.0)
+    return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 
 def casimir_2n(cfg, slow_exact=False):
@@ -190,7 +207,7 @@ def casimir_2n_x0(piece_pairs, total_length):
     """Decoupled-limit closed form  -(pi / 6 L)(N^2 - 1)."""
     NPieceConfig(piece_pairs, 0.0, total_length)  # checks N and L
     value = -(math.pi / (6.0 * total_length)) * (piece_pairs**2 - 1.0)
-    return EnergyResult(value, "analytic-limit", 0.0)
+    return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 
 def scaling_function(piece_pairs, x):

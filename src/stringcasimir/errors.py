@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+__all__ = ["StringCasimirError", "DomainError", "QuadratureError", "MultiplicityUndecidedError",
+           "ExtrapolationUnstableError", "SpectrumTruncationError", "ModularLiftRequiredError"]
+
 
 class StringCasimirError(Exception):
     """Base class for all errors raised by this package."""

@@ -229,7 +229,8 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
     _positive("tau2_max", tau2_max)
-    _count("n_tau1", n_tau1)
+    if _count("n_tau1", n_tau1) > 1 << 16:  # so that a tau_2 node's phases fit in one eta block
+        raise DomainError(f"n_tau1 must be at most 65536, got {n_tau1}")
     _count("max_octaves", max_octaves)
     if math.log(tau2_max) - max_octaves * math.log(2.0) < -660.0:
         raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
@@ -274,6 +275,7 @@ def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
     res, slope = _free_energy(cfg, beta, tau2_max)
     if res.convergence_flag != "converged":
         raise QuadratureError(f"free energy diverged below the Hagedorn point at beta={beta}")
-    u, entropy = res.free_energy + beta * slope, beta * beta * slope
+    u = res.free_energy + beta * slope
+    entropy = beta * beta * slope if slope else slope  # 0, not inf * 0, where beta^2 overflows
     return replace(res, internal_energy=u, entropy=entropy,
                    identity_residual=abs(res.free_energy - u + entropy / beta))

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, tension_contrast
-from .energy import EnergyResult, _integrand, _trapezoid
+from .energy import EnergyResult, _integrand, _representable, _trapezoid
 from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
@@ -49,12 +49,12 @@ def _temperature(name, cfg, kind, th):
 def _matsubara(f, b, h):
     """h [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result; with h = 2 pi T and
     f = (1/2 pi) ln|ratio| it is T times the primed sum of ln|ratio(xi_n)|."""
-    nodes = b / h if h > 0 else math.inf
-    if not math.isfinite(nodes):  # a temperature so small that h underflows
-        raise DomainError(f"temperature too small: the Matsubara step {h:g} underflows")
+    nodes = b / h if 0 < h < math.inf else math.inf
+    if not math.isfinite(nodes):  # h underflows (T too small) or overflows (T too large)
+        raise DomainError(f"temperature out of range: the Matsubara step {h:g} under- or overflows")
     k = max(0, int(nodes).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
     value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k)
-    return EnergyResult(value, "matsubara", err)
+    return EnergyResult(_representable(value), "matsubara", err)
 
 
 def casimir_two_piece_thermal(cfg, th):
@@ -81,7 +81,7 @@ def high_t_limit(cfg, th):
     if cfg.tension_ratio == 1.0:
         return EnergyResult(0.0, "analytic-limit", 0.0)
     value = 0.5 * t * imag_axis_log_ratio(0.0, cfg)
-    return EnergyResult(value, "analytic-limit", 0.0)
+    return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 
 def mirror_limit(x, th, printed_form=False):
@@ -98,7 +98,7 @@ def mirror_limit(x, th, printed_form=False):
     value = -0.5 * math.log1p(1.0 / tension_contrast(x))
     if not printed_form:
         value *= th.temperature
-    return EnergyResult(value, "analytic-limit", 0.0)
+    return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 
 def casimir_2n_thermal(cfg, th):

@@ -170,6 +170,13 @@ class TestMain:
         assert main(argv) == 0
         assert capsys.readouterr().out.strip().splitlines()[1].endswith(",converged")
 
+    def test_free_energy_derivatives_at_huge_beta(self, capsys):
+        # S and the residual printed nan,nan once beta^2 overflowed
+        argv = ["free-energy", "--s", "2", "--T-II", "3", "--beta", "1e308", "--derivatives"]
+        assert main(argv) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert [float(v) for v in row[5:7]] == [0.0, 0.0]
+
     def test_domain_error_exit_one(self, capsys):
         assert main(["energy", "--s", "0", "--x", "0.5"]) == 1
         err = capsys.readouterr().err
@@ -226,6 +233,9 @@ class TestInputContract:
         ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "0"],
         ["scan", "--command", "energy", "--s", "2", "--x", "0:0.2:0.1", "--jobs", "1.5"],
         ["thermal", "--s", "2", "--x", "0.3", "--T", "1e-320"],
+        ["thermal", "--s", "2", "--x", "0.3", "--T", "1e308"],
+        ["energy", "--s", "1e308", "--x", "0.3"],
+        ["energy-n", "--N", "2", "--x", "0.3", "--L", "1e-320"],
         ["free-energy", "--tau2-max", "0"],
         ["free-energy", "--tau2-max", "nan"],
         ["free-energy", "--T-II", "inf"],

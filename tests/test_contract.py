@@ -85,6 +85,16 @@ CASES = {
     # the matrix powers need x > 0 and w^(N-1) = (4x/(1+x)^2)^(N-1) above e^-600
     "casimir_2n.slow_exact_x": (lambda v: sc.casimir_2n(sc.NPieceConfig(3, v), slow_exact=True),
                                 0.3, [0.0]),
+    # length scales whose truncation point 21 / min(L_I, L_II) or (48 + ln(1+N)) N / L,
+    # alone or times L, is not a float: these raised OverflowError or ValueError
+    "casimir_two_piece.length_ratio_range": (
+        lambda v: sc.casimir_two_piece(sc.StringConfig(v, 0.3)), 1e15, [1e308, 1e-308]),
+    "casimir_two_piece.total_length_range": (
+        lambda v: sc.casimir_two_piece(sc.StringConfig(2.0, 0.3, v)), 1e-300, [1e-310]),
+    "casimir_2n.total_length_range": (lambda v: sc.casimir_2n(sc.NPieceConfig(2, 0.3, v)),
+                                      1e-300, [1e-320]),
+    "casimir_2n.piece_pairs_range": (lambda v: sc.casimir_2n(sc.NPieceConfig(v, 0.3, 1e-300)),
+                                     2, [10**18]),
     "casimir_2n.slow_exact_piece_pairs": (
         lambda v: sc.casimir_2n(sc.NPieceConfig(v, 1e-3), slow_exact=True), 100, [120, 1000]),
     "EnergyResult.method": (lambda v: sc.EnergyResult(1.0, v), "contour", ["exact", ""]),
@@ -95,11 +105,12 @@ CASES = {
     "ThermalConfig.temperature": (sc.ThermalConfig, 0.5, REAL + [-1.0]),
     "ThermalConfig.beta": (lambda v: sc.ThermalConfig(v).beta, 0.5, [0.0]),
     "casimir_two_piece_thermal.T": (lambda v: sc.casimir_two_piece_thermal(S2, sc.ThermalConfig(v)),
-                                    0.5, [0.0]),
+                                    0.5, [0.0, 1e308]),
     "high_t_limit.T": (lambda v: sc.high_t_limit(S2, sc.ThermalConfig(v)), 0.5, [0.0]),
     "mirror_limit.x": (lambda v: sc.mirror_limit(v, TH), 0.3, REAL + [0.0, 1.0]),
     "mirror_limit.T": (lambda v: sc.mirror_limit(0.3, sc.ThermalConfig(v)), 0.5, [0.0]),
-    "casimir_2n_thermal.T": (lambda v: sc.casimir_2n_thermal(N3, sc.ThermalConfig(v)), 0.5, [0.0]),
+    "casimir_2n_thermal.T": (lambda v: sc.casimir_2n_thermal(N3, sc.ThermalConfig(v)), 0.5,
+                             [0.0, 1e308]),
     "casimir_2n_thermal_x0.piece_pairs": (lambda v: sc.casimir_2n_thermal_x0(v, TH, math.pi), 3,
                                           COUNT + [0]),
     "casimir_2n_thermal_x0.T": (lambda v: sc.casimir_2n_thermal_x0(3, sc.ThermalConfig(v), math.pi),
@@ -164,7 +175,8 @@ CASES = {
         REAL + [-1.0]),
     "free_energy.beta": (lambda v: sc.free_energy(Q1, v), 25.0, REAL + [0.0]),
     "free_energy.tau2_max": (lambda v: sc.free_energy(Q1, 25.0, tau2_max=v), 1.0, REAL + [0.0]),
-    "free_energy.n_tau1": (lambda v: sc.free_energy(Q1, 25.0, n_tau1=v), 16, COUNT + [0]),
+    # refused before its tau_1 nodes are built
+    "free_energy.n_tau1": (lambda v: sc.free_energy(Q1, 25.0, n_tau1=v), 16, COUNT + [0, 2**40]),
     "free_energy.max_octaves": (lambda v: sc.free_energy(Q1, 25.0, max_octaves=v), 24,
                                 COUNT + [0]),
     "thermo_derivatives.beta": (lambda v: sc.thermo_derivatives(Q1, v), 25.0, REAL + [0.0]),

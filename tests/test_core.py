@@ -291,6 +291,25 @@ class TestLogRatios:
             )
             assert imag_axis_log_ratio(xi, cfg) == pytest.approx(raw, rel=1e-11)
 
+    @pytest.mark.parametrize("s, x", [(1e16, 0.0), (1e-16, 0.0), (1e100, 0.0), (1e16, 1e-20)])
+    def test_two_piece_relative_accuracy_at_any_s(self, s, x):
+        # from s ~ 1e15 at x = 0, 1 - r^2 cancelled: log1p(-1) = -inf near xi = 0
+        cfg = StringConfig(s, x, math.pi)
+        m = min(cfg.piece_length_i, cfg.piece_length_ii)
+        xis = np.concatenate([[0.0], np.geomspace(1e-3, 30.0 / m, 15)])
+        got = imag_axis_log_ratio(xis, cfg)
+        with mp.workdps(150):  # at s = 1e100 the reference's xi L / 2 must resolve m xi, 1e-100 of it
+            # the shorter piece as given, the longer one the rest of L
+            short, length, f = mp.mpf(m), mp.mpf(math.pi), mp.mpf(4 * x / (1 - x) ** 2)
+            for xi, value in zip(xis, got):
+                if xi == 0.0:
+                    ratio = 4 * short * (length - short) / length**2
+                else:
+                    ratio = (mp.sinh(xi * short) * mp.sinh(xi * (length - short))
+                             / mp.sinh(xi * length / 2) ** 2)
+                expected = mp.log((f + ratio) / (f + 1))
+                assert value == pytest.approx(float(expected), rel=1e-13), xi
+
     def test_2n_zero_limit(self):
         cfg = NPieceConfig(4, 0.3)
         w = 4 * 0.3 / 1.3**2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stringcasimir import (
     DomainError,
     NPieceConfig,
+    QuadratureError,
     StringConfig,
     casimir_2n,
     casimir_2n_x0,
@@ -38,6 +39,12 @@ class TestTwoPiece:
         quad = casimir_two_piece(StringConfig(s, 0.0, math.pi)).value
         closed = casimir_two_piece_x0(s, math.pi).value
         assert abs(quad - closed) < 1e-8
+
+    @pytest.mark.parametrize("s", [1e15, 1e16, 1e-16, 1e100, 1e300])
+    def test_decoupled_limit_at_extreme_length_ratio(self, s):
+        # 1 - r^2 cancelled in the kernel: log1p(-1), then out of nodes
+        res = casimir_two_piece(StringConfig(s, 0.0))
+        assert abs(res.value - casimir_two_piece_x0(s, math.pi).value) <= res.abs_error_estimate
 
     def test_length_ratio_inversion(self):
         for s, x in ((2.0, 0.3), (4.5, 0.1), (1.7, 0.85)):
@@ -88,6 +95,18 @@ def test_closed_forms_reject_bad_input(closed_form, good, arg, bad):
     args[arg] = bad
     with pytest.raises(DomainError):
         closed_form(*args)
+
+
+@pytest.mark.parametrize("energy", [
+    lambda: casimir_two_piece_x0(1.0, 5e-324),  # pi / (24 L) overflows: inf * 0 was nan
+    lambda: casimir_2n_x0(1, 5e-324),
+    lambda: casimir_two_piece_x0(2.0, 5e-324),
+    lambda: casimir_2n_x0(2, 5e-324),
+    lambda: casimir_2n(NPieceConfig(10**6, 0.3, 1e-300)),  # overflowed in fsum
+])
+def test_overflowing_energy_is_a_quadrature_error(energy):
+    with pytest.raises(QuadratureError, match="not representable"):
+        energy()
 
 
 class TestNPiece:

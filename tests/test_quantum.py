@@ -317,7 +317,8 @@ class TestFreeEnergy:
         res = free_energy(cfg, 8.0 * hagedorn_beta(cfg))
         assert res.free_energy == pytest.approx(-1.0 / 48.0, abs=1e-12)
 
-    @pytest.mark.parametrize("beta", [1e147, 1e148, 1e150, 1e152, 1e153, 1.3e154])
+    @pytest.mark.parametrize("beta", [1e147, 1e148, 1e150, 1e152, 1e153, 1.3e154,
+                                      1e155, 1e200, 1e308])
     def test_huge_beta_is_the_constant(self, beta):
         # beta^2 t / (8 pi^2 tau_2) overflows at small tau_2 from beta ~ 1e147;
         # those nodes turned the rows into nan and ran the kernel out of nodes
@@ -327,6 +328,14 @@ class TestFreeEnergy:
         for s in (1, 2, 3):  # the bar is never -0.0, not even where the constant is 0
             bar = free_energy(QuantumStringConfig(s, math.pi), beta).abs_error_estimate
             assert math.copysign(1.0, bar) == 1.0
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1e155, 1e200, 1e308])
+    def test_huge_beta_derivatives(self, s, beta):
+        # beta^2 overflowed from beta ~ 1.34e154 and S = inf * 0 was nan
+        res = thermo_derivatives(QuantumStringConfig(s, 3.0), beta)
+        assert res.internal_energy == res.free_energy
+        assert (res.entropy, res.identity_residual) == (0.0, 0.0)
 
     def test_integral_term_grows_toward_transition(self):
         # at fixed s the integral part swells as beta drops toward the

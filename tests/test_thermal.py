@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from stringcasimir import (
     DomainError,
     NPieceConfig,
+    QuadratureError,
     StringConfig,
     ThermalConfig,
     casimir_2n_thermal,
@@ -44,6 +45,27 @@ def test_underflowing_temperature_is_a_domain_error(thermal_sum, cfg):
     # the Matsubara step 2 pi T underflows; this used to raise OverflowError
     with pytest.raises(DomainError):
         thermal_sum(cfg, ThermalConfig(1e-320))
+
+
+@pytest.mark.parametrize("thermal_sum, cfg", [
+    (casimir_two_piece_thermal, StringConfig(1e308, 0.3)),
+    (casimir_2n_thermal, NPieceConfig(2, 0.3, 1e-320)),
+])
+def test_out_of_range_length_scale_is_named(thermal_sum, cfg):
+    # the infinite truncation point was reported as a temperature too small
+    with pytest.raises(DomainError, match="length scales"):
+        thermal_sum(cfg, ThermalConfig(1.0))
+
+
+@pytest.mark.parametrize("energy", [
+    lambda: high_t_limit(StringConfig(1e100, 0.0), ThermalConfig(1e308)),
+    lambda: mirror_limit(5e-324, ThermalConfig(1.0)),  # 1/F overflows
+    lambda: casimir_2n_thermal(NPieceConfig(10**6, 0.3, 1e-300), ThermalConfig(1e306)),
+])
+def test_overflowing_energy_is_a_quadrature_error(energy):
+    # each returned -inf
+    with pytest.raises(QuadratureError, match="not representable"):
+        energy()
 
 
 class TestTwoPieceThermal:
@@ -100,6 +122,13 @@ class TestHighTLimit:
         res = high_t_limit(StringConfig(2, 0.5), ThermalConfig(1.0))
         assert res.value == pytest.approx(0.5 * math.log(80.0 / 81.0), rel=1e-13)
         assert res.value == pytest.approx(-0.006211259999, abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1e15, 1e16, 1e-16, 1e100])
+    def test_closed_form_at_extreme_length_ratio(self, s):
+        # at x = 0 the kernel's 1 - r^2 cancelled: -inf at s = 1e16, -18.02 at 1e-16
+        res = high_t_limit(StringConfig(s, 0.0), ThermalConfig(1.0))
+        assert res.value == pytest.approx(0.5 * (math.log(4.0 * s) - 2.0 * math.log1p(s)),
+                                          rel=4e-16)
 
     def test_dominates_once_thermal_frequency_wins(self):
         cfg = StringConfig(2, 0.3, math.pi)
