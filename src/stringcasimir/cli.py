@@ -198,14 +198,11 @@ def _thermal_rows(p):
 def _free_energy_rows(p):
     cfg = quantum.QuantumStringConfig(s=p["s"], tension_ii=p["T_II"])
     beta = 3.0 * quantum.hagedorn_beta(cfg) if p["beta"] is None else p["beta"]
-    inputs = {"s": cfg.s, "T_II": cfg.tension_ii, "beta": beta}
-    if p["derivatives"]:
-        r = quantum.thermo_derivatives(cfg, beta, tau2_max=p["tau2_max"])
-        return [{**inputs, "free_energy": r.free_energy, "internal_energy": r.internal_energy,
-                 "entropy": r.entropy, "identity_residual": r.identity_residual,
-                 "convergence_flag": r.convergence_flag}]
-    r = quantum.free_energy(cfg, beta, tau2_max=p["tau2_max"])
-    return [{**inputs, "free_energy": r.free_energy, "convergence_flag": r.convergence_flag}]
+    r = (quantum.thermo_derivatives if p["derivatives"] else quantum.free_energy)(
+        cfg, beta, tau2_max=p["tau2_max"])
+    derived = ("internal_energy", "entropy", "identity_residual") if p["derivatives"] else ()
+    return [{"s": cfg.s, "T_II": cfg.tension_ii, "beta": beta,
+             **{k: getattr(r, k) for k in ("free_energy", *derived, "convergence_flag")}}]
 
 
 def _hagedorn_rows(p):

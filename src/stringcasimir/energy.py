@@ -165,14 +165,20 @@ def _integrand(cfg, slow_exact=False):
     return f, reach / piece
 
 
+def _vanishes(cfg):
+    """Whether the integrand of ``cfg`` is identically 0: at x = 1, s = 1 or N = 1."""
+    other = cfg.length_ratio if isinstance(cfg, StringConfig) else cfg.piece_pairs
+    return cfg.tension_ratio == 1.0 or other == 1
+
+
 def casimir_two_piece(cfg):
     """Zero-temperature Casimir energy of the two-piece string.
 
     Always <= 0, vanishing exactly for s = 1 (equal pieces) and x = 1
-    (uniform string, short-circuited analytically).
+    (uniform string); both are short-circuited analytically.
     """
     _instance("casimir_two_piece", cfg, StringConfig)
-    if cfg.tension_ratio == 1.0:
+    if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, xi_max = _integrand(cfg)
     value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
@@ -196,7 +202,7 @@ def casimir_2n(cfg, slow_exact=False):
     matrix (x > 0 only), up to the same truncation point, as a cross-check.
     """
     _instance("casimir_2n", cfg, NPieceConfig)
-    if cfg.tension_ratio == 1.0:
+    if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     f, xi_max = _integrand(cfg, slow_exact)
     value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
@@ -204,9 +210,9 @@ def casimir_2n(cfg, slow_exact=False):
 
 
 def casimir_2n_x0(piece_pairs, total_length):
-    """Decoupled-limit closed form  -(pi / 6 L)(N^2 - 1)."""
+    """Decoupled-limit closed form  -(pi / 6 L)(N^2 - 1), with N^2 a float (inf past their range)."""
     NPieceConfig(piece_pairs, 0.0, total_length)  # checks N and L
-    value = -(math.pi / (6.0 * total_length)) * (piece_pairs**2 - 1.0)
+    value = -(math.pi / (6.0 * total_length)) * (float(piece_pairs) * piece_pairs - 1.0)
     return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 

@@ -62,6 +62,7 @@ class ModularLiftRequiredError(DomainError):
 
 _REALS = (int, float, np.integer, np.floating)
 _INTEGERS = (int, np.integer)
+_MAX_COUNT = int(np.finfo(float).max)
 
 
 def _real(name, value, ok=lambda v: True, need=""):
@@ -80,9 +81,11 @@ def _positive(name, value):
 
 
 def _count(name, value, least=1):
-    """``value`` if it is an integer >= ``least``, not a bool."""
+    """``value`` if it is an integer >= ``least``, not a bool, that a float can hold."""
     if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= least):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > _MAX_COUNT:  # no float holds it, and its repr may be too long to print
+        raise DomainError(f"{name} is past the float range: a {value.bit_length()}-bit integer")
     return value
 
 

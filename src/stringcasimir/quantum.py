@@ -32,7 +32,7 @@ so dF/d beta, and with it U and S, is one more row of the same kernel pass.
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -101,7 +101,7 @@ class OccupationState:
 
 @dataclass(frozen=True)
 class ThermoResult:
-    """Free energy and (optionally) its derived quantities at one beta."""
+    """Free energy and its derived quantities at one beta, these None where F diverges."""
 
     free_energy: float
     beta: float
@@ -207,13 +207,14 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
-    """One-loop free energy of the first-branch string gas at inverse
-    temperature beta (partial result: F only).
-
-    Below beta*, where delta(beta) < 0 (see the module docstring), the
-    result is flagged ``diverged-below-hagedorn`` with ``free_energy`` =
-    -inf, the direction in which the integral term runs away; a delta within
-    4 eps of its terms is delta = 0, which converges.  Otherwise the
+    """One-loop free energy F of the first-branch string gas at inverse
+    temperature beta, with U = d(beta F)/d beta, S = beta^2 dF/d beta and the
+    residual of F = U - S/beta; dF/d beta = -term J'/J, J and J' the sums of
+    rows 0 and 2 of F's one kernel pass.  Below beta*, where delta(beta) < 0
+    (see the module docstring), the result is flagged
+    ``diverged-below-hagedorn`` with ``free_energy`` = -inf, the direction in
+    which the integral term runs away, and U, S and the residual None; a delta
+    within 4 eps of its terms is delta = 0, which converges.  Otherwise the
     integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a
     trapezoid sum after the double-exponential map of the contour routes,
     which also resolves the tau2_max end, where the integrand is largest.
@@ -221,11 +222,6 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     rounding of the log integrand and of its exponential, about |ln| eps
     relative with |ln| up to hundreds, and the rounding of F itself.
     """
-    return _free_energy(cfg, beta, tau2_max, n_tau1, max_octaves)[0]
-
-
-def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
-    """``free_energy`` and dF/d beta = -term J'/J, J and J' the kernel sums of rows 0 and 2."""
     _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
     _positive("tau2_max", tau2_max)
@@ -238,10 +234,10 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     constant = -((s - 1) ** 2) / (24.0 * s)  # -(s + 1/s - 2)/24, rounded once
     heat, vacuum = beta * beta * t / (8.0 * math.pi**2), math.pi * (4.0 * s + 1.0) / (s * (1.0 + s))
     if heat - vacuum < -4.0 * _EPS * (heat + vacuum):  # delta < 0 beyond the rounding of its terms
-        return ThermoResult(-math.inf, beta, "diverged-below-hagedorn"), None
+        return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
     shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
-    if shift == -math.inf:  # the integrand underflows everywhere
-        return ThermoResult(constant, beta, "converged", abs_error_estimate=_EPS * abs(constant)), 0.0
+    if shift == -math.inf:  # the integrand underflows everywhere: dF/d beta = 0, U = F + 0.0
+        return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
 
     def f(v):
         rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
@@ -261,21 +257,18 @@ def _free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     term = math.exp(ln_term)
     error = term * (err / integral + _EPS * (abs(ln_term) + abs(ln_prefactor)))
     error += _EPS * abs(constant - term)  # the rounding of the constant and of F
-    result = ThermoResult(constant - term, beta, "converged", abs_error_estimate=error)
-    return result, -term * d_integral / integral
+    value, slope = constant - term, -term * d_integral / integral
+    u = value + beta * slope
+    entropy = beta * beta * slope if slope else slope  # 0, not inf * 0, where beta^2 overflows
+    return ThermoResult(value, beta, "converged", u, entropy, abs(value - u + entropy / beta), error)
 
 
 def thermo_derivatives(cfg, beta, step_frac=1e-3, tau2_max=1.0):
-    """Internal energy U = d(beta F)/d beta and entropy S = beta^2 dF/d beta,
-    with dF/d beta one more row of the single kernel pass of F, so F = U - S/beta
-    holds to rounding; the residual is reported.  ``abs_error_estimate`` is the
-    bar of F.  ``step_frac`` must lie in (0, 1) but no longer changes the result.
-    Below beta*, where F diverges, raises QuadratureError."""
+    """``free_energy`` at beta, with U, S and the residual of F = U - S/beta from
+    its one kernel pass; ``step_frac`` must lie in (0, 1) but no longer changes
+    the result.  Below beta*, where F diverges, raises QuadratureError."""
     _real("step_frac", step_frac, lambda v: 0 < v < 1, "in (0, 1)")
-    res, slope = _free_energy(cfg, beta, tau2_max)
+    res = free_energy(cfg, beta, tau2_max)
     if res.convergence_flag != "converged":
         raise QuadratureError(f"free energy diverged below the Hagedorn point at beta={beta}")
-    u = res.free_energy + beta * slope
-    entropy = beta * beta * slope if slope else slope  # 0, not inf * 0, where beta^2 overflows
-    return replace(res, internal_energy=u, entropy=entropy,
-                   identity_residual=abs(res.free_energy - u + entropy / beta))
+    return res

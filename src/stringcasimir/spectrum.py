@@ -155,6 +155,8 @@ def _roots(cfg, omega_max, limit=_MAX_HALF_PERIODS):
     x, s = cfg.tension_ratio, cfg.length_ratio
     if x in (0.0, 1.0):  # decoupled pieces; at x = 1 two equal halves have the same modes
         pieces = (cfg.piece_length_i, cfg.piece_length_ii) if x == 0.0 else (0.5 * length,) * 2
+        if not min(pieces) > 0.0:
+            raise DomainError(f"piece lengths {pieces[0]:g} and {pieces[1]:g} must both be > 0")
         return _merged(np.concatenate([np.arange(1, omega_max * piece / math.pi + 2) * (math.pi / piece)
                                        for piece in pieces]))
     step = math.pi / length

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, tension_contrast
-from .energy import EnergyResult, _integrand, _representable, _trapezoid
+from .energy import EnergyResult, _integrand, _representable, _trapezoid, _vanishes
 from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
@@ -64,7 +64,7 @@ def casimir_two_piece_thermal(cfg, th):
     vanishes identically for s = 1 and for the uniform string x = 1.
     """
     t = _positive("temperature", _temperature("casimir_two_piece_thermal", cfg, StringConfig, th))
-    if cfg.tension_ratio == 1.0:
+    if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
 
@@ -78,8 +78,6 @@ def high_t_limit(cfg, th):
     (``frequency_ratio`` >= 1).
     """
     t = _positive("temperature", _temperature("high_t_limit", cfg, StringConfig, th))
-    if cfg.tension_ratio == 1.0:
-        return EnergyResult(0.0, "analytic-limit", 0.0)
     value = 0.5 * t * imag_axis_log_ratio(0.0, cfg)
     return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
@@ -110,7 +108,7 @@ def casimir_2n_thermal(cfg, th):
     remaining sum is finite.
     """
     t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
-    if cfg.tension_ratio == 1.0 or cfg.piece_pairs == 1:
+    if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
 

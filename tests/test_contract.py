@@ -18,6 +18,7 @@ from stringcasimir import core
 NAN, INF = math.nan, math.inf
 REAL = [NAN, INF, -INF, True]  # never a valid real argument
 COUNT = [NAN, INF, -INF, True, 2.5]  # never a valid count
+BIG = 10**400  # an integer count past the float range: its first float operation overflowed
 # never a valid argument of the array kernels, alone or in an array
 KERNEL = [NAN, INF, -INF, -1.0, -1e-300]
 # never a valid point of the upper half-plane
@@ -35,7 +36,7 @@ CASES = {
     "StringConfig.length_ratio": (lambda v: sc.StringConfig(v, 0.3), 2.0, REAL + [0.0, -1.0]),
     "StringConfig.tension_ratio": (lambda v: sc.StringConfig(2.0, v), 0.3, REAL + [-0.1]),
     "StringConfig.total_length": (lambda v: sc.StringConfig(2.0, 0.3, v), 1.0, REAL + [0.0]),
-    "NPieceConfig.piece_pairs": (lambda v: sc.NPieceConfig(v, 0.3), 3, COUNT + [0]),
+    "NPieceConfig.piece_pairs": (lambda v: sc.NPieceConfig(v, 0.3), 3, COUNT + [0, BIG]),
     "NPieceConfig.tension_ratio": (lambda v: sc.NPieceConfig(3, v), 0.3, REAL + [-0.1]),
     "NPieceConfig.total_length": (lambda v: sc.NPieceConfig(3, 0.3, v), 1.0, REAL + [0.0]),
     "tension_contrast.x": (sc.tension_contrast, 0.3, REAL + [0.0, -1.0, 1.0]),
@@ -62,13 +63,22 @@ CASES = {
     "find_spectrum.cfg": (lambda v: sc.find_spectrum(v, 5.0), S2, [N3]),
     "find_spectrum.omega_max": (lambda v: sc.find_spectrum(S2, v), 5.0, REAL + [0.0, -1.0]),
     "count_modes.cfg": (lambda v: sc.count_modes(v, 10.0), S2, [N3]),
+    # a piece length that rounds to 0 in the closed forms at x = 0 and x = 1: ZeroDivisionError
+    "find_spectrum.length_ratio_x0": (
+        lambda v: sc.find_spectrum(sc.StringConfig(v, 0.0, 0.4), 5.0), 0.5, [5e-324]),
+    "find_spectrum.total_length_x0": (
+        lambda v: sc.find_spectrum(sc.StringConfig(2.0, 0.0, v), 5.0), 0.5, [5e-324]),
+    "find_spectrum.total_length_x1": (
+        lambda v: sc.find_spectrum(sc.StringConfig(2.0, 1.0, v), 5.0), 0.5, [5e-324]),
+    "count_modes.length_ratio_x0": (
+        lambda v: sc.count_modes(sc.StringConfig(v, 0.0, 0.4), 5.0), 0.5, [5e-324]),
     "count_modes.omega_max": (lambda v: sc.count_modes(S2, v), 10.0, REAL + [0.0, -1.0]),
     "count_modes.im_extent": (lambda v: sc.count_modes(S2, 10.0, im_extent=v), 0.5,
                               REAL + [0.0, -1.0]),
     # sin^2(omega L / 2) overflows once im_extent L passes about 700
     "count_modes.im_extent_times_L": (lambda v: sc.count_modes(S2, 10.0, im_extent=v), 200.0,
                                       [223.0, 300.0, 1e6]),
-    "branch_spectrum_x0.s": (lambda v: sc.branch_spectrum_x0(v, "first", 3), 2, COUNT + [0]),
+    "branch_spectrum_x0.s": (lambda v: sc.branch_spectrum_x0(v, "first", 3), 2, COUNT + [0, BIG]),
     "branch_spectrum_x0.n_max": (lambda v: sc.branch_spectrum_x0(2, "first", v), 3, COUNT + [0]),
     "uniform_spectrum.total_length": (lambda v: sc.uniform_spectrum(v, 10.0), math.pi,
                                       REAL + [0.0, -1.0]),
@@ -158,11 +168,11 @@ CASES = {
     "casimir_by_cutoff.epsilons": (lambda v: sc.casimir_by_cutoff(S2, [v] + EPSILONS), 0.12,
                                    REAL + [-1.0]),
     # quantum
-    "QuantumStringConfig.s": (lambda v: sc.QuantumStringConfig(v, math.pi), 1, COUNT + [0]),
+    "QuantumStringConfig.s": (lambda v: sc.QuantumStringConfig(v, math.pi), 1, COUNT + [0, BIG]),
     "QuantumStringConfig.tension_ii": (lambda v: sc.QuantumStringConfig(1, v), math.pi,
                                        REAL + [0.0]),
     "OccupationState.mode_index": (lambda v: sc.OccupationState(a_modes={(v, 1): 1}), 2,
-                                   COUNT + [0]),
+                                   COUNT + [0, BIG]),
     "OccupationState.direction": (lambda v: sc.OccupationState(a_modes={(1, v): 1}), 24,
                                   COUNT + [0, 25, 1.5]),
     "OccupationState.occupation": (lambda v: sc.OccupationState(c_modes={(1, 1): v}), 0,
@@ -178,7 +188,7 @@ CASES = {
     # refused before its tau_1 nodes are built
     "free_energy.n_tau1": (lambda v: sc.free_energy(Q1, 25.0, n_tau1=v), 16, COUNT + [0, 2**40]),
     "free_energy.max_octaves": (lambda v: sc.free_energy(Q1, 25.0, max_octaves=v), 24,
-                                COUNT + [0]),
+                                COUNT + [0, BIG]),
     "thermo_derivatives.beta": (lambda v: sc.thermo_derivatives(Q1, v), 25.0, REAL + [0.0]),
     "thermo_derivatives.step_frac": (lambda v: sc.thermo_derivatives(Q1, 25.0, step_frac=v),
                                      1e-3, REAL + [0.0, 1.0]),
@@ -192,7 +202,7 @@ def test_accepts_valid_value(case):
 
 
 @pytest.mark.parametrize("case, bad", [
-    pytest.param(case, bad, id=f"{case}-{bad!r}")
+    pytest.param(case, bad, id=f"{case}-{'10**400' if bad is BIG else repr(bad)}")
     for case, (_, _, bads) in CASES.items() for bad in bads
 ])
 def test_rejects_invalid_value(case, bad):

@@ -103,6 +103,7 @@ def test_closed_forms_reject_bad_input(closed_form, good, arg, bad):
     lambda: casimir_two_piece_x0(2.0, 5e-324),
     lambda: casimir_2n_x0(2, 5e-324),
     lambda: casimir_2n(NPieceConfig(10**6, 0.3, 1e-300)),  # overflowed in fsum
+    lambda: casimir_2n_x0(10**155, 1.0),  # N^2 as an integer: OverflowError
 ])
 def test_overflowing_energy_is_a_quadrature_error(energy):
     with pytest.raises(QuadratureError, match="not representable"):

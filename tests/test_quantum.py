@@ -262,6 +262,7 @@ class TestFreeEnergy:
             res = free_energy(cfg, 0.5 * hagedorn_beta(cfg))
             assert res.convergence_flag == "diverged-below-hagedorn"
             assert res.free_energy == -math.inf
+            assert (res.internal_energy, res.entropy, res.identity_residual) == (None, None, None)
 
     def test_tau1_resolution_stable(self):
         cfg = QuantumStringConfig(1, math.pi)
@@ -540,6 +541,16 @@ class TestAnalyticDerivatives:
         assert res.convergence_flag == "converged"
         assert all(math.isfinite(v) for v in (res.free_energy, res.internal_energy, res.entropy))
         assert res.entropy > 0.0
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("frac", [1.001, 1.3, 5.0, None])  # None: beta = 1e155, the constant
+    def test_free_energy_is_the_derivatives_record(self, s, frac):
+        # free_energy carries U, S and the residual from the slope row it sums
+        cfg = QuantumStringConfig(s, math.pi)
+        beta = 1e155 if frac is None else frac * beta_star(s, math.pi)
+        res = free_energy(cfg, beta)
+        assert res == thermo_derivatives(cfg, beta)
+        assert None not in (res.internal_energy, res.entropy, res.identity_residual)
 
     def test_one_modulus_pass(self, monkeypatch):
         # F, its rounding and dF/d beta are rows of one kernel pass

@@ -11,6 +11,7 @@ from stringcasimir import (
     QuadratureError,
     StringConfig,
     ThermalConfig,
+    casimir_2n,
     casimir_2n_thermal,
     casimir_2n_thermal_x0,
     casimir_two_piece,
@@ -66,6 +67,31 @@ def test_overflowing_energy_is_a_quadrature_error(energy):
     # each returned -inf
     with pytest.raises(QuadratureError, match="not representable"):
         energy()
+
+
+@pytest.mark.parametrize("result", [
+    lambda th: casimir_two_piece(StringConfig(1, 0.3)),
+    lambda th: casimir_two_piece(StringConfig(2.0, 1.0)),
+    lambda th: casimir_two_piece_thermal(StringConfig(1, 0.3), th),
+    lambda th: casimir_two_piece_thermal(StringConfig(2.0, 1.0), th),
+    lambda th: high_t_limit(StringConfig(1, 0.3), th),
+    lambda th: high_t_limit(StringConfig(2.0, 1.0), th),
+    lambda th: casimir_2n(NPieceConfig(1, 0.3)),
+    lambda th: casimir_2n(NPieceConfig(1, 0.0)),
+    lambda th: casimir_2n(NPieceConfig(1, 0.3), slow_exact=True),
+    lambda th: casimir_2n(NPieceConfig(4, 1.0)),
+    lambda th: casimir_2n_thermal(NPieceConfig(1, 0.3), th),
+    lambda th: casimir_2n_thermal(NPieceConfig(4, 1.0), th),
+])
+def test_vanishing_integrand_is_the_analytic_limit(result, monkeypatch):
+    # x = 1, s = 1 and N = 1 take one tag at every temperature, before any kernel pass
+    def no_pass(*args, **kwargs):
+        raise AssertionError("kernel pass over an integrand that vanishes")
+
+    monkeypatch.setattr("stringcasimir.energy._trapezoid", no_pass)
+    monkeypatch.setattr("stringcasimir.thermal._trapezoid", no_pass)
+    res = result(ThermalConfig(0.3))
+    assert (repr(res.value), res.method, res.abs_error_estimate) == ("0.0", "analytic-limit", 0.0)
 
 
 class TestTwoPieceThermal:
