@@ -148,12 +148,13 @@ def _two_piece(p):
 
 
 def compare_methods(cfg, epsilons=None):
-    """Contour vs cutoff-oracle report for one configuration."""
+    """Contour vs cutoff-oracle report for one configuration, with the contour's route."""
     contour = energy.casimir_two_piece(cfg)
     oracle = cutoff.casimir_by_cutoff(cfg, epsilons=epsilons).as_energy_result()
     difference = abs(contour.value - oracle.value)
     return {
         "contour_value": contour.value,
+        "contour_method": contour.method,
         "contour_error": contour.abs_error_estimate,
         "oracle_value": oracle.value,
         "oracle_error": oracle.abs_error_estimate,
@@ -215,7 +216,7 @@ def _oracle_rows(p):
     cfg, inputs = _two_piece(p)
     report = compare_methods(cfg, epsilons=p["epsilons"])
     return [
-        {**inputs, "value": report["contour_value"], "method": "contour",
+        {**inputs, "value": report["contour_value"], "method": report["contour_method"],
          "abs_error_estimate": report["contour_error"]},
         {**inputs, "value": report["oracle_value"], "method": "cutoff-oracle",
          "abs_error_estimate": report["oracle_error"]},

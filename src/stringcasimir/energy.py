@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NPieceConfig, StringConfig, _log_ratio_2n_by_powers
+from .core import NPieceConfig, StringConfig, _bloch_angles, _log_ratio_2n_by_powers
 from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 from .errors import DomainError, QuadratureError, _count, _instance, _real
 
@@ -50,12 +50,12 @@ class EnergyResult:
     """A regularized energy with its provenance and error estimate."""
 
     value: float
-    method: str  # contour | analytic-limit | cutoff-oracle | matsubara
+    method: str  # contour | analytic-limit | cutoff-oracle | matsubara | mode-sum
     abs_error_estimate: float = 0.0
 
     def __post_init__(self):
         _real("abs_error_estimate", self.abs_error_estimate, lambda v: v >= 0, ">= 0")
-        if self.method not in ("contour", "analytic-limit", "cutoff-oracle", "matsubara"):
+        if self.method not in ("contour", "analytic-limit", "cutoff-oracle", "matsubara", "mode-sum"):
             raise DomainError(f"unknown method tag {self.method!r}")
 
 
@@ -207,6 +207,17 @@ def casimir_2n(cfg, slow_exact=False):
     f, xi_max = _integrand(cfg, slow_exact)
     value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
     return EnergyResult(value[0] if slow_exact else value, "contour", err)
+
+
+def _bloch_energy(cfg, angles=None):
+    """E_N = pi/(6L) - (pi N/L) sum_{m<N} B_2(theta_m / 2 pi), B_2(a) = a^2 - a + 1/6 (the Hurwitz
+    zeta value of the Bloch spectrum, from ``angles`` = ``_bloch_angles(cfg)``), and its rounding bar.
+    The uniform angles phi_m give pi/(6L) and B_2(a) - B_2(b) = (a - b)(a + b - 1), so
+    E_N = -(N/4 pi L) sum_m (phi_m - theta_m)(2 pi - theta_m - phi_m), a sum of terms >= 0."""
+    (_, rest, gap, rest_phi), mult = _bloch_angles(cfg) if angles is None else angles
+    total = math.fsum((mult * gap * (rest + rest_phi)).tolist())
+    value = -cfg.piece_pairs / (4.0 * math.pi * cfg.total_length) * total
+    return value, _NOISE * abs(value)
 
 
 def casimir_2n_x0(piece_pairs, total_length):

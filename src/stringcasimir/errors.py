@@ -82,10 +82,11 @@ def _positive(name, value):
 
 def _count(name, value, least=1):
     """``value`` if it is an integer >= ``least``, not a bool, that a float can hold."""
-    if type(value) is bool or not (isinstance(value, _INTEGERS) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
-    if value > _MAX_COUNT:  # no float holds it, and its repr may be too long to print
-        raise DomainError(f"{name} is past the float range: a {value.bit_length()}-bit integer")
+    if type(value) is bool or not (isinstance(value, _INTEGERS) and least <= value <= _MAX_COUNT):
+        # past the float range the repr of an int may pass 4300 digits, a ValueError to print
+        big = isinstance(value, _INTEGERS) and not -_MAX_COUNT <= value <= _MAX_COUNT
+        got = f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer" if big else repr(value)
+        raise DomainError(f"{name} must be an integer >= {least} that a float holds, got {got}")
     return value
 
 

@@ -1,4 +1,4 @@
-"""Finite-temperature Casimir energies by Matsubara summation.
+"""Finite-temperature Casimir energies by Matsubara summation and by mode sums.
 
 The thermal energy replaces the imaginary-axis integral of :mod:`.energy`
 by the primed sum over Matsubara frequencies xi_n = 2 pi n T (n = 0 term
@@ -10,17 +10,27 @@ The summand is even and analytic for x > 0, so the sub-lattice sums
 converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.  At x = 0 the dropped 2N zero mode leaves a T ln T term
 and the full lattice is summed.
+
+For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
+Poisson dual runs instead where its grid fits in ``_BLOCK`` terms: the exact
+E_N plus T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired
+with the uniform string's mode it replaces, in one array pass whatever x.
 """
 
 import math
 from dataclasses import dataclass
 
-from .core import NPieceConfig, StringConfig, imag_axis_log_ratio, tension_contrast
-from .energy import EnergyResult, _integrand, _representable, _trapezoid, _vanishes
+import numpy as np
+
+from .core import NPieceConfig, StringConfig, _bloch_angles, imag_axis_log_ratio, tension_contrast
+from .energy import _BLOCK, _NOISE, EnergyResult, _bloch_energy, _integrand, _representable
+from .energy import _trapezoid, _vanishes
 from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
            "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
+
+_REACH = 40.0  # omega/T to which the 2N mode sum runs: each later term is below e^{-40}
 
 
 @dataclass(frozen=True)
@@ -46,13 +56,17 @@ def _temperature(name, cfg, kind, th):
     return _instance(name, th, ThermalConfig).temperature
 
 
+def _nodes(b, h):
+    """The number of Matsubara nodes b / h, DomainError where it is not a float."""
+    if not (0 < h < math.inf and math.isfinite(b / h)):  # T too small or too large
+        raise DomainError(f"temperature out of range: the Matsubara step {h:g} under- or overflows")
+    return b / h
+
+
 def _matsubara(f, b, h):
     """h [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result; with h = 2 pi T and
     f = (1/2 pi) ln|ratio| it is T times the primed sum of ln|ratio(xi_n)|."""
-    nodes = b / h if 0 < h < math.inf else math.inf
-    if not math.isfinite(nodes):  # h underflows (T too small) or overflows (T too large)
-        raise DomainError(f"temperature out of range: the Matsubara step {h:g} under- or overflows")
-    k = max(0, int(nodes).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
+    k = max(0, int(_nodes(b, h)).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
     value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k)
     return EnergyResult(_representable(value), "matsubara", err)
 
@@ -100,17 +114,54 @@ def mirror_limit(x, th, printed_form=False):
 
 
 def casimir_2n_thermal(cfg, th):
-    """Thermal Casimir energy of the 2N-piece string (Matsubara form).
+    """Thermal Casimir energy of the 2N-piece string: the mode sum (``mode-sum``)
+    for 0 < x < 1 where its grid fits in ``_BLOCK`` terms, else the Matsubara sum.
 
     Vanishes identically for x = 1 and for N = 1.  At x = 0 with N >= 2
     the n = 0 summand diverges logarithmically (each decoupled piece
     contributes a classical zero mode), so that term is omitted and the
-    remaining sum is finite.
+    remaining sum is finite.  Both routes run after the lattice's checks.
     """
     t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
     if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
+    (f, b), h = _integrand(cfg), 2.0 * math.pi * t
+    _nodes(b, h)
+    n, periods = cfg.piece_pairs, _REACH * t * cfg.total_length / (2.0 * math.pi)
+    if cfg.tension_ratio > 0.0 and n + periods <= _BLOCK:
+        return _mode_sum(cfg, t, periods)
+    return _matsubara(f, b, h)
+
+
+def _mode_sum(cfg, t, periods):
+    """E_N + T [sum_modes ln(1 - e^{-omega/T}) - 2 sum_{k>=1} ln(1 - e^{-2 pi k/(L T)})], the free
+    energy less the uniform string's, as a result.  Each Bloch mode N(2 pi j +- theta_m)/L is
+    paired with the uniform mode N(2 pi j +- phi_m)/L (at m = 0 the two coincide, the shared
+    zero mode too), on one grid of j past omega = _REACH T; a pair's term, from the lower mode
+    and the gap N(phi_m - theta_m)/L, keeps its relative accuracy as x -> 1.  The bar adds E_N's,
+    the terms' rounding (y = omega/T to a few eps moves a term by (1 + y) eps times itself)
+    and the tail past the grid."""
+    n = cfg.piece_pairs
+    angles = _bloch_angles(cfg)
+    energy, bar = _bloch_energy(cfg, angles)
+    (theta, _, gap, rest_phi), mult = angles
+    scale = n * min(1.0 / cfg.total_length / t, 1e300)  # omega/T per unit angle, 0 terms past 1e300
+    delta, mult = scale * gap[1:], mult[1:]  # omega/T of each pair's gap
+    edge = -np.expm1(-delta)
+    # omega/T of the lower mode of each pair: the 2N one on the + branches, the uniform one on the -
+    lower = scale * (2.0 * math.pi * np.arange(int(periods / n) + 1)[:, None]
+                     + np.append(theta[1:], math.pi + rest_phi[1:]))
+    upper = lower + np.append(delta, delta)
+    # ln(1 - e^{-lower}) - ln(1 - e^{-upper}) = log1p(q) <= 0, or the log of the ratio below 1/2
+    q = np.exp(-lower) * np.append(edge, edge) / np.expm1(-upper)
+    pair = np.log(np.expm1(-lower) / np.expm1(-upper))
+    np.log1p(q, out=pair, where=q >= -0.5)
+    terms = (t * pair * np.append(mult, -mult)).ravel()
+    bar += _NOISE * math.fsum((np.abs(terms) * (1.0 + lower.ravel())).tolist())
+    # past the grid each branch is below its next term over 1 - e^{-2 pi N/(L T)}, twice over
+    tail = np.exp(-(lower[-1] + 2.0 * math.pi * scale)) * np.append(mult * edge, mult * edge)
+    bar += 2.0 * t * math.fsum(tail.tolist()) / -math.expm1(-2.0 * math.pi * scale)
+    return EnergyResult(_representable(energy + math.fsum(terms.tolist())), "mode-sum", bar)
 
 
 def casimir_2n_thermal_x0(piece_pairs, th, total_length):

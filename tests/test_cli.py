@@ -138,6 +138,18 @@ class TestCompareMethods:
         assert abs(report["oracle_value"]) < 1e-6
         assert report["agree"]
 
+    @pytest.mark.parametrize("s, x, method", [("1", "0.5", "analytic-limit"),
+                                              ("2", "1", "analytic-limit"),
+                                              ("2", "0.3", "contour")])
+    def test_contour_row_names_the_route_taken(self, s, x, method, capsys):
+        # the row said "contour" where casimir_two_piece returned its analytic limit
+        assert compare_methods(StringConfig(float(s), float(x)))["contour_method"] == method
+        assert main(["oracle", "--s", s, "--x", x]) == 0
+        oracle_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert main(["energy", "--s", s, "--x", x]) == 0
+        energy_row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert oracle_row[4] == energy_row[4] == method
+
     def test_decoupled_anchor(self):
         report = compare_methods(StringConfig(2, 0.0, math.pi))
         assert report["abs_difference"] < 1e-4

@@ -209,3 +209,11 @@ def test_rejects_invalid_value(case, bad):
     call, _, _ = CASES[case]
     with pytest.raises(sc.DomainError):
         call(bad)
+
+
+@pytest.mark.parametrize("call", [lambda: sc.NPieceConfig(-10**5000, 0.3),
+                                  lambda: sc.casimir_2n_x0(-10**5000, 1.0)])
+def test_huge_negative_count_is_a_domain_error(call):
+    # the message printed the count, and the repr of an int past 4300 digits raises ValueError
+    with pytest.raises(sc.DomainError, match="negative 16610-bit integer"):
+        call()

@@ -237,6 +237,31 @@ class TestIntegrandCalls:
         assert integrand_calls and max(integrand_calls) <= 2
 
 
+class TestTwoNRoute:
+    """The 2N thermal route, seen from whether the lattice kernel runs."""
+
+    @pytest.fixture
+    def no_lattice(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a lattice pass")
+
+        monkeypatch.setattr(thermal, "_trapezoid", no_pass)
+
+    def test_mode_sum_runs_no_lattice(self, no_lattice):
+        res = casimir_2n_thermal(NPieceConfig(4, 0.3), ThermalConfig(1e-3))
+        assert res.method == "mode-sum"
+
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3),  # zero modes: T ln T
+                                        (NPieceConfig(10**6, 0.3), 1e-3),  # over _BLOCK terms
+                                        (NPieceConfig(4, 0.3), 1e4)])  # T L >> 1, the same
+    def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
+        with pytest.raises(AssertionError, match="a lattice pass"):
+            casimir_2n_thermal(cfg, ThermalConfig(t))
+
+    def test_decoupled_pieces_keep_the_lattice_tag(self):
+        assert casimir_2n_thermal(NPieceConfig(4, 0.0), ThermalConfig(1e-3)).method == "matsubara"
+
+
 class TestFormerQuadratureFailures:
     @pytest.mark.parametrize(
         "compute, closed",
@@ -360,3 +385,66 @@ def test_matsubara_bar_covers_contour(s, x, n, x_n, u):
     th = ThermalConfig(u * min(1.0, n * math.sqrt(4.0 * x_n / (1.0 + x_n) ** 2)) / L)
     cold, zero = casimir_2n_thermal(cfg, th), casimir_2n(cfg)
     assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 200), x=st.floats(-9.0, math.log10(0.99)).map(lambda e: 10.0**e))
+@example(n=3, x=1e-9)  # 0.5 s on the lattice
+def test_mode_sum_bar_covers_contour(n, x):
+    # at T = 1e-6 the Bloch modes lie at least 80 T up, so the thermal energy is
+    # E_N to within e^{-80}; the lattice needed over 2^23 nodes from x ~ 1e-8
+    cfg = NPieceConfig(n, x)
+    cold, zero = casimir_2n_thermal(cfg, ThermalConfig(1e-6)), casimir_2n(cfg)
+    assert cold.method == "mode-sum"
+    assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+
+
+_X_NEAR_ONE = st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(2, 40),
+       x=st.one_of(st.floats(-6.0, -0.3).map(lambda e: 10.0**e), _X_NEAR_ONE),
+       u=st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
+def test_mode_sum_agrees_with_the_lattice(n, x, u):
+    # T L = u: the lattice takes at most about 3e5 nodes
+    cfg, t = NPieceConfig(n, x), u / L
+    dual = casimir_2n_thermal(cfg, ThermalConfig(t))
+    lattice = thermal._matsubara(*energy._integrand(cfg), 2.0 * math.pi * t)
+    assert dual.method == "mode-sum"
+    assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
+
+
+def _mp_two_n_thermal(n, x, t):
+    # (E_N, E(T)) at high precision over the distinct Bloch angles, m <= N/2, each branch
+    # to omega/T = 100: E_N is the B_2 sum of _mp_two_n, and E(T) adds
+    # T [sum_modes ln(1 - e^{-omega/T}) - 2 sum_k ln(1 - e^{-2 pi k/(L T)})]
+    root_w, sixth = 2 * mp.sqrt(mp.mpf(x)) / (1 + mp.mpf(x)), mp.mpf(1) / 6
+    b2, logs = [], []
+    branch = lambda first, step: [mp.log(-mp.expm1(-(first + j * step)))
+                                  for j in range(int((100 - first) / step) + 1)]
+    step = 2 * mp.pi * n / (L * t)
+    for m in range(n // 2 + 1):
+        mult = 1 if m == 0 or 2 * m == n else 2
+        theta = 2 * mp.asin(root_w * mp.sin(mp.pi * m / n))
+        a = theta / (2 * mp.pi)
+        b2.append(mult * (a * a - a + sixth))
+        first = [n * (2 * mp.pi - theta), n * (theta + (2 * mp.pi if m == 0 else 0))]
+        logs += [mult * v for f in first for v in branch(f / (L * t), step)]
+    logs += [-2 * v for v in branch(2 * mp.pi / (L * t), 2 * mp.pi / (L * t))]
+    zero = mp.pi / L * (sixth - n * mp.fsum(b2))
+    return zero, zero + t * mp.fsum(logs)
+
+
+@pytest.mark.parametrize("n, x, t", [(2, 0.3, 0.5), (3, 1e-9, 1e-6), (5, 0.05, 0.02),
+                                     (10, 0.9, 3.0), (40, 1e-3, 0.4), (7, 1 - 1e-9, 1.0),
+                                     (1000, 0.3, 1e-3), (10**4, 1 - 1e-9, 1.0)])
+def test_mode_sum_bar_covers_mpmath(n, x, t):
+    with mp.workdps(40):  # near x = 1, E_N cancels to about 1e-19 of its terms
+        zero, ref = _mp_two_n_thermal(n, x, t)
+    res = casimir_2n_thermal(NPieceConfig(n, x), ThermalConfig(t))
+    assert res.method == "mode-sum"
+    # each Bloch mode paired with the uniform one keeps the bar relative, also near x = 1
+    assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-12 * abs(res.value)
+    value, bar = energy._bloch_energy(NPieceConfig(n, x))
+    assert abs(value - float(zero)) <= bar
