@@ -336,9 +336,10 @@ def imag_axis_log_ratio(xi, cfg):
     where d = L |s-1|/(s+1) is the piece-length difference.  This is the
     zero-temperature contour integrand and the Matsubara summand; it is
     <= 0 everywhere, equals log1p(-((s-1)/(s+1))^2 / (F+1)) at xi = 0, and
-    decays like exp(-2 xi min(L_I, L_II)).  ln r is formed as
-    -m xi + ln(1 - e^{-d xi}) - ln(1 - e^{-L xi}) with m = min(L_I, L_II),
-    so the parts linear in xi cancel algebraically, not in rounding.  Where
+    decays like exp(-2 xi min(L_I, L_II)).  r is formed as
+    e^{-m xi} expm1(-d xi) / expm1(-L xi) with m = min(L_I, L_II), three
+    transcendental calls in which the parts linear in xi cancel
+    algebraically, not in rounding; it is d/L at xi = 0.  Where
     r^2/(F+1) > 1/2, which needs F < 1 and s outside [3-2 sqrt 2, 3+2 sqrt 2],
     1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
     ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
@@ -353,7 +354,8 @@ def imag_axis_log_ratio(xi, cfg):
     else:
         d = length * abs(s - 1.0) / (s + 1.0)
         m = min(cfg.piece_length_i, cfg.piece_length_ii)
-        r = np.exp(-m * xi + _log1mexp(d * xi) - _log1mexp(length * xi))
+        with np.errstate(invalid="ignore"):  # 0/0 at xi = 0
+            r = np.exp(-m * xi) * np.expm1(-d * xi) / np.expm1(-length * xi)
         if lo == 0.0:
             r[xi == 0.0] = d / length
         f = _contrast_or_zero(cfg.tension_ratio)

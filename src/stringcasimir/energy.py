@@ -106,7 +106,7 @@ def _trapezoid(g, a, b, step, halvings=None):
                 v, *others = v
                 extra.append([math.fsum(row.tolist()) for row in others])
             parts.append(math.fsum(v.tolist()))
-            mass += float(np.sum(np.abs(v)))
+            mass += float(np.add.reduce(np.abs(v)))
         sums = [h * math.fsum(row) for row in zip(*extra)]  # none for one array
         value, prev, noise = h * math.fsum(parts), value, sum(sums[:1])
         last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + noise

@@ -8,13 +8,15 @@ summand): the trapezoid rule with step 2 pi T for the same integrand in xi,
 from 8 to 15 nodes down to the full lattice.
 The summand is even and analytic for x > 0, so the sub-lattice sums
 converge exponentially; once two agree within rounding the sum stops, at a
-cost bounded in T.  At x = 0 the dropped 2N zero mode leaves a T ln T term
-and the full lattice is summed.
+cost bounded in T.
 
 For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
 Poisson dual runs instead where its grid fits in ``_BLOCK`` terms: the exact
 E_N plus T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired
 with the uniform string's mode it replaces, in one array pass whatever x.
+At x = 0, where the dropped 2N zero mode leaves a T ln T term, the sum is
+2T [N ln phi(e^{-c}) - ln phi(e^{-Nc})], c = 2 pi T L/N, phi(q) = prod (1 - q^n),
+in closed form through the modular transformation of the Dedekind eta.
 """
 
 import math
@@ -120,17 +122,50 @@ def casimir_2n_thermal(cfg, th):
     Vanishes identically for x = 1 and for N = 1.  At x = 0 with N >= 2
     the n = 0 summand diverges logarithmically (each decoupled piece
     contributes a classical zero mode), so that term is omitted and the
-    remaining sum is finite.  Both routes run after the lattice's checks.
+    remaining sum is finite; it is taken in closed form (``analytic-limit``)
+    at any T.  Every route runs after the lattice's checks.
     """
     t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
     if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
     (f, b), h = _integrand(cfg), 2.0 * math.pi * t
     _nodes(b, h)
+    if cfg.tension_ratio == 0.0:
+        return _decoupled_sum(cfg, t)
     n, periods = cfg.piece_pairs, _REACH * t * cfg.total_length / (2.0 * math.pi)
-    if cfg.tension_ratio > 0.0 and n + periods <= _BLOCK:
+    if n + periods <= _BLOCK:
         return _mode_sum(cfg, t, periods)
     return _matsubara(f, b, h)
+
+
+def _log_phi(z):
+    """ln prod_{n>=1} (1 - q^n), q = e^{-2 pi z}, for z >= 1: log1p of Euler's pentagonal series
+    -q - q^2 + q^5 + q^7, which leaves out terms below q^12 < 1e-32."""
+    q = math.exp(-2.0 * math.pi * z)
+    return math.log1p(-q - q * q + q**5 + q**7)
+
+
+def _decoupled_sum(cfg, t):
+    """The x = 0 sum, its n = 0 term omitted, in closed form as a result:
+    E = 2T [N ln phi(e^{-2 pi y}) - ln phi(e^{-2 pi N y})], y = TL/N, phi(q) = prod (1 - q^n).
+    ln phi(e^{-2 pi z}) is ``_log_phi(z)`` for z >= 1; below, eta(iz) = z^{-1/2} eta(i/z) gives
+    pi z/12 - ln(z)/2 - pi/(12 z) + _log_phi(1/z), and where both terms take that form their
+    pi z/12 cancel algebraically.  The bar is 64 eps times each term's size times (1 + its
+    exponent 2 pi z or 2 pi/z): z is rounded to a few eps, which that exponent amplifies."""
+    n, tl = cfg.piece_pairs, t * cfg.total_length
+    y = t * (cfg.total_length / n)  # > 0, as the lattice's checks hold; tl may be inf
+    terms = []  # (a term of E/2T, its exponent)
+    for weight, z in ((n, y), (-1.0, tl)):
+        if z >= 1.0:
+            terms.append((weight * _log_phi(z), 2.0 * math.pi * z))
+        else:
+            terms += [(-0.5 * weight * math.log(z), 0.0), (-weight * math.pi / (12.0 * z), 0.0),
+                      (weight * _log_phi(1.0 / z), 2.0 * math.pi / z)]
+    if y < 1.0 <= tl:  # the first term's N pi y/12 has no partner
+        terms.append((math.pi * tl / 12.0, 0.0))
+    value = t * (2.0 * math.fsum(v for v, _ in terms))
+    bar = t * (2.0 * _NOISE * math.fsum(abs(v) * (1.0 + e) for v, e in terms if v))
+    return EnergyResult(_representable(value), "analytic-limit", bar)
 
 
 def _mode_sum(cfg, t, periods):
@@ -146,20 +181,23 @@ def _mode_sum(cfg, t, periods):
     energy, bar = _bloch_energy(cfg, angles)
     (theta, _, gap, rest_phi), mult = angles
     scale = n * min(1.0 / cfg.total_length / t, 1e300)  # omega/T per unit angle, 0 terms past 1e300
-    delta, mult = scale * gap[1:], mult[1:]  # omega/T of each pair's gap
+    # per pair, on the + branches then the - branches: the lower mode's angle within a period
+    # (the 2N one on the + branches, the uniform one on the -), the gap, the signed multiplicity
+    start, delta, mult = np.concatenate([theta[1:], math.pi + rest_phi[1:], gap[1:], gap[1:],
+                                         mult[1:], -mult[1:]]).reshape(3, -1)
+    delta *= scale  # omega/T of each pair's gap
     edge = -np.expm1(-delta)
-    # omega/T of the lower mode of each pair: the 2N one on the + branches, the uniform one on the -
-    lower = scale * (2.0 * math.pi * np.arange(int(periods / n) + 1)[:, None]
-                     + np.append(theta[1:], math.pi + rest_phi[1:]))
-    upper = lower + np.append(delta, delta)
+    # omega/T of the lower mode of each pair, period by period
+    lower = scale * (2.0 * math.pi * np.arange(int(periods / n) + 1)[:, None] + start)
+    upper = np.expm1(-(lower + delta))  # e^{-omega/T} - 1 of the upper mode of each pair
     # ln(1 - e^{-lower}) - ln(1 - e^{-upper}) = log1p(q) <= 0, or the log of the ratio below 1/2
-    q = np.exp(-lower) * np.append(edge, edge) / np.expm1(-upper)
-    pair = np.log(np.expm1(-lower) / np.expm1(-upper))
+    q = np.exp(-lower) * edge / upper
+    pair = np.log(np.expm1(-lower) / upper)
     np.log1p(q, out=pair, where=q >= -0.5)
-    terms = (t * pair * np.append(mult, -mult)).ravel()
+    terms = (t * pair * mult).ravel()
     bar += _NOISE * math.fsum((np.abs(terms) * (1.0 + lower.ravel())).tolist())
     # past the grid each branch is below its next term over 1 - e^{-2 pi N/(L T)}, twice over
-    tail = np.exp(-(lower[-1] + 2.0 * math.pi * scale)) * np.append(mult * edge, mult * edge)
+    tail = np.exp(-(lower[-1] + 2.0 * math.pi * scale)) * (np.abs(mult) * edge)
     bar += 2.0 * t * math.fsum(tail.tolist()) / -math.expm1(-2.0 * math.pi * scale)
     return EnergyResult(_representable(energy + math.fsum(terms.tolist())), "mode-sum", bar)
 

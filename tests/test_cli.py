@@ -526,3 +526,16 @@ def test_cli_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": ":".join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_footprint():
+    # start-up time is module imports: past numpy, the CLI may load only these standard
+    # modules, their submodules and C accelerators (_csv, _json), and the package itself
+    allowed = {"argparse", "cmath", "copy", "csv", "dataclasses", "gettext", "json", "stringcasimir"}
+    code = ("import sys, numpy; before = set(sys.modules); import stringcasimir.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": ":".join(sys.path)})
+    loaded = out.stdout.split()
+    assert "stringcasimir.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0].lstrip("_") not in allowed] == []

@@ -16,6 +16,7 @@ from stringcasimir import (
     tension_contrast,
     transfer_matrix,
 )
+from stringcasimir import casimir_two_piece, core, energy
 from stringcasimir.core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 
 
@@ -310,6 +311,29 @@ class TestLogRatios:
                 expected = mp.log((f + ratio) / (f + 1))
                 assert value == pytest.approx(float(expected), rel=1e-13), xi
 
+    @pytest.mark.parametrize("s", [1.9, 2.3, 0.45, 1e-3, 1e3])
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.3, 0.9])
+    def test_two_piece_nodes_within_noise_of_mpmath(self, s, x, monkeypatch):
+        cfg = StringConfig(s, x)
+        nodes = _contour_nodes(cfg, monkeypatch)
+        got = imag_axis_log_ratio(nodes, cfg)
+        for xi, value, expected in zip(nodes, got, _mp_log_ratio(nodes, cfg)):
+            assert abs(value - expected) <= energy._NOISE * abs(expected), xi
+
+    @pytest.mark.parametrize("s", [1e300, 1e-300])
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.3, 0.9])
+    def test_two_piece_nodes_at_extreme_length_ratio(self, s, x, monkeypatch):
+        # no RuntimeWarning (an error in this suite) and a finite value <= 0 at every node of
+        # the contour's 5588; every 16th against mpmath.  At x = 0 the gap form's
+        # ln(1 - e^{-m xi}) is not accurate below m xi = 1e-300.
+        cfg = StringConfig(s, x)
+        nodes = _contour_nodes(cfg, monkeypatch)
+        got = imag_axis_log_ratio(nodes, cfg)
+        assert np.all(np.isfinite(got)) and np.all(got <= 0.0)
+        if x > 0.0:
+            for xi, value, expected in zip(nodes[::16], got[::16], _mp_log_ratio(nodes[::16], cfg)):
+                assert abs(value - expected) <= energy._NOISE * abs(expected), xi
+
     def test_2n_zero_limit(self):
         cfg = NPieceConfig(4, 0.3)
         w = 4 * 0.3 / 1.3**2
@@ -332,3 +356,40 @@ class TestLogRatios:
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-50
         assert imag_axis_log_ratio_2n(2000.0, cfg) == 0.0
+
+
+def _contour_nodes(cfg, monkeypatch):
+    """xi = 0 and every node the contour of ``cfg`` evaluates, up to its truncation point."""
+    nodes, kernel = [np.zeros(1)], energy.imag_axis_log_ratio
+    with monkeypatch.context() as patch:
+        patch.setattr(energy, "imag_axis_log_ratio", lambda xi, c: nodes.append(xi) or kernel(xi, c))
+        casimir_two_piece(cfg)
+    return np.concatenate(nodes)
+
+
+def _mp_log_ratio(nodes, cfg):
+    """The two-piece log ratio at 40 digits from the float m, d, L and F of the kernel:
+    log1p(-r^2/(F+1)), r = e^{-m xi}(1 - e^{-d xi})/(1 - e^{-L xi}), d/L at xi = 0.  Where the
+    kernel forms F + 1 - r^2 from 1 - r = (1 + e^{-(L-m) xi})(1 - e^{-m xi})/(1 - e^{-L xi}), r^2
+    above (F+1)/2 with (d/L)^2 above it too, so does this: float d and L - 2m differ by rounding,
+    which a small 1 - r amplifies."""
+    s, length = cfg.length_ratio, cfg.total_length
+    d = length * abs(s - 1.0) / (s + 1.0)
+    m = min(cfg.piece_length_i, cfg.piece_length_ii)
+    f = core._contrast_or_zero(cfg.tension_ratio)
+    out = []
+    with mp.workdps(40):
+        m, d, length, f = mp.mpf(m), mp.mpf(d), mp.mpf(length), mp.mpf(f)
+        gap_form = (d / length) ** 2 > (f + 1) / 2
+        for xi in nodes:
+            xi = mp.mpf(xi)
+            if xi == 0:
+                r, rest = d / length, 2 * m / length
+            else:
+                r = mp.exp(-m * xi) * mp.expm1(-d * xi) / mp.expm1(-length * xi)
+                rest = (1 + mp.exp(-(length - m) * xi)) * mp.expm1(-m * xi) / mp.expm1(-length * xi)
+            if gap_form and r * r > (f + 1) / 2:
+                out.append(float(mp.log((f + rest * (1 + r)) / (f + 1))))
+            else:
+                out.append(float(mp.log1p(-r * r / (f + 1))))
+    return out

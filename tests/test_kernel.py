@@ -8,6 +8,7 @@ import itertools
 import math
 import subprocess
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -29,7 +30,7 @@ from stringcasimir import (
     casimir_two_piece_x0,
     free_energy,
 )
-from stringcasimir import energy, thermal
+from stringcasimir import core, energy, thermal
 
 L = math.pi
 
@@ -78,9 +79,10 @@ class TestLattice:
         assert evals == 1024 + 1 and abs(value - 0.5) <= err
 
     def test_node_budget_raises_instead_of_a_partial_sum(self, monkeypatch):
+        # the x = 0 summand sums the whole lattice (a T ln T term)
         monkeypatch.setattr(energy, "_MAX_NODES", 4096)
         with pytest.raises(QuadratureError) as info:
-            casimir_2n_thermal(NPieceConfig(2, 0.0), ThermalConfig(1e-3))
+            thermal._matsubara(*energy._integrand(NPieceConfig(2, 0.0)), 2e-3 * math.pi)
         assert info.value.best_estimate is not None
 
 
@@ -237,6 +239,26 @@ class TestIntegrandCalls:
         assert integrand_calls and max(integrand_calls) <= 2
 
 
+class TestTwoPieceSummandRoute:
+    """The two-piece summand's r = e^{-m xi} expm1(-d xi) / expm1(-L xi) needs no
+    ln(1 - e^{-x}); only the gap form of a high-contrast string still takes it."""
+
+    @pytest.fixture
+    def no_log_form(self, monkeypatch):
+        def raising(x):
+            raise AssertionError("the log form")
+
+        monkeypatch.setattr(core, "_log1mexp", raising)
+
+    def test_matsubara_sum_and_contour(self, no_log_form):
+        casimir_two_piece_thermal(StringConfig(2, 0.3), ThermalConfig(1e-3))
+        casimir_two_piece(StringConfig(2, 0.3))
+
+    def test_gap_form_keeps_the_log_form(self, no_log_form):
+        with pytest.raises(AssertionError, match="the log form"):
+            casimir_two_piece(StringConfig(1e-3, 0.0))
+
+
 class TestTwoNRoute:
     """The 2N thermal route, seen from whether the lattice kernel runs."""
 
@@ -251,15 +273,19 @@ class TestTwoNRoute:
         res = casimir_2n_thermal(NPieceConfig(4, 0.3), ThermalConfig(1e-3))
         assert res.method == "mode-sum"
 
-    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3),  # zero modes: T ln T
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(energy._BLOCK, 0.3), 1e-3),  # one term over
                                         (NPieceConfig(10**6, 0.3), 1e-3),  # over _BLOCK terms
                                         (NPieceConfig(4, 0.3), 1e4)])  # T L >> 1, the same
     def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
         with pytest.raises(AssertionError, match="a lattice pass"):
             casimir_2n_thermal(cfg, ThermalConfig(t))
 
-    def test_decoupled_pieces_keep_the_lattice_tag(self):
-        assert casimir_2n_thermal(NPieceConfig(4, 0.0), ThermalConfig(1e-3)).method == "matsubara"
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3), (NPieceConfig(3, 0.0), 1e-6),
+                                        (NPieceConfig(40, 0.0), 1e-5),
+                                        (NPieceConfig(10**6, 0.0), 1e4)])
+    def test_decoupled_pieces_run_no_lattice(self, cfg, t, no_lattice):
+        # 0.8 s on the lattice at (3, 1e-6); over its node budget at (40, 1e-5)
+        assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "analytic-limit"
 
 
 class TestFormerQuadratureFailures:
@@ -351,6 +377,39 @@ def test_two_piece_bar_covers_mpmath(s, x):
     assert abs(res.value - float(ref)) <= res.abs_error_estimate
     if x == 0.0:
         assert abs(res.value - casimir_two_piece_x0(s, L).value) <= res.abs_error_estimate
+
+
+def _mp_pair_sum(s, x):
+    # the root-by-root sum of a rational s = p/q, which needs no imaginary-axis integrand:
+    # the modes 2 pi n/L + delta, n = 1..p+q, repeat with period P = 2 pi (p+q)/L, and
+    # (F+1) sin^2(delta L/2) = sin^2((phi_n + delta D)/2), D = L_II - L_I = L (p-q)/(p+q),
+    # phi_n = 2 pi (n(p-q) mod (p+q))/(p+q), has one root in [-pi/L, 0) and one in (0, pi/L],
+    # or where phi_n = 0 a double root delta = 0, which adds nothing.  With each root paired
+    # with the uniform mode 2 pi n/L, the Hurwitz zeta sum gives E = -(P/4) sum (a - b)(a + b - 1),
+    # a - b = delta/P and b = n/(p+q)
+    p, q = Fraction(s).as_integer_ratio()
+    k, length, x = p + q, mp.mpf(L), mp.mpf(x)
+    f, diff, period = 4 * x / (1 - x) ** 2, length * (p - q) / k, 2 * mp.pi * k / length
+    total = mp.mpf(0)
+    for n in range(1, k + 1):
+        phi = 2 * mp.pi * (n * (p - q) % k) / k
+        if phi == 0:
+            continue
+        g = lambda delta: ((f + 1) * mp.sin(delta * length / 2) ** 2
+                           - mp.sin((phi + delta * diff) / 2) ** 2)
+        for bracket in ((-mp.pi / length, 0), (0, mp.pi / length)):
+            step, b = mp.findroot(g, bracket, solver="illinois") / period, mp.mpf(n) / k
+            total += step * (2 * b + step - 1)
+    return -period / 4 * total
+
+
+@pytest.mark.parametrize("s", [2.0, 0.5, 1.5, 13 / 8, 17 / 16])  # dyadic: p/q exactly
+@pytest.mark.parametrize("x", [1e-3, 0.3, 0.9])
+def test_two_piece_bar_covers_rational_pair_sum(s, x):
+    with mp.workdps(40):
+        ref = _mp_pair_sum(s, x)
+    res = casimir_two_piece(StringConfig(s, x))
+    assert abs(res.value - float(ref)) <= res.abs_error_estimate
 
 
 @_PROPERTY

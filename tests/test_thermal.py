@@ -256,6 +256,31 @@ class TestNPieceThermalDecoupled:
         predicted = -math.pi / (2 * length) + t * math.log(4.0 / (t * length))
         assert res.value == pytest.approx(predicted, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 40])
+    @pytest.mark.parametrize("t_l", [1e-6, 1e-3, 0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0])
+    def test_closed_form_bar_covers_mpmath(self, n, t_l):
+        self._check_closed_form(n, t_l / math.pi)
+
+    # the lattice took 0.8 s at (3, 1e-6) and ran out of nodes at (40, 1e-5); at T = 20/pi it
+    # was 855 bars off at N = 5 and returned 0.0 +- 0.0 at N = 2
+    @pytest.mark.parametrize("n, t", [(3, 1e-6), (40, 1e-5), (5, 20 / math.pi), (2, 20 / math.pi)])
+    def test_closed_form_where_the_lattice_failed(self, n, t):
+        self._check_closed_form(n, t)
+
+    def test_closed_form_past_the_float_range(self):
+        # T L overflows: every term is below the smallest float, and so is the bar
+        res = casimir_2n_thermal(NPieceConfig(2, 0.0, 1e300), ThermalConfig(1e10))
+        assert (res.value, res.method, res.abs_error_estimate) == (0.0, "analytic-limit", 0.0)
+
+    @staticmethod
+    def _check_closed_form(n, t):
+        res = casimir_2n_thermal(NPieceConfig(n, 0.0), ThermalConfig(t))
+        with mp.workdps(40):
+            t_l = mp.mpf(t) * mp.mpf(math.pi)
+            ref = 2 * mp.mpf(t) * (n * _mp_log_phi(t_l / n) - _mp_log_phi(t_l))
+        assert res.method == "analytic-limit"
+        assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-11 * abs(float(ref))
+
     def test_low_temperature_approach_has_logarithmic_offset(self):
         # the T -> 0 defect of the zero-mode-stripped sum is exactly
         # T ln(4/(T L)); verify the offset shrinks but is NOT quadratic
@@ -268,6 +293,22 @@ class TestNPieceThermalDecoupled:
             errs.append(abs(val - zero_t))
         assert errs[2] < errs[1] < errs[0]
         assert errs[1] / errs[2] < 4.0  # slower than quadratic
+
+
+def _mp_log_phi(z):
+    # ln prod_{k>=1} (1 - e^{-2 pi k z}) summed term by term where that takes at most about
+    # 170 terms (z >= 1/10), below through ln eta(iz) = ln eta(i/z) - ln(z)/2, eta(iz) =
+    # e^{-pi z/12} prod_{k>=1} (1 - e^{-2 pi k z}); the x = 0 sum is
+    # 2T [N ln phi(e^{-2 pi T L/N}) - ln phi(e^{-2 pi T L})]
+    if z < mp.mpf(1) / 10:
+        return mp.pi * z / 12 - mp.log(z) / 2 - mp.pi / (12 * z) + _mp_log_phi(1 / z)
+    total, k = mp.mpf(0), 1
+    while True:
+        term = mp.log1p(-mp.exp(-2 * mp.pi * k * z))
+        total += term
+        if abs(term) < mp.mpf(10) ** -45 * abs(total):
+            return total
+        k += 1
 
 
 class TestFrequencyRatio:
