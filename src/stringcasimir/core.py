@@ -225,7 +225,7 @@ def log_sinh(z):
 
 def _log1mexp(x):
     # log(1 - e^{-x}) for a float array x >= 0; log1p(-1) is never evaluated
-    out = np.log(-np.expm1(-np.maximum(x, 1e-300)))
+    out = np.log(-np.expm1(-np.maximum(x, 5e-324)))
     np.log1p(-np.exp(-x), out=out, where=x >= 0.693)
     return out
 
@@ -290,41 +290,26 @@ def dispersion_2n(q, cfg, slow_exact=False):
     exact and free of the q -> 0 cancellation of the eigenvalue-power form.
     Strictly negative for q > 0; identically 2 - 2 cosh(Nq) at x = 1.
     Evaluated as -exp(ln 4 + 2 ln sinh(Nq/2) + ``imag_axis_log_ratio_2n``),
-    which keeps its relative accuracy at every x and q; ``slow_exact`` takes
-    the log ratio from powers of the junction matrix instead (x > 0 only), a
-    cross-check.  Past the float range, N q above about 709, it is -inf.
+    which keeps its relative accuracy at every x and q; ``slow_exact`` takes the
+    first form from ``lambda_pair`` (x > 0), a cross-check whose relative error
+    grows like eps/(Nq)^2 as q -> 0.  Past N q of about 709 both are -inf.
     """
     _real("q", q, lambda v: v >= 0, ">= 0")
-    ratio = (_log_ratio_2n_by_powers(np.array([q]), cfg)[0, 0] if slow_exact
-             else imag_axis_log_ratio_2n(q, cfg))
-    if q == 0.0:
-        return 0.0
-    exponent = math.log(4.0) + 2.0 * float(log_sinh(cfg.piece_pairs * q / 2.0)) + float(ratio)
+    n = cfg.piece_pairs
+    if slow_exact:  # D = -lambda_+^N [1 + (lambda_-/lambda_+)^N - 2 (w/lambda_+)^N]
+        alpha = alpha_param(cfg.tension_ratio)
+        pair = lambda_pair(alpha, min(q, 710.0))  # math.cosh overflows past 710.5, D is -inf
+        w, plus = 1.0 - alpha * alpha, pair.lambda_plus
+        bracket = 1.0 + (pair.lambda_minus / plus) ** n - 2.0 * (w / plus) ** n
+        if q == 0.0 or bracket <= 0.0:  # 0 at q = 0, and where the bracket rounds away
+            return 0.0
+        exponent = n * math.log(plus) + math.log(bracket)
+    else:
+        ratio = imag_axis_log_ratio_2n(q, cfg)
+        if q == 0.0:
+            return 0.0
+        exponent = math.log(4.0) + 2.0 * float(log_sinh(n * q / 2.0)) + ratio
     return -math.exp(exponent) if exponent < 709.7827 else -math.inf  # ln of the largest float
-
-
-def _log_ratio_2n_by_powers(q, cfg):
-    """Rows ln|D_N(q) / (4 sinh^2(Nq/2))| = ln|2 w^N e^{-Nq} - tr L^N| - 2 ln(1 - e^{-Nq})
-    and its rounding at a 1-d array q >= 0, with L = e^{-q} Lambda(alpha, iq) = [[a, b], [c, d]]
-    raised to the N-th power at all q at once (x > 0 only).  Its eigenvalues w e^{-q} e^{+-theta}
-    are <= 1, so no power overflows.  The rounding is 4 N eps times the terms' size over their
-    difference, times the cancellation in (a - d)^2 + 4bc, the squared eigenvalue split.
-    Below q = 1e-4/N the q -> 0 value (N-1) ln w stands in."""
-    n, x = cfg.piece_pairs, cfg.tension_ratio
-    w, alpha = 4.0 * x / (1.0 + x) ** 2, alpha_param(x)
-    if x == 0.0 or (n - 1) * math.log(w) < -600.0:  # w^N would underflow
-        raise DomainError("the matrix powers need x > 0 and (4x/(1+x)^2)^(N-1) above e^-600")
-    low, q = q < 1e-4 / n, np.maximum(q, 1e-4 / n)
-    e, em1 = np.exp(-q), np.expm1(-q)
-    a, b, c, d = w - alpha * alpha * em1, -alpha * em1, alpha * e * em1, e * (w + em1)
-    power = np.linalg.matrix_power(np.stack([a, b, c, d], axis=-1).reshape(q.shape + (2, 2)), n)
-    first = 2.0 * w**n * np.exp(-n * q)
-    diff = first - np.trace(power, axis1=-2, axis2=-1)
-    value = np.log(np.abs(diff)) - 2.0 * _log1mexp(n * q)
-    value[low] = (n - 1) * math.log(w)
-    cancel = ((a - d) ** 2 + 4.0 * np.abs(b * c)) / np.abs((a - d) ** 2 + 4.0 * b * c)
-    scale = np.abs(power).sum(axis=(-2, -1)) + first
-    return np.stack([value, 4.0 * n * np.finfo(float).eps * cancel * scale / np.abs(diff)])
 
 
 def imag_axis_log_ratio(xi, cfg):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NPieceConfig, StringConfig, _bloch_angles, _log_ratio_2n_by_powers
+from .core import NPieceConfig, StringConfig, _bloch_angles
 from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 from .errors import DomainError, QuadratureError, _count, _instance, _real
 
@@ -142,21 +142,19 @@ def _representable(value):
     return value
 
 
-def _integrand(cfg, slow_exact=False):
+def _integrand(cfg):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
-    point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)|
-    at q = xi L/N, or its rows from the matrix powers with ``slow_exact``; it decays
-    like 2N e^{-q}, and at x = 0 its xi = 0 value is the dropped zero mode, 0.
-    DomainError where the truncation point, alone or times L, is not a float."""
+    point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)| at
+    q = xi L/N; it decays like 2N e^{-q}, and at x = 0 it is 0 at xi = 0, the dropped zero
+    mode.  DomainError where the truncation point, alone or times L, is not a float."""
     if isinstance(cfg, StringConfig):
         reach, piece = 21.0, min(cfg.piece_length_i, cfg.piece_length_ii)
         f = lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)
     else:
         reach, piece = 48.0 + math.log(1.0 + cfg.piece_pairs), cfg.total_length / cfg.piece_pairs
-        log_ratio = _log_ratio_2n_by_powers if slow_exact else imag_axis_log_ratio_2n
 
         def f(xi):  # piece is q per unit xi
-            value = log_ratio(xi * piece, cfg) / (2.0 * math.pi)
+            value = imag_axis_log_ratio_2n(xi * piece, cfg) / (2.0 * math.pi)
             return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
     if not (piece > 0.0 and math.isfinite(reach / piece * cfg.total_length)):
@@ -197,16 +195,21 @@ def casimir_2n(cfg, slow_exact=False):
 
     E_1 = 0 for every x; |E_N| grows with N at fixed x < 1.  At x = 0 the
     integrand has an integrable logarithmic singularity at xi = 0, which
-    the double-exponential map resolves.  ``slow_exact`` recomputes the
-    integrand and its rounding through explicit powers of the junction
-    matrix (x > 0 only), up to the same truncation point, as a cross-check.
+    the double-exponential map resolves.  ``slow_exact`` takes the exact
+    Bloch sum ``_bloch_energy`` instead (``mode-sum``, x = 0 included, N up
+    to 2^20), a cross-check that shares nothing with the contour.
     """
     _instance("casimir_2n", cfg, NPieceConfig)
     if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
-    f, xi_max = _integrand(cfg, slow_exact)
+    if slow_exact:
+        if cfg.piece_pairs > 1 << 20:
+            raise DomainError("slow_exact sums N/2 + 1 Bloch angles: N must be at most 2^20")
+        value, err = _bloch_energy(cfg)
+        return EnergyResult(_representable(value), "mode-sum", err)
+    f, xi_max = _integrand(cfg)
     value, err = _contour(f, 1.0 / cfg.total_length, xi_max)
-    return EnergyResult(value[0] if slow_exact else value, "contour", err)
+    return EnergyResult(value, "contour", err)
 
 
 def _bloch_energy(cfg, angles=None):
@@ -230,8 +233,10 @@ def casimir_2n_x0(piece_pairs, total_length):
 def scaling_function(piece_pairs, x):
     """Energy ratio f_N(x) = E_N(x) / E_N(0), in (0, 1) for 0 < x < 1.
 
-    Strictly decreasing in x; nearly independent of N for N >= 2, which is
-    the scaling collapse that ``scaling_fit`` parameterizes.
+    Strictly decreasing in x.  The Bloch sum gives the scaling collapse
+    f_N = f_inf - (1 - sqrt(w) - f_inf)/(N^2 - 1) + O(N^-4), w = 4x/(1+x)^2,
+    f_inf = 6 Int_0^1 B_2(theta(t)/2 pi) dt, sin(theta/2) = sqrt(w)|sin pi t|;
+    1 - sqrt(w) - f_inf is at most 0.0455, so f_N hardly depends on N >= 2.
     """
     _count("piece_pairs", piece_pairs, least=2)  # f_1 is 0/0
     _real("x", x, lambda v: 0 < v < 1, "in (0, 1)")
@@ -241,6 +246,7 @@ def scaling_function(piece_pairs, x):
 
 
 def scaling_fit(x):
-    """Empirical collapse curve f(x) = (1 - sqrt(x))^{5/2} on [0, 1]."""
+    """Empirical fit (1 - sqrt(x))^{5/2} to the collapse limit f_inf on [0, 1]; it fails near
+    x = 1, where f_inf ~ 0.11 (1-x)^2; fit/f_inf is 0.956 at x = 0.5, 0.511 at 0.9, 0.167 at 0.99."""
     _real("x", x, lambda v: 0 <= v <= 1, "in [0, 1]")
     return (1.0 - math.sqrt(x)) ** 2.5

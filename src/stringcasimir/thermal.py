@@ -138,33 +138,30 @@ def casimir_2n_thermal(cfg, th):
     return _matsubara(f, b, h)
 
 
-def _log_phi(z):
-    """ln prod_{n>=1} (1 - q^n), q = e^{-2 pi z}, for z >= 1: log1p of Euler's pentagonal series
-    -q - q^2 + q^5 + q^7, which leaves out terms below q^12 < 1e-32."""
-    q = math.exp(-2.0 * math.pi * z)
-    return math.log1p(-q - q * q + q**5 + q**7)
-
-
 def _decoupled_sum(cfg, t):
     """The x = 0 sum, its n = 0 term omitted, in closed form as a result:
     E = 2T [N ln phi(e^{-2 pi y}) - ln phi(e^{-2 pi N y})], y = TL/N, phi(q) = prod (1 - q^n).
-    ln phi(e^{-2 pi z}) is ``_log_phi(z)`` for z >= 1; below, eta(iz) = z^{-1/2} eta(i/z) gives
-    pi z/12 - ln(z)/2 - pi/(12 z) + _log_phi(1/z), and where both terms take that form their
-    pi z/12 cancel algebraically.  The bar is 64 eps times each term's size times (1 + its
-    exponent 2 pi z or 2 pi/z): z is rounded to a few eps, which that exponent amplifies."""
+    For z >= 1, 2T ln phi(e^{-2 pi z}) is -2T q as one exp, a float even where q underflows, plus
+    2T [log1p(-q - q^2 + q^5 + q^7) + q] (Euler's pentagonal series, to below q^12 < 1e-32); below,
+    eta(iz) = z^{-1/2} eta(i/z) gives pi z/12 - ln(z)/2 - pi/(12 z) + ln phi(e^{-2 pi/z}), and where
+    both terms take that form their pi z/12 cancel algebraically.  The bar is 64 eps times each
+    term's size times 1 + its exponent 2 pi z or 2 pi/z, which amplifies z's rounding."""
     n, tl = cfg.piece_pairs, t * cfg.total_length
     y = t * (cfg.total_length / n)  # > 0, as the lattice's checks hold; tl may be inf
-    terms = []  # (a term of E/2T, its exponent)
+    terms = []  # (a term of E, its exponent)
     for weight, z in ((n, y), (-1.0, tl)):
-        if z >= 1.0:
-            terms.append((weight * _log_phi(z), 2.0 * math.pi * z))
-        else:
-            terms += [(-0.5 * weight * math.log(z), 0.0), (-weight * math.pi / (12.0 * z), 0.0),
-                      (weight * _log_phi(1.0 / z), 2.0 * math.pi / z)]
+        if z < 1.0:
+            terms += [(-t * (weight * math.log(z)), 0.0),
+                      (-2.0 * t * (weight * math.pi / (12.0 * z)), 0.0)]
+            z = 1.0 / z
+        q, e = math.exp(-2.0 * math.pi * z), 2.0 * math.pi * z
+        lead = math.exp(math.log(2.0 * t) + math.log(abs(weight)) - e)
+        rest = 2.0 * t * (weight * (math.log1p(-q - q * q + q**5 + q**7) + q))
+        terms += [(-math.copysign(lead, weight), e), (rest, e)]
     if y < 1.0 <= tl:  # the first term's N pi y/12 has no partner
-        terms.append((math.pi * tl / 12.0, 0.0))
-    value = t * (2.0 * math.fsum(v for v, _ in terms))
-    bar = t * (2.0 * _NOISE * math.fsum(abs(v) * (1.0 + e) for v, e in terms if v))
+        terms.append((t * (math.pi * tl / 6.0), 0.0))
+    value = math.fsum(v for v, _ in terms)
+    bar = _NOISE * math.fsum(abs(v) * (1.0 + e) for v, e in terms if v)
     return EnergyResult(_representable(value), "analytic-limit", bar)
 
 

@@ -39,6 +39,8 @@ SIGNATURES = {
     "transfer_matrix": "(alpha, p)",
     "system_matrix": "(cfg, p)",
     "lambda_pair": "(alpha, q)",
+    # slow_exact keeps its name and default; it now selects the eigenvalue form from
+    # lambda_pair here and the exact Bloch mode sum in casimir_2n, not junction-matrix powers
     "dispersion_2n": "(q, cfg, slow_exact=False)",
     "Spectrum": "(entries, omega_max)",
     "Spectrum.omegas": "(self)",

@@ -92,9 +92,9 @@ CASES = {
                                           REAL + [0.0]),
     "casimir_2n_x0.piece_pairs": (lambda v: sc.casimir_2n_x0(v, math.pi), 3, COUNT + [0]),
     "casimir_2n_x0.total_length": (lambda v: sc.casimir_2n_x0(3, v), math.pi, REAL + [0.0]),
-    # the matrix powers need x > 0 and w^(N-1) = (4x/(1+x)^2)^(N-1) above e^-600
+    # the exact Bloch sum takes x = 0 too: NPieceConfig's checks are all it makes of x
     "casimir_2n.slow_exact_x": (lambda v: sc.casimir_2n(sc.NPieceConfig(3, v), slow_exact=True),
-                                0.3, [0.0]),
+                                0.0, []),
     # length scales whose truncation point 21 / min(L_I, L_II) or (48 + ln(1+N)) N / L,
     # alone or times L, is not a float: these raised OverflowError or ValueError
     "casimir_two_piece.length_ratio_range": (
@@ -105,8 +105,9 @@ CASES = {
                                       1e-300, [1e-320]),
     "casimir_2n.piece_pairs_range": (lambda v: sc.casimir_2n(sc.NPieceConfig(v, 0.3, 1e-300)),
                                      2, [10**18]),
+    # the exact Bloch sum holds N/2 + 1 angles: N is capped at 2^20 before any array is built
     "casimir_2n.slow_exact_piece_pairs": (
-        lambda v: sc.casimir_2n(sc.NPieceConfig(v, 1e-3), slow_exact=True), 100, [120, 1000]),
+        lambda v: sc.casimir_2n(sc.NPieceConfig(v, 1e-3), slow_exact=True), 1000, [2**20 + 1]),
     "EnergyResult.method": (lambda v: sc.EnergyResult(1.0, v), "contour", ["exact", ""]),
     "scaling_function.piece_pairs": (lambda v: sc.scaling_function(v, 0.5), 2, COUNT + [1]),
     "scaling_function.x": (lambda v: sc.scaling_function(2, v), 0.5, REAL + [0.0, 1.0]),

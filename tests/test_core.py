@@ -219,8 +219,11 @@ class TestLambdaPair:
 
 class TestDispersion2N:
     def test_zero_at_origin(self):
-        for n, x in ((1, 0.5), (3, 0.1), (6, 0.9)):
-            assert dispersion_2n(0.0, NPieceConfig(n, x)) == 0.0
+        # on both routes; lambda_pair's lambda_minus = w^2/w can miss w by an ulp, which left
+        # the eigenvalue form a D of about -1e-16 at q = 0 without its own check
+        for n, x in ((1, 0.5), (3, 0.1), (6, 0.9), (2, 0.05120100502512563)):
+            for slow_exact in (False, True):
+                assert dispersion_2n(0.0, NPieceConfig(n, x), slow_exact=slow_exact) == 0.0
 
     def test_uniform_closed_form(self):
         cfg = NPieceConfig(4, 1.0)
@@ -325,14 +328,18 @@ class TestLogRatios:
     def test_two_piece_nodes_at_extreme_length_ratio(self, s, x, monkeypatch):
         # no RuntimeWarning (an error in this suite) and a finite value <= 0 at every node of
         # the contour's 5588; every 16th against mpmath.  At x = 0 the gap form's
-        # ln(1 - e^{-m xi}) is not accurate below m xi = 1e-300.
+        # ln(1 - e^{-m xi}) is checked where m xi is a normal float: below the smallest
+        # normal, m xi is rounded to a multiple of 5e-324, which moves its log by up to
+        # 5e-324/(m xi), and below 5e-324 m xi itself underflows.
         cfg = StringConfig(s, x)
         nodes = _contour_nodes(cfg, monkeypatch)
         got = imag_axis_log_ratio(nodes, cfg)
         assert np.all(np.isfinite(got)) and np.all(got <= 0.0)
-        if x > 0.0:
-            for xi, value, expected in zip(nodes[::16], got[::16], _mp_log_ratio(nodes[::16], cfg)):
-                assert abs(value - expected) <= energy._NOISE * abs(expected), xi
+        m = min(cfg.piece_length_i, cfg.piece_length_ii)
+        covered = (x > 0.0) | (m * nodes >= np.finfo(float).tiny)
+        nodes, got = nodes[covered][::16], got[covered][::16]
+        for xi, value, expected in zip(nodes, got, _mp_log_ratio(nodes, cfg)):
+            assert abs(value - expected) <= energy._NOISE * abs(expected), xi
 
     def test_2n_zero_limit(self):
         cfg = NPieceConfig(4, 0.3)

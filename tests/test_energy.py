@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,13 +138,34 @@ class TestNPiece:
     @pytest.mark.parametrize("n", [2, 13, 20, 40, 100])
     @pytest.mark.parametrize("x", [0.001, 0.3, 0.9])
     def test_matrix_power_route_within_bars(self, n, x):
-        # the powers are scaled by e^{-Nq}, so the route integrates to the
-        # contour's own truncation point; with unscaled powers it warned,
-        # raised or ran for seconds from N = 20 at small x
+        # slow_exact is the exact sum over the real-axis Bloch spectrum, which
+        # shares nothing with the contour
         cfg = NPieceConfig(n, x)
         fast, slow = casimir_2n(cfg), casimir_2n(cfg, slow_exact=True)
         assert abs(fast.value - slow.value) <= fast.abs_error_estimate + slow.abs_error_estimate
         assert slow.abs_error_estimate <= 1e-11 * abs(fast.value) + 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 40, 1000])
+    def test_exact_route_at_x0_is_the_closed_form(self, n):
+        exact = casimir_2n(NPieceConfig(n, 0.0), slow_exact=True)
+        assert exact.method == "mode-sum"
+        assert abs(exact.value - casimir_2n_x0(n, math.pi).value) <= exact.abs_error_estimate
+
+    @pytest.mark.parametrize("n, x", [(120, 1e-3), (1000, 1e-3), (1000, 1e-9)])
+    def test_exact_route_where_w_to_the_n_underflows(self, n, x):
+        # w^(N-1) = (4x/(1+x)^2)^(N-1) is below e^-600, where N-th powers of
+        # the junction matrix underflow; the Bloch angles do not
+        cfg = NPieceConfig(n, x)
+        fast, exact = casimir_2n(cfg), casimir_2n(cfg, slow_exact=True)
+        assert abs(fast.value - exact.value) <= fast.abs_error_estimate + exact.abs_error_estimate
+
+    def test_exact_route_runs_no_kernel_pass(self, monkeypatch):
+        def no_pass(*args, **kwargs):
+            raise AssertionError("kernel pass on the exact route")
+
+        monkeypatch.setattr("stringcasimir.energy._trapezoid", no_pass)
+        for x in (0.0, 1e-9, 0.3, 0.9):
+            assert casimir_2n(NPieceConfig(5, x), slow_exact=True).method == "mode-sum"
 
     def test_monotone_in_piece_count(self):
         for x in (0.1, 0.5, 0.9):
@@ -189,6 +211,28 @@ class TestScaling:
         xs = np.linspace(0.05, 0.95, 10)
         fs = [scaling_function(3, x) for x in xs]
         assert all(b < a for a, b in zip(fs, fs[1:]))
+
+    @pytest.mark.parametrize("x", [1e-3, 0.1, 0.3, 0.5, 0.9, 0.99, 1 - 1e-6])
+    def test_collapse_law(self, x):
+        # f_N = f_inf - (1 - sqrt(w) - f_inf)/(N^2 - 1) + O(N^-4), w = 4x/(1+x)^2, where
+        # f_inf = 6 Int_0^1 B_2(theta(t)/2 pi) dt, sin(theta/2) = sqrt(w)|sin pi t|, is the
+        # large-N limit of the Bloch sum.  The remainder times N^4 is at most 0.39 f_inf on this
+        # grid.  The law is formed at 30 digits: 1 - sqrt(w) in floats is off by eps, which
+        # at x = 1 - 1e-6 is 1e-3 of it.
+        with mp.workdps(30):
+            xm = mp.mpf(x)
+            root = 2 * mp.sqrt(xm) / (1 + xm)  # sqrt(w)
+
+            def b2(t):
+                a = mp.asin(root * mp.sin(mp.pi * t)) / mp.pi  # theta / 2 pi
+                return a * a - a + mp.mpf(1) / 6
+
+            f_inf = 12 * mp.quad(b2, [0, 0.5])
+            slope = (1 - mp.sqrt(xm)) ** 2 / (1 + xm) - f_inf  # 1 - sqrt(w) = (1 - sqrt x)^2/(1+x)
+            laws = {n: float(f_inf - slope / (n * n - 1)) for n in (2, 3, 8, 40)}
+        for n, law in laws.items():
+            bar = casimir_2n(NPieceConfig(n, x)).abs_error_estimate / -casimir_2n_x0(n, math.pi).value
+            assert abs(scaling_function(n, x) - law) <= 0.5 * float(f_inf) / n**4 + bar
 
     def test_domain(self):
         with pytest.raises(DomainError):

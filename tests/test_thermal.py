@@ -272,14 +272,22 @@ class TestNPieceThermalDecoupled:
         res = casimir_2n_thermal(NPieceConfig(2, 0.0, 1e300), ThermalConfig(1e10))
         assert (res.value, res.method, res.abs_error_estimate) == (0.0, "analytic-limit", 0.0)
 
+    # e^{-2 pi T L/N} underflows from T L = 118.6e12 at N = 1e12, where this returned 0.0 +- 0.0:
+    # the energy, about -2TN e^{-2 pi T L/N}, is -9.4e-299 at 118.7e12, subnormal at 122.5e12,
+    # and below the smallest float at 130e12, where 0.0 +- 0.0 is right.  The bar is up to
+    # 64 eps (1 + 2 pi T L/N) of the value, 1.1e-11 here.
+    @pytest.mark.parametrize("t_l", [110e12, 118.7e12, 122.5e12, 130e12])
+    def test_closed_form_where_the_leading_term_underflows(self, t_l):
+        self._check_closed_form(10**12, t_l / math.pi, bar=2e-11)
+
     @staticmethod
-    def _check_closed_form(n, t):
+    def _check_closed_form(n, t, bar=1e-11):
         res = casimir_2n_thermal(NPieceConfig(n, 0.0), ThermalConfig(t))
         with mp.workdps(40):
             t_l = mp.mpf(t) * mp.mpf(math.pi)
             ref = 2 * mp.mpf(t) * (n * _mp_log_phi(t_l / n) - _mp_log_phi(t_l))
         assert res.method == "analytic-limit"
-        assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-11 * abs(float(ref))
+        assert abs(res.value - float(ref)) <= res.abs_error_estimate <= bar * abs(float(ref))
 
     def test_low_temperature_approach_has_logarithmic_offset(self):
         # the T -> 0 defect of the zero-mode-stripped sum is exactly
