@@ -348,8 +348,11 @@ def imag_axis_log_ratio(xi, cfg):
         if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
             out = np.log1p(-part)
         else:  # where r^2/(F+1) > 1/2, F + 1 - r^2 from 1 - r, a product of positive terms
-            gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + _log1mexp(m * xi)
-                         - _log1mexp(length * xi))
+            lead = _log1mexp(m * xi)  # ln(1 - e^{-m xi}), as ln m + ln xi where m xi is subnormal
+            if m > 0.0:  # m = 0 only where a piece length underflows
+                sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
+                lead[sub] = math.log(m) + np.log(xi[sub])
+            gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - _log1mexp(length * xi))
             gap[xi == 0.0] = 2.0 * m / length
             out = np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
                            np.log1p(-np.minimum(part, 0.5)))

@@ -11,9 +11,10 @@ converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.
 
 For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
-Poisson dual runs instead where its grid fits in ``_BLOCK`` terms: the exact
-E_N plus T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired
-with the uniform string's mode it replaces, in one array pass whatever x.
+Poisson dual runs instead where its terms fit one array pass or number at
+most the lattice's nodes (``_thermal``): the exact E_N plus
+T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired with the
+uniform string's mode it replaces, in one array pass whatever x.
 At x = 0, where the dropped 2N zero mode leaves a T ln T term, the sum is
 2T [N ln phi(e^{-c}) - ln phi(e^{-Nc})], c = 2 pi T L/N, phi(q) = prod (1 - q^n),
 in closed form through the modular transformation of the Dedekind eta.
@@ -33,6 +34,7 @@ __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror
            "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
 
 _REACH = 40.0  # omega/T to which the 2N mode sum runs: each later term is below e^{-40}
+_MAX_PAIRS = 1 << 17  # most N of a mode sum past one _BLOCK, whose arrays then peak near 17 MB
 
 
 @dataclass(frozen=True)
@@ -58,19 +60,32 @@ def _temperature(name, cfg, kind, th):
     return _instance(name, th, ThermalConfig).temperature
 
 
-def _nodes(b, h):
-    """The number of Matsubara nodes b / h, DomainError where it is not a float."""
-    if not (0 < h < math.inf and math.isfinite(b / h)):  # T too small or too large
-        raise DomainError(f"temperature out of range: the Matsubara step {h:g} under- or overflows")
-    return b / h
-
-
 def _matsubara(f, b, h):
     """h [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result; with h = 2 pi T and
     f = (1/2 pi) ln|ratio| it is T times the primed sum of ln|ratio(xi_n)|."""
-    k = max(0, int(_nodes(b, h)).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
+    k = max(0, int(b / h).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
     value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k)
     return EnergyResult(_representable(value), "matsubara", err)
+
+
+def _thermal(name, cfg, kind, th):
+    """The thermal energy of ``cfg``, a ``kind``, after the lattice's checks: 2N at x = 0 in closed
+    form, else the mode sum where its N + 40TL/2 pi terms fit one _BLOCK, or are at most the
+    lattice's b/h nodes with N <= _MAX_PAIRS, else the lattice."""
+    t = _positive("temperature", _temperature(name, cfg, kind, th))
+    if _vanishes(cfg):
+        return EnergyResult(0.0, "analytic-limit", 0.0)
+    (f, b), h = _integrand(cfg), 2.0 * math.pi * t
+    nodes = b / h  # the lattice's; h > 0 as T is
+    if not (h < math.inf and math.isfinite(nodes)):  # T too small or too large
+        raise DomainError(f"temperature out of range: the Matsubara step {h:g} under- or overflows")
+    if kind is NPieceConfig:
+        if cfg.tension_ratio == 0.0:
+            return _decoupled_sum(cfg, t)
+        terms = cfg.piece_pairs + _REACH * t * cfg.total_length / (2.0 * math.pi)
+        if terms <= _BLOCK or cfg.piece_pairs <= _MAX_PAIRS and terms <= nodes:
+            return _mode_sum(cfg, t)
+    return _matsubara(f, b, h)
 
 
 def casimir_two_piece_thermal(cfg, th):
@@ -79,10 +94,7 @@ def casimir_two_piece_thermal(cfg, th):
     T = 0 callers should use :func:`..energy.casimir_two_piece`; the sum
     vanishes identically for s = 1 and for the uniform string x = 1.
     """
-    t = _positive("temperature", _temperature("casimir_two_piece_thermal", cfg, StringConfig, th))
-    if _vanishes(cfg):
-        return EnergyResult(0.0, "analytic-limit", 0.0)
-    return _matsubara(*_integrand(cfg), 2.0 * math.pi * t)
+    return _thermal("casimir_two_piece_thermal", cfg, StringConfig, th)
 
 
 def high_t_limit(cfg, th):
@@ -117,7 +129,7 @@ def mirror_limit(x, th, printed_form=False):
 
 def casimir_2n_thermal(cfg, th):
     """Thermal Casimir energy of the 2N-piece string: the mode sum (``mode-sum``)
-    for 0 < x < 1 where its grid fits in ``_BLOCK`` terms, else the Matsubara sum.
+    for 0 < x < 1 where its terms are few (``_thermal``), else the Matsubara sum.
 
     Vanishes identically for x = 1 and for N = 1.  At x = 0 with N >= 2
     the n = 0 summand diverges logarithmically (each decoupled piece
@@ -125,17 +137,7 @@ def casimir_2n_thermal(cfg, th):
     remaining sum is finite; it is taken in closed form (``analytic-limit``)
     at any T.  Every route runs after the lattice's checks.
     """
-    t = _positive("temperature", _temperature("casimir_2n_thermal", cfg, NPieceConfig, th))
-    if _vanishes(cfg):
-        return EnergyResult(0.0, "analytic-limit", 0.0)
-    (f, b), h = _integrand(cfg), 2.0 * math.pi * t
-    _nodes(b, h)
-    if cfg.tension_ratio == 0.0:
-        return _decoupled_sum(cfg, t)
-    n, periods = cfg.piece_pairs, _REACH * t * cfg.total_length / (2.0 * math.pi)
-    if n + periods <= _BLOCK:
-        return _mode_sum(cfg, t, periods)
-    return _matsubara(f, b, h)
+    return _thermal("casimir_2n_thermal", cfg, NPieceConfig, th)
 
 
 def _decoupled_sum(cfg, t):
@@ -165,7 +167,7 @@ def _decoupled_sum(cfg, t):
     return EnergyResult(_representable(value), "analytic-limit", bar)
 
 
-def _mode_sum(cfg, t, periods):
+def _mode_sum(cfg, t):
     """E_N + T [sum_modes ln(1 - e^{-omega/T}) - 2 sum_{k>=1} ln(1 - e^{-2 pi k/(L T)})], the free
     energy less the uniform string's, as a result.  Each Bloch mode N(2 pi j +- theta_m)/L is
     paired with the uniform mode N(2 pi j +- phi_m)/L (at m = 0 the two coincide, the shared
@@ -173,7 +175,7 @@ def _mode_sum(cfg, t, periods):
     and the gap N(phi_m - theta_m)/L, keeps its relative accuracy as x -> 1.  The bar adds E_N's,
     the terms' rounding (y = omega/T to a few eps moves a term by (1 + y) eps times itself)
     and the tail past the grid."""
-    n = cfg.piece_pairs
+    n, periods = cfg.piece_pairs, _REACH * t * cfg.total_length / (2.0 * math.pi)
     angles = _bloch_angles(cfg)
     energy, bar = _bloch_energy(cfg, angles)
     (theta, _, gap, rest_phi), mult = angles

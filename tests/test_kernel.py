@@ -8,6 +8,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -273,12 +274,20 @@ class TestTwoNRoute:
         res = casimir_2n_thermal(NPieceConfig(4, 0.3), ThermalConfig(1e-3))
         assert res.method == "mode-sum"
 
-    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(energy._BLOCK, 0.3), 1e-3),  # one term over
-                                        (NPieceConfig(10**6, 0.3), 1e-3),  # over _BLOCK terms
-                                        (NPieceConfig(4, 0.3), 1e4)])  # T L >> 1, the same
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 100.0),  # 18384 terms, 479 nodes
+                                        (NPieceConfig(10**6, 0.3), 1e-3),  # N past _MAX_PAIRS
+                                        (NPieceConfig(4, 0.3), 1e4)])  # T L >> 1: terms >> nodes
     def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
         with pytest.raises(AssertionError, match="a lattice pass"):
             casimir_2n_thermal(cfg, ThermalConfig(t))
+
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 1e-3),
+                                        (NPieceConfig(20000, 0.3), 1e-3),
+                                        (NPieceConfig(10**5, 1e-6), 1e-4)])
+    def test_mode_sum_runs_past_one_block(self, cfg, t, no_lattice):
+        # past _BLOCK terms but fewer than the lattice's nodes: the lattice took 25 to 60
+        # times as long here, and at (1e5, 1e-6) it ran out of nodes
+        assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3), (NPieceConfig(3, 0.0), 1e-6),
                                         (NPieceConfig(40, 0.0), 1e-5),
@@ -477,6 +486,41 @@ def test_mode_sum_bar_covers_contour(n, x):
     cold, zero = casimir_2n_thermal(cfg, ThermalConfig(1e-6)), casimir_2n(cfg)
     assert cold.method == "mode-sum"
     assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+
+
+@pytest.mark.parametrize("n, x", [*itertools.product([2**14 + 1, 20000, 10**5], [1e-6, 0.3, 0.99]),
+                                  (30000, 1e-9)])
+def test_mode_sum_past_one_block_covers_contour(n, x):
+    # at T = 1e-6 the lowest Bloch mode, near 2 pi sqrt(w)/L for large N, lies over 100 T up
+    cfg = NPieceConfig(n, x)
+    cold, zero = casimir_2n_thermal(cfg, ThermalConfig(1e-6)), casimir_2n(cfg)
+    assert cold.method == "mode-sum"
+    assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+def test_mode_sum_past_one_block_agrees_with_the_lattice(t):
+    # the thermal parts, -1.4e-3 and -0.16, are far above the bars of 9e-8; the lattice
+    # takes 20 ms and 6 ms (at T = 0.1 the thermal part would be below the bars)
+    cfg = NPieceConfig(2**14 + 1, 0.3)
+    dual = casimir_2n_thermal(cfg, ThermalConfig(t))
+    lattice = thermal._matsubara(*energy._integrand(cfg), 2.0 * math.pi * t)
+    assert dual.method == "mode-sum"
+    assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
+
+
+def test_mode_sum_peak_memory_at_the_cap():
+    # the arrays grow as N (under terms <= nodes there are below about 8 sqrt(N) periods,
+    # under one row), so the peak at 2^15, scaled to _MAX_PAIRS, bounds it there; tracing
+    # the cap itself takes over 1 s, as tracemalloc slows each float of a tolist
+    n = 2**15
+    tracemalloc.start()
+    try:
+        assert casimir_2n_thermal(NPieceConfig(n, 0.3), ThermalConfig(1e-3)).method == "mode-sum"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak * (thermal._MAX_PAIRS / n) <= 24e6
 
 
 _X_NEAR_ONE = st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e)
