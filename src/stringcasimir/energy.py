@@ -145,14 +145,17 @@ def _representable(value):
 def _integrand(cfg):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
     point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)| at
-    q = xi L/N; it decays like 2N e^{-q}.  DomainError where the truncation point, alone or
-    times L, is not a float."""
+    q = xi L/N; it decays like 2N e^{-q}, and at x = 0 it is 0 at xi = 0, the dropped zero
+    mode.  DomainError where the truncation point, alone or times L, is not a float."""
     if isinstance(cfg, StringConfig):
         reach, piece = 21.0, min(cfg.piece_length_i, cfg.piece_length_ii)
         f = lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)
     else:
         reach, piece = 48.0 + math.log(1.0 + cfg.piece_pairs), cfg.total_length / cfg.piece_pairs
-        f = lambda xi: imag_axis_log_ratio_2n(xi * piece, cfg) / (2.0 * math.pi)  # q = xi L/N
+
+        def f(xi):  # piece is q per unit xi; the contour's first xi underflows to 0 past L = 1e282
+            value = imag_axis_log_ratio_2n(xi * piece, cfg) / (2.0 * math.pi)
+            return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
     if not (piece > 0.0 and math.isfinite(reach / piece * cfg.total_length)):
         raise DomainError(f"length scales {piece:g} and L = {cfg.total_length:g} put the "

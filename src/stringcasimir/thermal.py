@@ -11,7 +11,7 @@ converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.
 
 For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
-Poisson dual runs instead where its terms fit one array pass or number at
+Poisson dual runs instead where its terms fit one array pass or cost at
 most the lattice's nodes (``_thermal``): the exact E_N plus
 T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired with the
 uniform string's mode it replaces, in one array pass whatever x.
@@ -35,6 +35,7 @@ __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror
 
 _REACH = 40.0  # omega/T to which the 2N mode sum runs: each later term is below e^{-40}
 _MAX_PAIRS = 1 << 17  # most N of a mode sum past one _BLOCK, whose arrays then peak near 17 MB
+_TERM_COST = 3.0  # lattice nodes that take as long as one mode-sum term: 2.5 to 3.6 at N = 2^14-2^17
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def _matsubara(f, b, h):
 
 def _thermal(name, cfg, kind, th):
     """The thermal energy of ``cfg``, a ``kind``, after the lattice's checks: 2N at x = 0 in closed
-    form, else the mode sum where its N + 40TL/2 pi terms fit one _BLOCK, or are at most the
+    form, else the mode sum where its N + 40TL/2 pi terms fit one _BLOCK, or cost at most the
     lattice's b/h nodes with N <= _MAX_PAIRS, else the lattice."""
     t = _positive("temperature", _temperature(name, cfg, kind, th))
     if _vanishes(cfg):
@@ -83,7 +84,7 @@ def _thermal(name, cfg, kind, th):
         if cfg.tension_ratio == 0.0:
             return _decoupled_sum(cfg, t)
         terms = cfg.piece_pairs + _REACH * t * cfg.total_length / (2.0 * math.pi)
-        if terms <= _BLOCK or cfg.piece_pairs <= _MAX_PAIRS and terms <= nodes:
+        if terms <= _BLOCK or cfg.piece_pairs <= _MAX_PAIRS and _TERM_COST * terms <= nodes:
             return _mode_sum(cfg, t)
     return _matsubara(f, b, h)
 
