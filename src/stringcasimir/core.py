@@ -329,34 +329,37 @@ def imag_axis_log_ratio(xi, cfg):
     1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
     ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
     2m/L at xi = 0: the relative accuracy holds for every s.  Identically
-    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError.
+    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError;
+    only this check is its own, the kernel passes call its body ``_log_ratio`` directly.
     """
     xi, lo, scalar = _nonnegative_array("xi", xi)
-    s = cfg.length_ratio
-    length = cfg.total_length
-    if cfg.tension_ratio == 1.0 or s == 1.0:
-        out = np.zeros_like(xi)
-    else:
-        d = length * abs(s - 1.0) / (s + 1.0)
-        m = min(cfg.piece_length_i, cfg.piece_length_ii)
-        with np.errstate(invalid="ignore"):  # 0/0 at xi = 0
-            r = np.exp(-m * xi) * np.expm1(-d * xi) / np.expm1(-length * xi)
-        if lo == 0.0:
-            r[xi == 0.0] = d / length
-        f = _contrast_or_zero(cfg.tension_ratio)
-        part = r * r / (f + 1.0)
-        if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
-            out = np.log1p(-part)
-        else:  # where r^2/(F+1) > 1/2, F + 1 - r^2 from 1 - r, a product of positive terms
-            lead = _log1mexp(m * xi)  # ln(1 - e^{-m xi}), as ln m + ln xi where m xi is subnormal
-            if m > 0.0:  # m = 0 only where a piece length underflows
-                sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
-                lead[sub] = math.log(m) + np.log(xi[sub])
-            gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - _log1mexp(length * xi))
-            gap[xi == 0.0] = 2.0 * m / length
-            out = np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
-                           np.log1p(-np.minimum(part, 0.5)))
+    order = np.argsort(xi) if lo == 0.0 else slice(None)  # the body takes the zeros first
+    out = np.empty_like(xi)
+    out[order] = _log_ratio(xi[order], cfg)
     return float(out[0]) if scalar else out
+
+
+def _log_ratio(xi, cfg):
+    # imag_axis_log_ratio, unchecked, of a finite ascending float array xi >= 0: zeros lead
+    s, length = cfg.length_ratio, cfg.total_length
+    if cfg.tension_ratio == 1.0 or s == 1.0:
+        return np.zeros_like(xi)
+    d, m = length * abs(s - 1.0) / (s + 1.0), min(cfg.piece_length_i, cfg.piece_length_ii)
+    zeros = int(np.searchsorted(xi, 0.0, "right")) if xi.size and xi[0] == 0.0 else 0
+    r, rest = np.full_like(xi, d / length), xi[zeros:]
+    r[zeros:] = np.exp(-m * rest) * np.expm1(-d * rest) / np.expm1(-length * rest)
+    f = _contrast_or_zero(cfg.tension_ratio)
+    part = r * r / (f + 1.0)
+    if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
+        return np.log1p(-part)
+    lead = _log1mexp(m * xi)  # ln(1 - e^{-m xi}), as ln m + ln xi where m xi is subnormal
+    if m > 0.0:  # m = 0 only where a piece length underflows
+        sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
+        lead[sub] = math.log(m) + np.log(xi[sub])
+    gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - _log1mexp(length * xi))
+    gap[:zeros] = 2.0 * m / length
+    return np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
+                    np.log1p(-np.minimum(part, 0.5)))
 
 
 def imag_axis_log_ratio_2n(q, cfg):

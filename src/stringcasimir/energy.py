@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NPieceConfig, StringConfig, _bloch_angles
-from .core import imag_axis_log_ratio, imag_axis_log_ratio_2n
+from .core import NPieceConfig, StringConfig, _bloch_angles, _log_ratio, imag_axis_log_ratio_2n
 from .errors import DomainError, QuadratureError, _count, _instance, _real
 
 __all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir_2n",
@@ -144,12 +143,13 @@ def _representable(value):
 
 def _integrand(cfg):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
-    point.  The two-piece ratio decays like e^{-2 m xi}.  The 2N one is ln|ratio_N(q)| at
+    point.  The two-piece ratio decays like e^{-2 m xi}; its body ``core._log_ratio`` runs unchecked
+    on the kernel's nodes, which are finite, >= 0 and ascending.  The 2N one is ln|ratio_N(q)| at
     q = xi L/N; it decays like 2N e^{-q}, and at x = 0 it is 0 at xi = 0, the dropped zero
     mode.  DomainError where the truncation point, alone or times L, is not a float."""
     if isinstance(cfg, StringConfig):
         reach, piece = 21.0, min(cfg.piece_length_i, cfg.piece_length_ii)
-        f = lambda xi: imag_axis_log_ratio(xi, cfg) / (2.0 * math.pi)
+        f = lambda xi: _log_ratio(xi, cfg) / (2.0 * math.pi)
     else:
         reach, piece = 48.0 + math.log(1.0 + cfg.piece_pairs), cfg.total_length / cfg.piece_pairs
 
@@ -226,7 +226,8 @@ def _bloch_energy(cfg, angles=None):
 def casimir_2n_x0(piece_pairs, total_length):
     """Decoupled-limit closed form  -(pi / 6 L)(N^2 - 1), with N^2 a float (inf past their range)."""
     NPieceConfig(piece_pairs, 0.0, total_length)  # checks N and L
-    value = -(math.pi / (6.0 * total_length)) * (float(piece_pairs) * piece_pairs - 1.0)
+    lead = math.pi / (6.0 * total_length) or math.pi / 6.0 / total_length  # 0 where 6 L overflows
+    value = -lead * (float(piece_pairs) * piece_pairs - 1.0)
     return EnergyResult(_representable(value), "analytic-limit", 0.0)
 
 

@@ -41,21 +41,14 @@ from .energy import _contour
 from .errors import DomainError, QuadratureError, _count, _instance, _positive, _real
 from .modular import log_abs_dedekind_eta
 
-__all__ = [
-    "QuantumStringConfig",
-    "OccupationState",
-    "ThermoResult",
-    "mean_tension",
-    "translational_energy",
-    "mass_squared_excess",
-    "free_energy",
-    "thermo_derivatives",
-    "hagedorn_beta",
-]
+__all__ = ["QuantumStringConfig", "OccupationState", "ThermoResult", "mean_tension",
+           "translational_energy", "mass_squared_excess", "free_energy", "thermo_derivatives",
+           "hagedorn_beta"]
 
 _TRANSVERSE_DIMS = 24
 _ETA_BLOCK = 1 << 16  # eta arguments per call, which bounds memory
 _EPS = sys.float_info.epsilon
+_PHASES = {}  # (s, n_tau1): the folded tau_1 phases of _log_integrand and their counts
 
 
 @dataclass(frozen=True)
@@ -154,26 +147,28 @@ def _ln_theta3_minus_one(a):
     """ln(theta_3(0 | i a) - 1) = ln(2 sum_{n>=1} e^{-a n^2}) for a float array a > 0,
     and its derivative in a from the same truncated sums.
 
-    Summed directly for a >= 1 and after Poisson summation,
-    sum_n e^{-a n^2} = sqrt(pi/a) sum_n e^{-pi^2 n^2 / a}, below; either way
-    the terms left out are below e^{-48} of the sum.
+    Summed directly for a >= 1 and after Poisson summation, sum_n e^{-a n^2} =
+    sqrt(pi/a) sum_n e^{-pi^2 n^2 / a}, below, each only where some a needs it;
+    either way the terms left out are below e^{-48} of the sum.
     """
-    out, slope = np.empty_like(a), np.empty_like(a)
     hi = a >= 1.0
-    ah, al = a[hi], a[~hi]
-    k = np.arange(2, 8) ** 2 - 1.0
-    terms = np.exp(-np.multiply.outer(ah, k))
-    tail = terms.sum(axis=-1)
-    out[hi] = math.log(2.0) - ah + np.log1p(tail)
-    slope[hi] = -1.0 - terms @ k / (1.0 + tail)
+    if hi.all():
+        k = np.arange(2, 8) ** 2 - 1.0
+        terms = np.exp(-np.multiply.outer(a, k))
+        tail = terms.sum(axis=-1)
+        return math.log(2.0) - a + np.log1p(tail), -1.0 - terms @ k / (1.0 + tail)
+    if hi.any():  # each part on its own
+        out, slope = np.empty_like(a), np.empty_like(a)
+        for part in (hi, ~hi):
+            out[part], slope[part] = _ln_theta3_minus_one(a[part])
+        return out, slope
     k = np.arange(1, 4) ** 2
-    terms = np.exp(-np.multiply.outer(math.pi**2 / al, k))
+    terms = np.exp(-np.multiply.outer(math.pi**2 / a, k))
     dual = terms.sum(axis=-1)
-    ln_theta = 0.5 * np.log(math.pi / al) + np.log1p(2.0 * dual)
+    ln_theta = 0.5 * np.log(math.pi / a) + np.log1p(2.0 * dual)
     part = -np.expm1(-ln_theta)  # (theta - 1) / theta
-    out[~hi] = ln_theta + np.log(part)
-    slope[~hi] = (-0.5 / al + 2.0 * math.pi**2 / al**2 * (terms @ k) / (1.0 + 2.0 * dual)) / part
-    return out, slope
+    slope = (-0.5 / a + 2.0 * math.pi**2 / a**2 * (terms @ k) / (1.0 + 2.0 * dual)) / part
+    return ln_theta + np.log(part), slope
 
 
 def _log_integrand(tau2, s, beta, t, n_tau1):
@@ -185,8 +180,15 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
     their counts: 17, 33, 9 of 64 nodes for s = 1, 2, 3.  Each chunk of about
     _ETA_BLOCK eta arguments takes one eta call.
     """
-    r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
-    phase, count = np.unique(np.abs(r - np.round(r)), return_counts=True)
+    tables = _PHASES.get((s, n_tau1))
+    if tables is None:  # built once per (s, n_tau1), shared read-only; the first 8 are kept
+        r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
+        tables = np.unique(np.abs(r - np.round(r)), return_counts=True)
+        for table in tables:
+            table.flags.writeable = False
+        if len(_PHASES) < 8:  # tables of up to 0.5 MB each
+            _PHASES[s, n_tau1] = tables
+    phase, count = tables
     out = np.empty((3, tau2.size))
     rows = max(1, _ETA_BLOCK // (phase.size + 1))
     for lo in range(0, tau2.size, rows):
@@ -215,12 +217,12 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     ``diverged-below-hagedorn`` with ``free_energy`` = -inf, the direction in
     which the integral term runs away, and U, S and the residual None; a delta
     within 4 eps of its terms is delta = 0, which converges.  Otherwise the
-    integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a
-    trapezoid sum after the double-exponential map of the contour routes,
-    which also resolves the tau2_max end, where the integrand is largest.
-    ``abs_error_estimate`` bounds the kernel's discretization and noise, the
-    rounding of the log integrand and of its exponential, about |ln| eps
-    relative with |ln| up to hundreds, and the rounding of F itself.
+    integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a trapezoid sum after
+    the double-exponential map of the contour routes, which also resolves the tau2_max end,
+    where the integrand is largest.  Its normalisation, row 0 at tau2_max, is one more element
+    of the pass's first call; where it is -inf, F is the constant.  ``abs_error_estimate``
+    bounds the kernel's discretization and noise, the rounding of the log integrand and of its
+    exponential, about |ln| eps relative with |ln| up to hundreds, and the rounding of F itself.
     """
     _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
@@ -235,12 +237,16 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     heat, vacuum = beta * beta * t / (8.0 * math.pi**2), math.pi * (4.0 * s + 1.0) / (s * (1.0 + s))
     if heat - vacuum < -4.0 * _EPS * (heat + vacuum):  # delta < 0 beyond the rounding of its terms
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
-    shift = float(_log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)[0][0])
-    if shift == -math.inf:  # the integrand underflows everywhere: dF/d beta = 0, U = F + 0.0
-        return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
+    shift = None  # row 0 at tau2_max, the first pass's last element, normalises every pass
 
     def f(v):
-        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1)
+        nonlocal shift
+        tau2 = tau2_max * np.exp(-v)
+        rows = _log_integrand(np.append(tau2, tau2_max) if shift is None else tau2, s, beta, t, n_tau1)
+        if shift is None:
+            shift, rows = float(rows[0, -1]), rows[:, :-1]
+        if shift == -math.inf:  # the integrand underflows everywhere: F is the constant
+            return np.zeros_like(rows)
         excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
@@ -249,6 +255,8 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         return np.exp(excess) * rows
 
     (integral, _, d_integral), err = _contour(f, 1.0, max_octaves * math.log(2.0))
+    if shift == -math.inf:  # dF/d beta = 0, U = F + 0.0
+        return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
     ln_prefactor = -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
     ln_term = ln_prefactor + shift + math.log(integral)
     if ln_term > 700.0:

@@ -16,7 +16,7 @@ from stringcasimir import (
     tension_contrast,
     transfer_matrix,
 )
-from stringcasimir import casimir_two_piece, core, energy
+from stringcasimir import ThermalConfig, casimir_two_piece, casimir_two_piece_thermal, core, energy
 from stringcasimir.core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 
 
@@ -364,11 +364,77 @@ class TestLogRatios:
         assert imag_axis_log_ratio_2n(2000.0, cfg) == 0.0
 
 
+class TestTrustedBody:
+    """The kernel passes call ``core._log_ratio``, the body of ``imag_axis_log_ratio``,
+    on their own nodes without the input check; it gives the same bits."""
+
+    @staticmethod
+    def _kernel_nodes(run, monkeypatch):
+        nodes, kernel = [], energy._log_ratio
+        with monkeypatch.context() as patch:
+            patch.setattr(energy, "_log_ratio", lambda xi, c: nodes.append(xi.copy()) or kernel(xi, c))
+            run()
+        return nodes
+
+    @staticmethod
+    def _same_bits(nodes, cfg):
+        body = core._log_ratio(nodes, cfg)
+        assert body.tobytes() == imag_axis_log_ratio(nodes, cfg).tobytes()
+        # zeros last: the checked path takes them to the front by itself
+        assert body.tobytes() == imag_axis_log_ratio(nodes[::-1], cfg)[::-1].tobytes()
+        # node by node, where each array holds one zero or none: the first 8 and every 16th
+        picked = np.r_[0 : min(8, nodes.size), 8 : nodes.size : 16]
+        single = np.array([imag_axis_log_ratio(xi, cfg) for xi in nodes[picked].tolist()])
+        assert body[picked].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("s", [1e-3, 0.45, 2.0, 1e3])
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.999])
+    def test_matsubara_nodes_from_zero(self, s, x, monkeypatch):
+        cfg = StringConfig(s, x)
+        nodes = self._kernel_nodes(lambda: casimir_two_piece_thermal(cfg, ThermalConfig(0.05)), monkeypatch)
+        assert nodes[0][0] == 0.0 and nodes[0][1] > 0.0
+        for xi in nodes:
+            self._same_bits(xi, cfg)
+
+    @pytest.mark.parametrize("s", [1e-3, 0.45, 2.0, 1e3])
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.999])
+    def test_contour_nodes(self, s, x, monkeypatch):
+        cfg = StringConfig(s, x)
+        for xi in self._kernel_nodes(lambda: casimir_two_piece(cfg), monkeypatch):
+            self._same_bits(xi, cfg)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.999])
+    def test_contour_nodes_with_a_leading_run_of_zeros(self, x, monkeypatch):
+        # past L = 1e282 the first nodes xi = e^{t - e^{-t}}/L underflow to 0
+        cfg = StringConfig(2, x, 1e300)
+        nodes = self._kernel_nodes(lambda: casimir_two_piece(cfg), monkeypatch)
+        assert np.count_nonzero(nodes[0] == 0.0) >= 3
+        for xi in nodes:
+            self._same_bits(xi, cfg)
+
+    def test_gap_form_is_covered(self):
+        # s = 1e-3 and 1e3 at x <= 1e-9 take the gap form: (d/L)^2 > (F + 1)/2
+        for s in (1e-3, 1e3):
+            for x in (0.0, 1e-9):
+                cfg = StringConfig(s, x)
+                d = abs(s - 1.0) / (s + 1.0)
+                assert d * d > 0.5 * (core._contrast_or_zero(cfg.tension_ratio) + 1.0)
+
+    def test_kernel_passes_skip_the_input_check(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("input check on the kernel's own nodes")
+
+        monkeypatch.setattr(core, "_nonnegative_array", refuse)
+        cfg = StringConfig(2.1, 0.3)
+        assert casimir_two_piece_thermal(cfg, ThermalConfig(1e-3)).method == "matsubara"
+        assert casimir_two_piece(cfg).method == "contour"
+
+
 def _contour_nodes(cfg, monkeypatch):
     """xi = 0 and every node the contour of ``cfg`` evaluates, up to its truncation point."""
-    nodes, kernel = [np.zeros(1)], energy.imag_axis_log_ratio
+    nodes, kernel = [np.zeros(1)], energy._log_ratio  # the body the contour calls, unchecked
     with monkeypatch.context() as patch:
-        patch.setattr(energy, "imag_axis_log_ratio", lambda xi, c: nodes.append(xi) or kernel(xi, c))
+        patch.setattr(energy, "_log_ratio", lambda xi, c: nodes.append(xi) or kernel(xi, c))
         casimir_two_piece(cfg)
     return np.concatenate(nodes)
 

@@ -130,7 +130,7 @@ class TestNPiece:
         closed = casimir_2n_x0(n, math.pi).value
         assert abs(quad - closed) < 1e-8
 
-    @pytest.mark.parametrize("n, length", [(2, 1e300), (3, 1e283)])
+    @pytest.mark.parametrize("n, length", [(2, 1e300), (3, 1e283), (4, 1.7e308)])
     def test_decoupled_limit_where_the_first_node_underflows(self, n, length):
         # past L = 1e282 the contour's first node xi = e^{-94.5}/L is 0, where ln|ratio_N| is -inf
         quad, closed = casimir_2n(NPieceConfig(n, 0.0, length)), casimir_2n_x0(n, length)

@@ -469,6 +469,79 @@ class TestTau1Fold:
         assert sum(points) == per_node * self.TAU2.size
 
 
+def _two_branch_theta(a):
+    """``_ln_theta3_minus_one`` as both of its forms on every call, each on its part of a."""
+    out, slope = np.empty_like(a), np.empty_like(a)
+    hi = a >= 1.0
+    ah, al = a[hi], a[~hi]
+    k = np.arange(2, 8) ** 2 - 1.0
+    terms = np.exp(-np.multiply.outer(ah, k))
+    tail = terms.sum(axis=-1)
+    out[hi] = math.log(2.0) - ah + np.log1p(tail)
+    slope[hi] = -1.0 - terms @ k / (1.0 + tail)
+    k = np.arange(1, 4) ** 2
+    terms = np.exp(-np.multiply.outer(math.pi**2 / al, k))
+    dual = terms.sum(axis=-1)
+    ln_theta = 0.5 * np.log(math.pi / al) + np.log1p(2.0 * dual)
+    part = -np.expm1(-ln_theta)
+    out[~hi] = ln_theta + np.log(part)
+    slope[~hi] = (-0.5 / al + 2.0 * math.pi**2 / al**2 * (terms @ k) / (1.0 + 2.0 * dual)) / part
+    return out, slope
+
+
+class TestModulusPass:
+    """One kernel pass per free energy: its first call also evaluates tau2_max, whose row 0
+    normalises every call, and the tau_1 phases are built once per (s, n_tau1)."""
+
+    @pytest.mark.parametrize("a", [np.geomspace(1.0, 700.0, 257), np.geomspace(1e-3, 0.99, 257),
+                                   np.geomspace(1e-3, 700.0, 257), np.geomspace(700.0, 1e-3, 100),
+                                   np.array([1.0]), np.array([0.5])])
+    def test_theta_forms_match_the_two_branch_form(self, a):
+        got, ref = _ln_theta3_minus_one(a), _two_branch_theta(a)
+        assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("s, frac", [(1, 1.3), (2, 3.0), (3, 1.05), (2, 1e150)])
+    def test_one_log_integrand_call_per_integrand_call(self, s, frac, monkeypatch):
+        calls, log_integrand, contour = [], quantum._log_integrand, quantum._contour
+
+        def counting(tau2, *args):
+            calls.append("log_integrand")
+            return log_integrand(tau2, *args)
+
+        def counting_contour(f, *args):
+            return contour(lambda v: calls.append("integrand") or f(v), *args)
+
+        monkeypatch.setattr(quantum, "_log_integrand", counting)
+        monkeypatch.setattr(quantum, "_contour", counting_contour)
+        free_energy(QuantumStringConfig(s, math.pi), frac * beta_star(s, math.pi))
+        assert calls.count("integrand") >= 1
+        assert calls == ["integrand", "log_integrand"] * calls.count("integrand")
+
+    def test_shift_is_row_0_at_tau2_max(self, monkeypatch):
+        # the first call's last element is tau2_max itself, not the contour's first node
+        args, log_integrand = [], quantum._log_integrand
+
+        def recording(tau2, *rest):
+            args.append(tau2)
+            return log_integrand(tau2, *rest)
+
+        monkeypatch.setattr(quantum, "_log_integrand", recording)
+        free_energy(QuantumStringConfig(1, math.pi), 20.0, tau2_max=0.7)
+        assert args[0][-1] == 0.7 and all(tau2[-1] < 0.7 for tau2 in args[1:])
+
+    def test_phase_table_is_shared_and_read_only(self, monkeypatch):
+        monkeypatch.setattr(quantum, "_PHASES", {})
+        quantum._log_integrand(np.array([0.5]), 2, 20.0, 1.0, 64)
+        phase, count = quantum._PHASES[2, 64]
+        assert not phase.flags.writeable and not count.flags.writeable
+        quantum._log_integrand(np.array([0.25]), 2, 20.0, 1.0, 64)
+        assert quantum._PHASES[2, 64][0] is phase
+        assert (phase.size, count.sum()) == (33, 64)
+        for n_tau1 in range(1, 20):  # the first 8 tables are kept, later ones built per call
+            quantum._log_integrand(np.array([0.5]), 2, 20.0, 1.0, n_tau1)
+        assert len(quantum._PHASES) == 8 and quantum._PHASES[2, 64][0] is phase
+
+
 class TestThermoDerivatives:
     def test_identity_residual_small(self):
         cfg = QuantumStringConfig(1, math.pi)
