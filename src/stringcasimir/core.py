@@ -333,9 +333,9 @@ def imag_axis_log_ratio(xi, cfg):
     only this check is its own, the kernel passes call its body ``_log_ratio`` directly.
     """
     xi, lo, scalar = _nonnegative_array("xi", xi)
-    order = np.argsort(xi) if lo == 0.0 else slice(None)  # the body takes the zeros first
+    order = np.argsort(xi, axis=None) if lo == 0.0 else slice(None)  # the body takes the zeros first
     out = np.empty_like(xi)
-    out[order] = _log_ratio(xi[order], cfg)
+    out.flat[order] = _log_ratio(xi.flat[order], cfg)  # flat indices: xi of any shape
     return float(out[0]) if scalar else out
 
 

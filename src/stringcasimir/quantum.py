@@ -48,7 +48,6 @@ __all__ = ["QuantumStringConfig", "OccupationState", "ThermoResult", "mean_tensi
 _TRANSVERSE_DIMS = 24
 _ETA_BLOCK = 1 << 16  # eta arguments per call, which bounds memory
 _EPS = sys.float_info.epsilon
-_PHASES = {}  # (s, n_tau1): the folded tau_1 phases of _log_integrand and their counts
 
 
 @dataclass(frozen=True)
@@ -171,24 +170,23 @@ def _ln_theta3_minus_one(a):
     return ln_theta + np.log(part), slope
 
 
-def _log_integrand(tau2, s, beta, t, n_tau1):
-    """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the
-    n_tau1-node trapezoid of the periodic direction; the summed magnitude of
-    its terms, which sets its rounding error (about that times eps); and its
-    beta derivative.  |eta| is even and 1-periodic in Re z, so eta is taken at
-    the distinct folded phases |r - round(r)|, r = (1+s) tau_1, weighted by
-    their counts: 17, 33, 9 of 64 nodes for s = 1, 2, 3.  Each chunk of about
-    _ETA_BLOCK eta arguments takes one eta call.
+def _phases(s, n_tau1):
+    """The distinct folded tau_1 phases of ``_log_integrand`` and their counts."""
+    r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
+    return np.unique(np.abs(r - np.round(r)), return_counts=True)
+
+
+def _log_integrand(tau2, s, beta, t, n_tau1, phases=None, last_alone=False):
+    """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the n_tau1-node
+    trapezoid of the periodic direction; the summed magnitude of its terms, which sets its
+    rounding error (about that times eps); and its beta derivative.  |eta| is even and
+    1-periodic in Re z, so eta is taken at the distinct folded phases |r - round(r)|,
+    r = (1+s) tau_1, weighted by their counts (17, 33, 9 of 64 nodes for s = 1, 2, 3):
+    ``phases``, or ``_phases(s, n_tau1)``.  Each chunk of about _ETA_BLOCK eta arguments
+    takes one eta call.  With ``last_alone`` the last element's tau_1 sum is a one-row
+    product, the bits a call on that element alone gives.
     """
-    tables = _PHASES.get((s, n_tau1))
-    if tables is None:  # built once per (s, n_tau1), shared read-only; the first 8 are kept
-        r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
-        tables = np.unique(np.abs(r - np.round(r)), return_counts=True)
-        for table in tables:
-            table.flags.writeable = False
-        if len(_PHASES) < 8:  # tables of up to 0.5 MB each
-            _PHASES[s, n_tau1] = tables
-    phase, count = tables
+    phase, count = _phases(s, n_tau1) if phases is None else phases
     out = np.empty((3, tau2.size))
     rows = max(1, _ETA_BLOCK // (phase.size + 1))
     for lo in range(0, tau2.size, rows):
@@ -198,7 +196,11 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
         ln_eta_imag = ln_eta[z.size :]
         powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
         top = powers.max(axis=1)
-        ln_tau1 = top + np.log(np.exp(powers - top[:, None]) @ count / n_tau1)
+        weights = np.exp(powers - top[:, None])
+        sums = weights @ count  # many rows take BLAS gemv, one row a dot, which rounds otherwise
+        if last_alone and lo + rows >= tau2.size:
+            sums[-1] = weights[-1] @ count
+        ln_tau1 = top + np.log(sums / n_tau1)
         with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
             a = beta * beta * t / (8.0 * math.pi**2 * y)
             ln_theta, d_theta = _ln_theta3_minus_one(a)
@@ -209,20 +211,19 @@ def _log_integrand(tau2, s, beta, t, n_tau1):
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
-    """One-loop free energy F of the first-branch string gas at inverse
-    temperature beta, with U = d(beta F)/d beta, S = beta^2 dF/d beta and the
-    residual of F = U - S/beta; dF/d beta = -term J'/J, J and J' the sums of
-    rows 0 and 2 of F's one kernel pass.  Below beta*, where delta(beta) < 0
-    (see the module docstring), the result is flagged
-    ``diverged-below-hagedorn`` with ``free_energy`` = -inf, the direction in
-    which the integral term runs away, and U, S and the residual None; a delta
-    within 4 eps of its terms is delta = 0, which converges.  Otherwise the
-    integral over v = ln(tau2_max / tau_2) in (0, max_octaves ln 2] is a trapezoid sum after
-    the double-exponential map of the contour routes, which also resolves the tau2_max end,
-    where the integrand is largest.  Its normalisation, row 0 at tau2_max, is one more element
-    of the pass's first call; where it is -inf, F is the constant.  ``abs_error_estimate``
-    bounds the kernel's discretization and noise, the rounding of the log integrand and of its
-    exponential, about |ln| eps relative with |ln| up to hundreds, and the rounding of F itself.
+    """One-loop free energy F of the first-branch string gas at inverse temperature beta,
+    with U = d(beta F)/d beta, S = beta^2 dF/d beta and the residual of F = U - S/beta;
+    dF/d beta = -term J'/J, J and J' the sums of rows 0 and 2 of F's one kernel pass.  Below
+    beta*, where delta(beta) < 0 (see the module docstring), the result is flagged
+    ``diverged-below-hagedorn`` with ``free_energy`` = -inf, the direction in which the
+    integral term runs away, and U, S and the residual None; a delta within 4 eps of its
+    terms is delta = 0, which converges.  Otherwise the integral over v = ln(tau2_max / tau_2)
+    in (0, max_octaves ln 2] is a trapezoid sum after the double-exponential map of the contour
+    routes, which also resolves the tau2_max end, where the integrand is largest.  Its
+    normalisation, row 0 at tau2_max, is one more element of the pass's first call; where it
+    is -inf, F is the constant.  ``abs_error_estimate`` bounds the kernel's discretization and
+    noise, the rounding of the log integrand and of its exponential, about |ln| eps relative
+    with |ln| up to hundreds, and the rounding of F itself.
     """
     _instance("free_energy", cfg, QuantumStringConfig)
     _positive("beta", beta)
@@ -237,16 +238,17 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     heat, vacuum = beta * beta * t / (8.0 * math.pi**2), math.pi * (4.0 * s + 1.0) / (s * (1.0 + s))
     if heat - vacuum < -4.0 * _EPS * (heat + vacuum):  # delta < 0 beyond the rounding of its terms
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
-    shift = None  # row 0 at tau2_max, the first pass's last element, normalises every pass
+    if beta * beta * t / (8.0 * math.pi**2 * tau2_max) == math.inf:  # a overflows: F is the constant
+        return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
+    phases, shift = _phases(s, n_tau1), None  # shift: row 0 at tau2_max, normalises every call
 
     def f(v):
         nonlocal shift
-        tau2 = tau2_max * np.exp(-v)
-        rows = _log_integrand(np.append(tau2, tau2_max) if shift is None else tau2, s, beta, t, n_tau1)
-        if shift is None:
+        tau2, first = tau2_max * np.exp(-v), shift is None  # the first call also takes tau2_max
+        tau2 = np.append(tau2, tau2_max) if first else tau2
+        rows = _log_integrand(tau2, s, beta, t, n_tau1, phases, first)
+        if first:
             shift, rows = float(rows[0, -1]), rows[:, :-1]
-        if shift == -math.inf:  # the integrand underflows everywhere: F is the constant
-            return np.zeros_like(rows)
         excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")
@@ -255,8 +257,6 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         return np.exp(excess) * rows
 
     (integral, _, d_integral), err = _contour(f, 1.0, max_octaves * math.log(2.0))
-    if shift == -math.inf:  # dF/d beta = 0, U = F + 0.0
-        return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
     ln_prefactor = -40.0 * math.log(2.0) - 26.0 * math.log(math.pi) - 13.0 * math.log(t)
     ln_term = ln_prefactor + shift + math.log(integral)
     if ln_term > 700.0:

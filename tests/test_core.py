@@ -364,9 +364,35 @@ class TestLogRatios:
         assert imag_axis_log_ratio_2n(2000.0, cfg) == 0.0
 
 
+def _masked_log_ratio(xi, cfg):
+    """``imag_axis_log_ratio`` of a float array xi >= 0 in its earlier form, which masks
+    the zeros of xi in any order and lets 0/0 pass under ``np.errstate``."""
+    s, length = cfg.length_ratio, cfg.total_length
+    if cfg.tension_ratio == 1.0 or s == 1.0:
+        return np.zeros_like(xi)
+    d = length * abs(s - 1.0) / (s + 1.0)
+    m = min(cfg.piece_length_i, cfg.piece_length_ii)
+    with np.errstate(invalid="ignore"):
+        r = np.exp(-m * xi) * np.expm1(-d * xi) / np.expm1(-length * xi)
+    r[xi == 0.0] = d / length
+    f = core._contrast_or_zero(cfg.tension_ratio)
+    part = r * r / (f + 1.0)
+    if (d / length) ** 2 <= 0.5 * (f + 1.0):
+        return np.log1p(-part)
+    lead = core._log1mexp(m * xi)
+    if m > 0.0:
+        sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
+        lead[sub] = math.log(m) + np.log(xi[sub])
+    gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - core._log1mexp(length * xi))
+    gap[xi == 0.0] = 2.0 * m / length
+    return np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
+                    np.log1p(-np.minimum(part, 0.5)))
+
+
 class TestTrustedBody:
     """The kernel passes call ``core._log_ratio``, the body of ``imag_axis_log_ratio``,
-    on their own nodes without the input check; it gives the same bits."""
+    on their own nodes without the input check; it gives the bits of the earlier masked
+    form ``_masked_log_ratio`` and of the public function."""
 
     @staticmethod
     def _kernel_nodes(run, monkeypatch):
@@ -379,6 +405,7 @@ class TestTrustedBody:
     @staticmethod
     def _same_bits(nodes, cfg):
         body = core._log_ratio(nodes, cfg)
+        assert body.tobytes() == _masked_log_ratio(nodes, cfg).tobytes()
         assert body.tobytes() == imag_axis_log_ratio(nodes, cfg).tobytes()
         # zeros last: the checked path takes them to the front by itself
         assert body.tobytes() == imag_axis_log_ratio(nodes[::-1], cfg)[::-1].tobytes()
@@ -419,6 +446,20 @@ class TestTrustedBody:
                 cfg = StringConfig(s, x)
                 d = abs(s - 1.0) / (s + 1.0)
                 assert d * d > 0.5 * (core._contrast_or_zero(cfg.tension_ratio) + 1.0)
+
+    @pytest.mark.parametrize("s, x", [(2.0, 0.3), (1e3, 0.0), (1e-3, 1e-9), (0.45, 0.999)])
+    @pytest.mark.parametrize("zeros", [0, 1, 5])
+    def test_any_shape(self, s, x, zeros):
+        # the public function is elementwise on any shape, zeros anywhere in it
+        cfg = StringConfig(s, x)
+        xi = np.random.default_rng(zeros).uniform(0.0, 5.0, 24)
+        xi[np.random.default_rng(1).permutation(24)[:zeros]] = 0.0
+        for arr in (xi.reshape(2, 3, 4), xi.reshape(4, 6).T, np.asfortranarray(xi.reshape(6, 4))):
+            got = imag_axis_log_ratio(arr, cfg)
+            single = [imag_axis_log_ratio(v, cfg) for v in arr.ravel().tolist()]
+            assert got.shape == arr.shape
+            assert got.ravel().tobytes() == np.array(single).tobytes()
+            assert got.ravel().tobytes() == _masked_log_ratio(arr.ravel(), cfg).tobytes()
 
     def test_kernel_passes_skip_the_input_check(self, monkeypatch):
         def refuse(*args):

@@ -491,7 +491,7 @@ def _two_branch_theta(a):
 
 class TestModulusPass:
     """One kernel pass per free energy: its first call also evaluates tau2_max, whose row 0
-    normalises every call, and the tau_1 phases are built once per (s, n_tau1)."""
+    normalises every call, and the tau_1 phases are built once per free energy."""
 
     @pytest.mark.parametrize("a", [np.geomspace(1.0, 700.0, 257), np.geomspace(1e-3, 0.99, 257),
                                    np.geomspace(1e-3, 700.0, 257), np.geomspace(700.0, 1e-3, 100),
@@ -529,17 +529,47 @@ class TestModulusPass:
         free_energy(QuantumStringConfig(1, math.pi), 20.0, tau2_max=0.7)
         assert args[0][-1] == 0.7 and all(tau2[-1] < 0.7 for tau2 in args[1:])
 
-    def test_phase_table_is_shared_and_read_only(self, monkeypatch):
-        monkeypatch.setattr(quantum, "_PHASES", {})
-        quantum._log_integrand(np.array([0.5]), 2, 20.0, 1.0, 64)
-        phase, count = quantum._PHASES[2, 64]
-        assert not phase.flags.writeable and not count.flags.writeable
-        quantum._log_integrand(np.array([0.25]), 2, 20.0, 1.0, 64)
-        assert quantum._PHASES[2, 64][0] is phase
-        assert (phase.size, count.sum()) == (33, 64)
-        for n_tau1 in range(1, 20):  # the first 8 tables are kept, later ones built per call
-            quantum._log_integrand(np.array([0.5]), 2, 20.0, 1.0, n_tau1)
-        assert len(quantum._PHASES) == 8 and quantum._PHASES[2, 64][0] is phase
+    @pytest.mark.parametrize("s, n_tau1, tau2_max, frac", [
+        (1, 64, 1.0, 1.5), (3, 64, 1.0, 1.5), (2, 128, 0.5, 2.0), (1, 256, 0.25, 1.2),
+        (2, 256, 0.25, 1.5)])
+    def test_shift_has_the_bits_of_a_call_on_tau2_max_alone(self, s, n_tau1, tau2_max, frac):
+        # a one-row tau_1 sum is a BLAS dot, a many-row one a gemv, whose rows can round
+        # otherwise: with (2, 256, 0.25, 1.5) they did (numpy with OpenBLAS 0.3.31)
+        cfg = QuantumStringConfig(s, math.pi)
+        beta, t = frac * beta_star(s, math.pi), translational_energy(cfg)
+        tau2 = tau2_max * np.exp(-np.linspace(0.01, 30.0, 129))
+        both = quantum._log_integrand(np.append(tau2, tau2_max), s, beta, t, n_tau1, last_alone=True)
+        alone = quantum._log_integrand(np.array([tau2_max]), s, beta, t, n_tau1)
+        assert both[:, -1].tobytes() == alone[:, 0].tobytes()
+        assert both[:, :-1].tobytes() == quantum._log_integrand(tau2, s, beta, t, n_tau1).tobytes()
+
+    def test_one_phase_table_per_free_energy(self, monkeypatch):
+        tables, phases, calls, log_integrand = [], quantum._phases, [], quantum._log_integrand
+        monkeypatch.setattr(quantum, "_phases", lambda *args: tables.append(args) or phases(*args))
+        monkeypatch.setattr(quantum, "_log_integrand", lambda *args: calls.append(1) or log_integrand(*args))
+        free_energy(QuantumStringConfig(2, math.pi), 1.2 * beta_star(2, math.pi), n_tau1=32)
+        assert tables == [(2, 32)] and len(calls) >= 2
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("tau2_max", [1.0, 3.0, 1e-3])
+    def test_no_kernel_pass_exactly_where_row_0_at_tau2_max_is_minus_inf(self, s, tau2_max, monkeypatch):
+        # the betas around the one where a = beta^2 t / (8 pi^2 tau2_max), as the rows form
+        # it, overflows: beta^2 t first, or the quotient where 8 pi^2 tau2_max < 1
+        cfg = QuantumStringConfig(s, math.pi)
+        t, constant = translational_energy(cfg), -((s - 1) ** 2) / (24.0 * s)
+        calls, log_integrand = [], quantum._log_integrand
+        monkeypatch.setattr(quantum, "_log_integrand", lambda *args: calls.append(1) or log_integrand(*args))
+        edge = math.sqrt(sys.float_info.max / t) * min(1.0, math.sqrt(8.0 * math.pi**2 * tau2_max))
+        minus_inf = []
+        for beta in (edge * (1.0 + EPS * np.arange(-6, 7))).tolist():
+            calls.clear()
+            res = free_energy(cfg, beta, tau2_max)
+            minus_inf.append(log_integrand(np.array([tau2_max]), s, beta, t, 64)[0][0] == -math.inf)
+            assert (not calls) == minus_inf[-1]
+            if minus_inf[-1]:
+                assert res == ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0,
+                                           EPS * abs(constant))
+        assert not minus_inf[0] and minus_inf[-1]
 
 
 class TestThermoDerivatives:
