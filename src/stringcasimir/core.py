@@ -340,7 +340,7 @@ def imag_axis_log_ratio(xi, cfg):
 
 
 def _log_ratio(xi, cfg):
-    # imag_axis_log_ratio, unchecked, of a finite ascending float array xi >= 0: zeros lead
+    # imag_axis_log_ratio, unchecked, of a finite 1-d float array xi >= 0 whose zeros lead
     s, length = cfg.length_ratio, cfg.total_length
     if cfg.tension_ratio == 1.0 or s == 1.0:
         return np.zeros_like(xi)
