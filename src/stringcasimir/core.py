@@ -329,10 +329,13 @@ def imag_axis_log_ratio(xi, cfg):
     1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
     ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
     2m/L at xi = 0: the relative accuracy holds for every s.  Identically
-    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError;
-    only this check is its own, the kernel passes call its body ``_log_ratio`` directly.
+    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError, and
+    takes xi L < 1e-290 as 0; only this is its own, the kernel passes call its body
+    ``_log_ratio`` directly.
     """
     xi, lo, scalar = _nonnegative_array("xi", xi)
+    if lo < 1e-290 / cfg.total_length:  # there the xi -> 0 limit holds far below rounding
+        xi, lo = np.where(xi < 1e-290 / cfg.total_length, 0.0, xi), 0.0
     order = np.argsort(xi, axis=None) if lo == 0.0 else slice(None)  # the body takes the zeros first
     out = np.empty_like(xi)
     out.flat[order] = _log_ratio(xi.flat[order], cfg)  # flat indices: xi of any shape
@@ -345,6 +348,7 @@ def _log_ratio(xi, cfg):
     if cfg.tension_ratio == 1.0 or s == 1.0:
         return np.zeros_like(xi)
     d, m = length * abs(s - 1.0) / (s + 1.0), min(cfg.piece_length_i, cfg.piece_length_ii)
+    d = d if d < math.inf else length * (abs(s - 1.0) / (s + 1.0))  # L |s - 1| past the float range
     zeros = int(np.searchsorted(xi, 0.0, "right")) if xi.size and xi[0] == 0.0 else 0
     r, rest = np.full_like(xi, d / length), xi[zeros:]
     r[zeros:] = np.exp(-m * rest) * np.expm1(-d * rest) / np.expm1(-length * rest)

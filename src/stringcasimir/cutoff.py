@@ -20,7 +20,8 @@ from .spectrum import _BISECT_RTOL, Spectrum, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
 
-# Fractions of L used for the default damping grid.  Kept small enough
+# Fractions of L used for the default damping grid, of 4 min(L_I, L_II) where
+# that is shorter (s outside [1/3, 3]).  Kept small enough
 # that the quartic structure of the damped difference stays far below the
 # quadratic-fit residual tolerance, while eps_min * omega_max = 40 keeps
 # the spectra around 10^3 modes.
@@ -86,8 +87,9 @@ def casimir_by_cutoff(cfg, epsilons=None):
     """
     _instance("casimir_by_cutoff", cfg, StringConfig)
     length = cfg.total_length
-    if epsilons is None:
-        epsilons = [f * length for f in DEFAULT_EPSILON_FRACTIONS]
+    if epsilons is None:  # on the shorter piece's scale where it is below L/4
+        scale = min(length, 4.0 * min(cfg.piece_length_i, cfg.piece_length_ii))
+        epsilons = [f * scale for f in DEFAULT_EPSILON_FRACTIONS]
     epsilons = [float(_positive("epsilon", e)) for e in epsilons]
     if len(epsilons) < 4:
         raise DomainError("need at least 4 epsilon samples")

@@ -176,15 +176,14 @@ def _phases(s, n_tau1):
     return np.unique(np.abs(r - np.round(r)), return_counts=True)
 
 
-def _log_integrand(tau2, s, beta, t, n_tau1, phases=None, last_alone=False):
+def _log_integrand(tau2, s, beta, t, n_tau1, phases=None):
     """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the n_tau1-node
     trapezoid of the periodic direction; the summed magnitude of its terms, which sets its
     rounding error (about that times eps); and its beta derivative.  |eta| is even and
     1-periodic in Re z, so eta is taken at the distinct folded phases |r - round(r)|,
     r = (1+s) tau_1, weighted by their counts (17, 33, 9 of 64 nodes for s = 1, 2, 3):
     ``phases``, or ``_phases(s, n_tau1)``.  Each chunk of about _ETA_BLOCK eta arguments
-    takes one eta call.  With ``last_alone`` the last element's tau_1 sum is a one-row
-    product, the bits a call on that element alone gives.
+    takes one eta call.  Rows 0 and 1 of an element are the bits a call on it alone gives.
     """
     phase, count = _phases(s, n_tau1) if phases is None else phases
     out = np.empty((3, tau2.size))
@@ -197,9 +196,7 @@ def _log_integrand(tau2, s, beta, t, n_tau1, phases=None, last_alone=False):
         powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
         top = powers.max(axis=1)
         weights = np.exp(powers - top[:, None])
-        sums = weights @ count  # many rows take BLAS gemv, one row a dot, which rounds otherwise
-        if last_alone and lo + rows >= tau2.size:
-            sums[-1] = weights[-1] @ count
+        sums = (weights * count).sum(axis=1)  # row by row, where a BLAS product rounds by row count
         ln_tau1 = top + np.log(sums / n_tau1)
         with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
             a = beta * beta * t / (8.0 * math.pi**2 * y)
@@ -220,13 +217,13 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     terms is delta = 0, which converges.  Otherwise the integral over v = ln(tau2_max / tau_2)
     in (0, max_octaves ln 2] is a trapezoid sum after the double-exponential map of the contour
     routes, which also resolves the tau2_max end, where the integrand is largest.  Its
-    normalisation, row 0 at tau2_max, is one more element of the pass's first call; where it
-    is -inf, F is the constant.  ``abs_error_estimate`` bounds the kernel's discretization and
-    noise, the rounding of the log integrand and of its exponential, about |ln| eps relative
-    with |ln| up to hundreds, and the rounding of F itself.
+    normalisation is row 0 at the contour's first node, v = e^{-94.5}, where tau_2 is tau2_max;
+    where that is -inf, F is the constant.  ``abs_error_estimate`` bounds the kernel's
+    discretization and noise, the rounding of the log integrand and of its exponential, about
+    |ln| eps relative with |ln| up to hundreds, and the rounding of F itself.
     """
     _instance("free_energy", cfg, QuantumStringConfig)
-    _positive("beta", beta)
+    beta = float(_positive("beta", beta))  # a numpy beta would warn where beta^2 overflows
     _positive("tau2_max", tau2_max)
     if _count("n_tau1", n_tau1) > 1 << 16:  # so that a tau_2 node's phases fit in one eta block
         raise DomainError(f"n_tau1 must be at most 65536, got {n_tau1}")
@@ -240,15 +237,12 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
     if beta * beta * t / (8.0 * math.pi**2 * tau2_max) == math.inf:  # a overflows: F is the constant
         return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
-    phases, shift = _phases(s, n_tau1), None  # shift: row 0 at tau2_max, normalises every call
+    phases, shift = _phases(s, n_tau1), None
 
     def f(v):
         nonlocal shift
-        tau2, first = tau2_max * np.exp(-v), shift is None  # the first call also takes tau2_max
-        tau2 = np.append(tau2, tau2_max) if first else tau2
-        rows = _log_integrand(tau2, s, beta, t, n_tau1, phases, first)
-        if first:
-            shift, rows = float(rows[0, -1]), rows[:, :-1]
+        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1, phases)
+        shift = float(rows[0, 0]) if shift is None else shift  # the first node is tau2_max
         excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
             raise QuadratureError(f"modulus integrand not representable (s={s}, beta={beta})")

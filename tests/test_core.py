@@ -340,6 +340,17 @@ class TestLogRatios:
         for xi, value, expected in zip(nodes, got, _mp_log_ratio(nodes, cfg)):
             assert abs(value - expected) <= energy._NOISE * abs(expected), xi
 
+    @pytest.mark.parametrize("xi", [1e-310, 1e-322, 5e-324])
+    def test_two_piece_subnormal_xi_is_the_zero_limit(self, xi):
+        # d xi and L xi would round to multiples of 5e-324 (at 5e-324, L xi to 0: 0/0)
+        cfg = StringConfig(2, 0.3, 0.1)
+        zero = imag_axis_log_ratio(0.0, cfg)
+        assert repr(imag_axis_log_ratio(xi, cfg)) == repr(zero)
+        grid = np.array([[0.0, xi, 1.0], [xi, 0.0, 0.5]])
+        got = imag_axis_log_ratio(grid, cfg)
+        one, half = imag_axis_log_ratio(1.0, cfg), imag_axis_log_ratio(0.5, cfg)
+        assert got.tobytes() == np.array([[zero, zero, one], [zero, zero, half]]).tobytes()
+
     def test_2n_zero_limit(self):
         cfg = NPieceConfig(4, 0.3)
         w = 4 * 0.3 / 1.3**2

@@ -112,6 +112,18 @@ class TestCasimirByCutoff:
             assert report["abs_difference"] <= bars
             assert report["agree"]
 
+    @pytest.mark.parametrize("s, x", [(100, 0.3), (0.01, 0.3), (1000, 0.0)])
+    def test_error_bar_covers_contour_at_high_contrast(self, s, x):
+        # on a grid of fractions of L the fit raised at s = 100: it was not small against L/(1 + s)
+        cfg = StringConfig(s, x)
+        oracle, contour = casimir_by_cutoff(cfg).as_energy_result(), casimir_two_piece(cfg)
+        assert abs(oracle.value - contour.value) <= oracle.abs_error_estimate + contour.abs_error_estimate
+
+    @pytest.mark.parametrize("s", [1 / 3 + 1e-15, 0.5, 1.8, 2.2, 3])
+    def test_default_grid_is_fractions_of_length_from_one_third_to_three(self, s):
+        res = casimir_by_cutoff(StringConfig(s, 0.3, 7.0))
+        assert [e for e, _ in res.epsilon_samples] == [f * 7.0 for f in DEFAULT_EPSILON_FRACTIONS]
+
     def test_extrapolation_stable_under_refinement(self):
         cfg = StringConfig(2, 0.5, math.pi)
         base = casimir_by_cutoff(cfg).extrapolated_energy

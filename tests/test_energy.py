@@ -47,6 +47,12 @@ class TestTwoPiece:
         res = casimir_two_piece(StringConfig(s, 0.0))
         assert abs(res.value - casimir_two_piece_x0(s, math.pi).value) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.3, 0.999])
+    def test_length_times_contrast_past_the_float_range(self, x):
+        # pieces 1 and 1e300: L |s - 1| overflows, so d is L (|s - 1| / (s + 1)) there
+        big, ref = (casimir_two_piece(StringConfig(s, x, s)) for s in (1e300, 1e200))
+        assert abs(big.value - ref.value) <= big.abs_error_estimate + ref.abs_error_estimate
+
     def test_length_ratio_inversion(self):
         for s, x in ((2.0, 0.3), (4.5, 0.1), (1.7, 0.85)):
             a = casimir_two_piece(StringConfig(s, x, math.pi)).value
