@@ -12,7 +12,7 @@ decoupled limit provides the one-loop free energy and its Hagedorn
 temperature.
 """
 
-# each module's __all__ declares its public names; the package's own __all__ pins what it exports
+# each layer's __all__ declares its public names; the package exports them in this order
 from .core import *
 from .spectrum import *
 from .energy import *
@@ -21,28 +21,12 @@ from .cutoff import *
 from .modular import *
 from .quantum import *
 from .errors import *
+from . import core, cutoff, energy, errors, modular, quantum, spectrum, thermal
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "StringConfig", "NPieceConfig", "TransferMatrix", "EigenPair",
-    "tension_contrast", "alpha_param", "dispersion_two_piece",
-    "transfer_matrix", "system_matrix", "lambda_pair", "dispersion_2n",
-    "Spectrum", "ContourCount", "find_spectrum", "count_modes",
-    "branch_spectrum_x0", "uniform_spectrum",
-    "EnergyResult", "casimir_two_piece", "casimir_two_piece_x0",
-    "casimir_2n", "casimir_2n_x0", "scaling_function", "scaling_fit",
-    "ThermalConfig", "casimir_two_piece_thermal", "high_t_limit",
-    "mirror_limit", "casimir_2n_thermal", "casimir_2n_thermal_x0",
-    "frequency_ratio",
-    "CutoffResult", "damped_mode_sum", "casimir_by_cutoff",
-    "ModularPoint", "dedekind_eta", "dedekind_eta_with_bound",
-    "jacobi_theta3", "jacobi_theta3_with_bound", "log_abs_dedekind_eta",
-    "QuantumStringConfig", "OccupationState", "ThermoResult",
-    "mean_tension", "translational_energy", "mass_squared_excess",
-    "free_energy", "thermo_derivatives", "hagedorn_beta",
-    "StringCasimirError", "DomainError", "QuadratureError",
-    "MultiplicityUndecidedError", "ExtrapolationUnstableError",
-    "SpectrumTruncationError", "ModularLiftRequiredError",
-    "__version__",
-]
+# bound here too but not exported: the log-ratio kernels, log_sinh and the oracle's default grid
+_UNEXPORTED = {"imag_axis_log_ratio", "imag_axis_log_ratio_2n", "log_sinh",
+               "DEFAULT_EPSILON_FRACTIONS"}
+__all__ = [name for layer in (core, spectrum, energy, thermal, cutoff, modular, quantum, errors)
+           for name in layer.__all__ if name not in _UNEXPORTED] + ["__version__"]

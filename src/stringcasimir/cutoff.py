@@ -8,6 +8,7 @@ quadratic fit.  Deliberately built on explicitly enumerated spectra
 rather than the contour machinery it cross-checks.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from .core import StringConfig
 from .energy import EnergyResult
 from .errors import DomainError, ExtrapolationUnstableError, SpectrumTruncationError
 from .errors import _instance, _positive, _real
-from .spectrum import _BISECT_RTOL, Spectrum, find_spectrum, uniform_spectrum
+from .spectrum import _BISECT_RTOL, _MAX_HALF_PERIODS, Spectrum, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
 
@@ -83,11 +84,13 @@ def casimir_by_cutoff(cfg, epsilons=None):
     composite one; the differences are fit with c0 + c1 eps + c2 eps^2 and
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
-    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error.
+    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error,
+    and DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods
+    pi/L: with the default grid, outside about 1/1026 <= s <= 1026.
     """
     _instance("casimir_by_cutoff", cfg, StringConfig)
-    length = cfg.total_length
-    if epsilons is None:  # on the shorter piece's scale where it is below L/4
+    length, default = cfg.total_length, epsilons is None
+    if default:  # on the shorter piece's scale where it is below L/4
         scale = min(length, 4.0 * min(cfg.piece_length_i, cfg.piece_length_ii))
         epsilons = [f * scale for f in DEFAULT_EPSILON_FRACTIONS]
     epsilons = [float(_positive("epsilon", e)) for e in epsilons]
@@ -97,6 +100,16 @@ def casimir_by_cutoff(cfg, epsilons=None):
         raise DomainError("epsilon samples must be strictly decreasing")
 
     omega_max = _OMEGA_EPS_MIN / epsilons[-1] * 1.002
+    # the spectra's own limit, checked first; find_spectrum refuses an omega_max that overflows
+    if math.isfinite(omega_max) and omega_max * length / math.pi > _MAX_HALF_PERIODS:
+        least = _OMEGA_EPS_MIN * 1.002 / (math.pi * _MAX_HALF_PERIODS)  # the least epsilon over L
+        if default:  # the smallest epsilon is 4 f L/(1 + s) past s = 3, as s <-> 1/s below 1/3
+            top = 4.0 * DEFAULT_EPSILON_FRACTIONS[-1] / least - 1.0
+            raise DomainError(f"length_ratio={cfg.length_ratio:g} is past the default damping "
+                              f"grid's range of about 1/{top:.0f} <= s <= {top:.0f}")
+        raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {least * length:g}, the least "
+                          f"that keeps the spectra within {_MAX_HALF_PERIODS} half-periods pi/L "
+                          f"(L={length:g})")
     composite = find_spectrum(cfg, omega_max)
     uniform = uniform_spectrum(length, omega_max)
 

@@ -11,8 +11,8 @@ converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.
 
 For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
-Poisson dual runs instead where its terms fit one array pass or cost at
-most the lattice's nodes (``_thermal``): the exact E_N plus
+Poisson dual runs instead where its terms cost at most the lattice's nodes
+plus one call's overhead (``_thermal``): the exact E_N plus
 T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired with the
 uniform string's mode it replaces, in one array pass whatever x.
 At x = 0, where the dropped 2N zero mode leaves a T ln T term, the sum is
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NPieceConfig, StringConfig, _bloch_angles, imag_axis_log_ratio, tension_contrast
-from .energy import _BLOCK, _NOISE, EnergyResult, _bloch_energy, _integrand, _representable
+from .energy import _NOISE, EnergyResult, _bloch_energy, _integrand, _representable
 from .energy import _trapezoid, _vanishes
 from .errors import DomainError, _instance, _positive, _real
 
@@ -34,8 +34,9 @@ __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror
            "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
 
 _REACH = 40.0  # omega/T to which the 2N mode sum runs: each later term is below e^{-40}
-_MAX_PAIRS = 1 << 17  # most N of a mode sum past one _BLOCK, whose arrays then peak near 17 MB
+_MAX_PAIRS = 1 << 17  # most N of a mode sum, whose arrays then peak near 17 MB
 _TERM_COST = 3.0  # lattice nodes that take as long as one mode-sum term: 2.5 to 3.6 at N = 2^14-2^17
+_CALL_COST = 256.0  # lattice nodes that take as long as a lattice call's overhead over a mode sum's
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,8 @@ def _matsubara(f, b, h):
 
 def _thermal(name, cfg, kind, th):
     """The thermal energy of ``cfg``, a ``kind``, after the lattice's checks: 2N at x = 0 in closed
-    form, else the mode sum where its N + 40TL/2 pi terms fit one _BLOCK, or cost at most the
-    lattice's b/h nodes with N <= _MAX_PAIRS, else the lattice."""
+    form, else the mode sum where N <= _MAX_PAIRS and its N + 40TL/2 pi terms cost at most the
+    lattice's b/h nodes plus one call's overhead, else the lattice."""
     t = _positive("temperature", _temperature(name, cfg, kind, th))
     if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
@@ -84,7 +85,7 @@ def _thermal(name, cfg, kind, th):
         if cfg.tension_ratio == 0.0:
             return _decoupled_sum(cfg, t)
         terms = cfg.piece_pairs + _REACH * t * cfg.total_length / (2.0 * math.pi)
-        if terms <= _BLOCK or cfg.piece_pairs <= _MAX_PAIRS and _TERM_COST * terms <= nodes:
+        if cfg.piece_pairs <= _MAX_PAIRS and _TERM_COST * terms <= nodes + _CALL_COST:
             return _mode_sum(cfg, t)
     return _matsubara(f, b, h)
 
@@ -130,7 +131,7 @@ def mirror_limit(x, th, printed_form=False):
 
 def casimir_2n_thermal(cfg, th):
     """Thermal Casimir energy of the 2N-piece string: the mode sum (``mode-sum``)
-    for 0 < x < 1 where its terms are few (``_thermal``), else the Matsubara sum.
+    for 0 < x < 1 where it costs less than the lattice (``_thermal``), else the Matsubara sum.
 
     Vanishes identically for x = 1 and for N = 1.  At x = 0 with N >= 2
     the n = 0 summand diverges logarithmically (each decoupled piece

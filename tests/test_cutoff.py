@@ -119,6 +119,17 @@ class TestCasimirByCutoff:
         oracle, contour = casimir_by_cutoff(cfg).as_energy_result(), casimir_two_piece(cfg)
         assert abs(oracle.value - contour.value) <= oracle.abs_error_estimate + contour.abs_error_estimate
 
+    @pytest.mark.parametrize("s", [2000, 1 / 2000])
+    def test_default_grid_refuses_past_its_contrast(self, s):
+        # its smallest epsilon would need a spectrum over 2^18 half-periods pi/L; the refusal
+        # names s and its range, not an omega_max the caller never gave
+        with pytest.raises(DomainError, match=r"length_ratio=.* about 1/1026 <= s <= 1026"):
+            casimir_by_cutoff(StringConfig(s, 0.3))
+
+    def test_caller_grid_refuses_its_smallest_epsilon(self):
+        with pytest.raises(DomainError, match=r"smallest epsilon=1e-05 is below 0\.000152893"):
+            casimir_by_cutoff(StringConfig(2, 0.3, math.pi), [0.1, 0.05, 0.02, 1e-5])
+
     @pytest.mark.parametrize("s", [1 / 3 + 1e-15, 0.5, 1.8, 2.2, 3])
     def test_default_grid_is_fractions_of_length_from_one_third_to_three(self, s):
         res = casimir_by_cutoff(StringConfig(s, 0.3, 7.0))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stringcasimir import (
@@ -277,7 +277,10 @@ class TestTwoNRoute:
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 100.0),  # 18384 terms, 479 nodes
                                         (NPieceConfig(10**6, 0.3), 1e-3),  # N past _MAX_PAIRS
                                         (NPieceConfig(4, 0.3), 1e4),  # T L >> 1: terms >> nodes
-                                        (NPieceConfig(2**14, 0.3), 2.0)])  # 16464 terms, 23950 nodes
+                                        (NPieceConfig(2**14, 0.3), 2.0),  # 16464 terms, 23950 nodes
+                                        # 8.6x and 9.6x faster on the lattice than on the mode sum
+                                        (NPieceConfig(16000, 0.3), 19.0),
+                                        (NPieceConfig(8192, 0.3), 60.0 / L)])
     def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
         with pytest.raises(AssertionError, match="a lattice pass"):
             casimir_2n_thermal(cfg, ThermalConfig(t))
@@ -286,8 +289,17 @@ class TestTwoNRoute:
                                         (NPieceConfig(20000, 0.3), 1e-3),
                                         (NPieceConfig(10**5, 1e-6), 1e-4)])
     def test_mode_sum_runs_past_one_block(self, cfg, t, no_lattice):
-        # past _BLOCK terms but costing less than the lattice's nodes: the lattice took 20 to
+        # past 2^14 terms but costing less than the lattice's nodes: the lattice took 20 to
         # 40 times as long here, and at (1e5, 1e-6) it ran out of nodes
+        assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
+
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(128, 0.3), 1.0),
+                                        (NPieceConfig(512, 0.3), 1.0),
+                                        (NPieceConfig(2, 0.3), 0.6), (NPieceConfig(6, 0.3), 1.8)])
+    def test_mode_sum_runs_within_one_call_of_the_lattice(self, cfg, t, no_lattice):
+        # 3 terms over the lattice's nodes by at most one call's overhead: at (512, T = 1) by
+        # 190 nodes, where the lattice takes 0.55 ms and the mode sum 0.33; N = 2 and 6 at
+        # T/N = 0.3 are the benchmark's corners
         assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3), (NPieceConfig(3, 0.0), 1e-6),
@@ -342,6 +354,18 @@ def test_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": ":".join(sys.path)})
     assert out.stdout.strip() == "[]"
+
+
+def test_star_import_binds_the_package_all():
+    # __all__ is the layers' lists joined; the four names it leaves out stay attributes
+    import stringcasimir as sc
+
+    names = {}
+    exec("from stringcasimir import *", names)
+    assert sorted(set(names) - {"__builtins__"}) == sorted(sc.__all__)
+    for name in ("imag_axis_log_ratio", "imag_axis_log_ratio_2n", "log_sinh",
+                 "DEFAULT_EPSILON_FRACTIONS"):
+        assert name not in sc.__all__ and hasattr(sc, name)
 
 
 def _mp_two_piece(s, x):
@@ -510,6 +534,23 @@ def test_mode_sum_past_one_block_agrees_with_the_lattice(t):
     assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.floats(1.0, 14.0).map(lambda e: round(2.0**e)),
+       x=st.one_of(st.floats(-9.0, -0.3).map(lambda e: 10.0**e),
+                   st.floats(-6.0, -0.3).map(lambda e: 1.0 - 10.0**e)),
+       t_l=st.floats(0.0, math.log10(200.0)).map(lambda e: 10.0**e))
+@example(n=16000, x=0.3, t_l=19.0 * L)
+@example(n=8192, x=0.3, t_l=60.0)
+def test_routes_agree_across_the_crossover(n, x, t_l):
+    # where the router moves 2N inputs to the lattice, at high T L; both routes are kept
+    # below 2^14 terms and nodes, so each takes a few ms at most
+    cfg, t = NPieceConfig(n, x), t_l / L
+    f, b = energy._integrand(cfg)
+    assume(b / (2.0 * math.pi * t) <= 2**14 and n + thermal._REACH * t_l / (2.0 * math.pi) <= 2**14)
+    dual, lattice = thermal._mode_sum(cfg, t), thermal._matsubara(f, b, 2.0 * math.pi * t)
+    assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
+
+
 def test_mode_sum_peak_memory_at_the_cap():
     # the arrays grow as N (where 3 terms <= nodes there are at most 21 periods,
     # under one row), so the peak at 2^15, scaled to _MAX_PAIRS, bounds it there; tracing
@@ -567,8 +608,8 @@ def _mp_two_n_thermal(n, x, t):
 def test_mode_sum_bar_covers_mpmath(n, x, t):
     with mp.workdps(40):  # near x = 1, E_N cancels to about 1e-19 of its terms
         zero, ref = _mp_two_n_thermal(n, x, t)
-    res = casimir_2n_thermal(NPieceConfig(n, x), ThermalConfig(t))
-    assert res.method == "mode-sum"
+    # the mode sum itself: the router takes the lattice at (10^4, T = 1), within 1.2x of its time
+    res = thermal._mode_sum(NPieceConfig(n, x), t)
     # each Bloch mode paired with the uniform one keeps the bar relative, also near x = 1
     assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-12 * abs(res.value)
     value, bar = energy._bloch_energy(NPieceConfig(n, x))
