@@ -8,7 +8,6 @@ quadratic fit.  Deliberately built on explicitly enumerated spectra
 rather than the contour machinery it cross-checks.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ from .core import StringConfig
 from .energy import EnergyResult
 from .errors import DomainError, ExtrapolationUnstableError, SpectrumTruncationError
 from .errors import _instance, _positive, _real
-from .spectrum import _BISECT_RTOL, _MAX_HALF_PERIODS, Spectrum, find_spectrum, uniform_spectrum
+from .spectrum import _BISECT_RTOL, Spectrum, _omega_limit, find_spectrum, uniform_spectrum
 
 __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSILON_FRACTIONS"]
 
@@ -100,16 +99,13 @@ def casimir_by_cutoff(cfg, epsilons=None):
         raise DomainError("epsilon samples must be strictly decreasing")
 
     omega_max = _OMEGA_EPS_MIN / epsilons[-1] * 1.002
-    # the spectra's own limit, checked first; find_spectrum refuses an omega_max that overflows
-    if math.isfinite(omega_max) and omega_max * length / math.pi > _MAX_HALF_PERIODS:
-        least = _OMEGA_EPS_MIN * 1.002 / (math.pi * _MAX_HALF_PERIODS)  # the least epsilon over L
+    if omega_max > _omega_limit(length):  # the spectra's own limit, checked before either is built
+        least = _OMEGA_EPS_MIN * 1.002 / _omega_limit(length)  # the least epsilon that fits
         if default:  # the smallest epsilon is 4 f L/(1 + s) past s = 3, as s <-> 1/s below 1/3
-            top = 4.0 * DEFAULT_EPSILON_FRACTIONS[-1] / least - 1.0
+            top = 4.0 * DEFAULT_EPSILON_FRACTIONS[-1] * length / least - 1.0
             raise DomainError(f"length_ratio={cfg.length_ratio:g} is past the default damping "
                               f"grid's range of about 1/{top:.0f} <= s <= {top:.0f}")
-        raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {least * length:g}, the least "
-                          f"that keeps the spectra within {_MAX_HALF_PERIODS} half-periods pi/L "
-                          f"(L={length:g})")
+        raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {least:g}, the least that fits")
     composite = find_spectrum(cfg, omega_max)
     uniform = uniform_spectrum(length, omega_max)
 

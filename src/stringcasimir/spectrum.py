@@ -144,12 +144,16 @@ def _merged(roots):
     return roots[first], np.diff(first, append=roots.size)
 
 
+def _omega_limit(length, limit=_MAX_HALF_PERIODS):  # the most omega_max within limit half-periods pi/L
+    return limit * math.pi / length
+
+
 def _roots(cfg, omega_max, limit=_MAX_HALF_PERIODS):
     """Distinct positive roots of the dispersion function, sorted, with their
     multiplicities: every root up to omega_max and perhaps a few above.  Over
     ``limit`` half-periods pi/L it raises before anything is allocated."""
     length = cfg.total_length
-    if omega_max * length / math.pi > limit:
+    if omega_max > _omega_limit(length, limit):
         raise DomainError(f"omega_max={omega_max:g} spans over the limit of {limit} half-periods pi/L "
                           f"(L={length:g}): lower it")
     x, s = cfg.tension_ratio, cfg.length_ratio
