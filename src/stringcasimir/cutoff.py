@@ -8,6 +8,8 @@ quadratic fit.  Deliberately built on explicitly enumerated spectra
 rather than the contour machinery it cross-checks.
 """
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +52,18 @@ class CutoffResult:
         one more power of eps, plus what the spectrum's root tolerance can
         move it.  The fit residual itself is 10-20 times too small."""
         eps, diffs = np.array(self.epsilon_samples).T
-        cubic = np.polynomial.polynomial.polyfit(eps, diffs, 3)[0]
+        eps, scale = _scaled(eps)
+        cubic = math.ldexp(np.polynomial.polynomial.polyfit(eps, np.ldexp(diffs, scale), 3)[0], -scale)
         bar = abs(cubic - self.extrapolated_energy) + self._root_error
         return EnergyResult(self.extrapolated_energy, "cutoff-oracle", bar)
+
+
+def _scaled(epsilons):
+    """The epsilons over 2^k, k the binary exponent of the largest, and k: the fits take
+    eps / 2^k and the differences times 2^k, exact scalings that keep eps^3 and the sums of
+    squares in the float range at every L."""
+    scale = math.frexp(max(epsilons))[1]
+    return np.ldexp(np.asarray(epsilons, dtype=float), -scale), scale
 
 
 def damped_mode_sum(spec, epsilon):
@@ -75,6 +86,15 @@ def damped_mode_sum(spec, epsilon):
     return 0.5 * float(np.sum(m * w * np.exp(-epsilon * w)))
 
 
+def _float_range(length, ratio):
+    """DomainError where omega_max and the damped sums, which grow like 1/(ratio L) and
+    1/(ratio^2 L) with ratio = eps_min / L, pass the float range."""
+    least = 4.0 * max(_OMEGA_EPS_MIN / ratio, 1.0 / ratio**2) / sys.float_info.max
+    if length < least:
+        raise DomainError(f"total_length={length:g} is below {least:.3g}, the least L whose spectra "
+                          "and damped sums this damping grid keeps in the float range")
+
+
 def casimir_by_cutoff(cfg, epsilons=None):
     """Casimir energy via damped mode sums and eps -> 0 extrapolation.
 
@@ -85,11 +105,15 @@ def casimir_by_cutoff(cfg, epsilons=None):
     but guards against imperfect cancellation from the finite spectrum.
     Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error,
     and DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods
-    pi/L: with the default grid, outside about 1/1026 <= s <= 1026.
+    pi/L: with the default grid, outside about 1/1026 <= s <= 1026; or where L is so small
+    that the spectra or damped sums pass the float range: with the default grid, below
+    about 1.4e-304 for 1/3 <= s <= 3 (the fits, in eps / 2^k, serve every L above).
     """
     _instance("casimir_by_cutoff", cfg, StringConfig)
     length, default = cfg.total_length, epsilons is None
     if default:  # on the shorter piece's scale where it is below L/4
+        s = cfg.length_ratio  # the smallest epsilon over L, known before any epsilon can underflow
+        _float_range(length, DEFAULT_EPSILON_FRACTIONS[-1] * min(1.0, 4.0 * min(1.0, s) / (1.0 + s)))
         scale = min(length, 4.0 * min(cfg.piece_length_i, cfg.piece_length_ii))
         epsilons = [f * scale for f in DEFAULT_EPSILON_FRACTIONS]
     epsilons = [float(_positive("epsilon", e)) for e in epsilons]
@@ -106,16 +130,17 @@ def casimir_by_cutoff(cfg, epsilons=None):
             raise DomainError(f"length_ratio={cfg.length_ratio:g} is past the default damping "
                               f"grid's range of about 1/{top:.0f} <= s <= {top:.0f}")
         raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {least:g}, the least that fits")
+    _float_range(length, epsilons[-1] / length)
     composite = find_spectrum(cfg, omega_max)
     uniform = uniform_spectrum(length, omega_max)
 
     sums = np.array([[damped_mode_sum(sp, e) for sp in (composite, uniform)] for e in epsilons])
     diffs = sums[:, 0] - sums[:, 1]
-    eps = np.array(epsilons)
-    coeffs = np.polynomial.polynomial.polyfit(eps, diffs, 2)
+    eps, scale = _scaled(epsilons)
+    coeffs = np.polynomial.polynomial.polyfit(eps, np.ldexp(diffs, scale), 2)
     fit = np.polynomial.polynomial.polyval(eps, coeffs)
-    residual = float(np.max(np.abs(fit - diffs)))
-    c0 = float(coeffs[0])
+    residual = math.ldexp(float(np.max(np.abs(fit - np.ldexp(diffs, scale)))), -scale)
+    c0 = math.ldexp(float(coeffs[0]), -scale)
     # A root off by r w moves its term w e^{-eps w} by r |1 - eps w| w e^{-eps w};
     # over a mode density like the uniform one that sums to at most 3 r times
     # the damped sum.  c0 weighs the samples by the fit's first pseudo-inverse row.

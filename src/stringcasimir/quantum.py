@@ -28,6 +28,17 @@ reported values are understood with that regularization.
 Everything is evaluated in log space: the bare prefactor is ~1e-34 while
 the integrand spans hundreds of e-folds.  beta enters only through theta_3,
 so dF/d beta, and with it U and S, is one more row of the same kernel pass.
+
+The tau_1 integral is the n_tau1-node trapezoid, and each tau_2 node takes the cheapest of
+three routes that gives it to rounding.  Level matching makes the exact integral
+sum_n p_24(n)^2 e^{-4 pi Y (n-1)}, Y = (1+s) tau_2 (Polchinski, String Theory I, 7.3); the
+rule differs from it by its aliasing, at most 2 sum_m p_24(m+N) p_24(m) e^{-2 pi Y (2m+N)}
+relative, N = n_tau1 / gcd(n_tau1, 1+s).  From Y_c = max(0.408, (5.87 + 1.38 sqrt N) / N) up
+(1.22, 0.71, 0.43 and 0.41 at N = 8, 16, 32, 64) that and the tail past the 21 tabulated p_24
+are below 2^-60, so the level sum stands in for the rule and n_tau1 keeps its meaning.  Below,
+|eta(tau)| >= eta(i Im tau) bounds a node by its tau_1 = 0 ray, whose 1/tau_2 terms are formed
+as -delta/tau_2: a node bounded 746 e-folds below the row at tau2_max is 0 in double precision
+and skipped; the others take eta at the folded tau_1 phases.  eta(iw) is real arithmetic.
 """
 
 import math
@@ -48,6 +59,11 @@ __all__ = ["QuantumStringConfig", "OccupationState", "ThermoResult", "mean_tensi
 _TRANSVERSE_DIMS = 24
 _ETA_BLOCK = 1 << 16  # eta arguments per call, which bounds memory
 _EPS = sys.float_info.epsilon
+# p_24(n), the partitions of n in 24 colours: eta(w)^{-24} = sum_n p_24(n) e^{2 pi i w (n-1)}
+_P24 = np.array([1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575, 143184000,
+                 639249300, 2705114880, 10914317934, 42189811200, 156883829400, 563116739584,
+                 1956790259235, 6599620022400, 21651325216200, 69228721526400, 216108718571250],
+                dtype=float)
 
 
 @dataclass(frozen=True)
@@ -176,35 +192,59 @@ def _phases(s, n_tau1):
     return np.unique(np.abs(r - np.round(r)), return_counts=True)
 
 
-def _log_integrand(tau2, s, beta, t, n_tau1, phases=None):
+def _ln_eta_imag(w):
+    """ln eta(i w) at a float array w > 0, and that plus pi / (12 w), free of 1/w terms:
+    eta(i w) = w^{-1/2} eta(i / w) below w = 1, then ``modular``'s pentagonal series."""
+    v = np.maximum(w, 1.0 / w)
+    q = np.exp(-2.0 * math.pi * v)
+    q2 = q * q
+    regular = np.log1p(q2 * q2 * q * (1.0 + q2) - q - q2) - 0.5 * np.log(np.minimum(w, 1.0))
+    return regular - math.pi / 12.0 * v, regular + math.pi / 12.0 * (1.0 / w - v)
+
+
+def _ln_level_sum(y):
+    """ln Int_{-1/2}^{1/2} du |eta(u + i y)|^{-48} = ln sum_n p_24(n)^2 e^{-4 pi y (n-1)}
+    for a float array y, cut at n = 20: the level-matched terms of |eta^{-24}|^2."""
+    levels = np.exp(np.multiply.outer(-4.0 * math.pi * y, np.arange(len(_P24))) + 2.0 * np.log(_P24))
+    return 4.0 * math.pi * y + np.log(levels.sum(axis=-1))  # row by row, as the fold's sums
+
+
+def _log_integrand(tau2, s, beta, t, n_tau1, phases=None, shift=-math.inf):
     """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the n_tau1-node
     trapezoid of the periodic direction; the summed magnitude of its terms, which sets its
-    rounding error (about that times eps); and its beta derivative.  |eta| is even and
-    1-periodic in Re z, so eta is taken at the distinct folded phases |r - round(r)|,
-    r = (1+s) tau_1, weighted by their counts (17, 33, 9 of 64 nodes for s = 1, 2, 3):
-    ``phases``, or ``_phases(s, n_tau1)``.  Each chunk of about _ETA_BLOCK eta arguments
-    takes one eta call.  Rows 0 and 1 of an element are the bits a call on it alone gives.
+    rounding error (about that times eps); and its beta derivative, each node by the routes
+    of the module docstring.  Row 0 is -inf where the ray bound is 746 e-folds below ``shift``
+    (None: node 0's row, where it takes the level sum).  eta is taken at the distinct folded
+    phases |r - round(r)|, r = (1+s) tau_1, weighted by their counts (17, 33, 9 of 64 nodes
+    for s = 1, 2, 3): ``phases``, or ``_phases(s, n_tau1)``, about _ETA_BLOCK per eta call.
+    Rows 0 and 1 of an element are the bits a call on it alone gives.
     """
     phase, count = _phases(s, n_tau1) if phases is None else phases
-    out = np.empty((3, tau2.size))
-    rows = max(1, _ETA_BLOCK // (phase.size + 1))
-    for lo in range(0, tau2.size, rows):
-        y = tau2[lo : lo + rows]
-        z = phase + 1j * ((1.0 + s) * y[:, None])
-        ln_eta = log_abs_dedekind_eta(np.concatenate([z.ravel(), 2j * s * (1.0 + s) * y]))
-        ln_eta_imag = ln_eta[z.size :]
-        powers = -48.0 * ln_eta[: z.size].reshape(z.shape)
+    y, n = (1.0 + s) * tau2, n_tau1 // math.gcd(n_tau1, 1 + s)  # aliasing falls as e^{-2 pi n y}
+    level = y >= max(0.408, (5.87 + 1.38 * math.sqrt(n)) / n)
+    ln_tau1 = np.full(tau2.shape, -math.inf)
+    ln_tau1[level] = _ln_level_sum(y[level])
+    with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
+        a = beta * beta * t / (8.0 * math.pi**2 * tau2)
+        ln_theta, d_theta = _ln_theta3_minus_one(a)
+        slope = 2.0 * a / beta * d_theta
+        (ln_eta_imag, _), (regular, regular_y) = _ln_eta_imag(np.array([2.0 * s * (1.0 + s) * tau2, y]))
+        terms = [ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(tau2)]
+        # |eta(tau)| >= eta(i Im tau); the 1/tau_2 terms of the bound make -delta/tau_2 at once
+        delta = max(beta * beta * t / (8.0 * math.pi**2) - math.pi * (4 * s + 1) / (s * (1 + s)), 0.0)
+        bound = (np.where(a < 1.0, ln_theta + np.minimum(a, 1.0), math.log(-2.0 / math.expm1(-3.0)))
+                 - 24.0 * regular - 48.0 * regular_y + terms[2] - delta / tau2)
+    if shift is None:
+        shift = sum(terms)[0] + ln_tau1[0] if level[0] else -math.inf
+    ray = np.flatnonzero(~level & (bound >= shift - 746.0))
+    rows = max(1, _ETA_BLOCK // phase.size)
+    for part in (ray[lo : lo + rows] for lo in range(0, ray.size, rows)):
+        powers = -48.0 * log_abs_dedekind_eta(phase + 1j * y[part, None])
         top = powers.max(axis=1)
-        weights = np.exp(powers - top[:, None])
-        sums = (weights * count).sum(axis=1)  # row by row, where a BLAS product rounds by row count
-        ln_tau1 = top + np.log(sums / n_tau1)
-        with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
-            a = beta * beta * t / (8.0 * math.pi**2 * y)
-            ln_theta, d_theta = _ln_theta3_minus_one(a)
-            terms = (ln_theta, -24.0 * ln_eta_imag, -13.0 * np.log(y), ln_tau1)
-            out[:, lo : lo + rows] = (sum(terms), sum(np.abs(term) for term in terms) + 1.0,
-                                      2.0 * a / beta * d_theta)
-    return out
+        sums = (np.exp(powers - top[:, None]) * count).sum(axis=1)  # row by row, not BLAS
+        ln_tau1[part] = top + np.log(sums / n_tau1)
+    terms.append(ln_tau1)
+    return np.array([sum(terms), sum(np.abs(term) for term in terms) + 1.0, slope])
 
 
 def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
@@ -241,7 +281,7 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
 
     def f(v):
         nonlocal shift
-        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1, phases)
+        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1, phases, shift)
         shift = float(rows[0, 0]) if shift is None else shift  # the first node is tau2_max
         excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -64,6 +65,28 @@ class TestCasimirByCutoff:
         res = casimir_by_cutoff(StringConfig(2, 0.3, length)).as_energy_result()
         bar = res.abs_error_estimate * length + ref.abs_error_estimate * math.pi
         assert abs(res.value * length - ref.value * math.pi) <= bar
+
+    @pytest.mark.parametrize("length", [1e-300, 1e-100, 1e100, 1e300, 1.7e308])
+    def test_fits_stay_in_range_at_any_length(self, length, capfd):
+        # the fits took eps itself: eps^2 and the damped sums left the float range, which raised
+        # LinAlgError past L = 1e200 and ExtrapolationUnstableError below L = 1e-100, with
+        # RuntimeWarnings, a RankWarning and LAPACK lines on stderr
+        ref = casimir_by_cutoff(StringConfig(2, 0.3, math.pi)).as_energy_result()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = casimir_by_cutoff(StringConfig(2, 0.3, length)).as_energy_result()
+        bar = res.abs_error_estimate * length + ref.abs_error_estimate * math.pi
+        assert abs(res.value * length - ref.value * math.pi) <= bar
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("length, epsilons", [
+        (1e-304, None), (1e-310, None), (5e-324, None), (1e-305, [4e-307, 3e-307, 2e-307, 1e-307])])
+    def test_refuses_lengths_past_the_float_range(self, length, epsilons, capfd):
+        # omega_max = 40/eps_min or the damped sums, about L/(2 pi eps_min^2), pass the float range:
+        # the refusal names L and the least L the grid serves, not an omega_max or an epsilon
+        with pytest.raises(DomainError, match=r"total_length=\S+ is below \S+, the least L"):
+            casimir_by_cutoff(StringConfig(2, 0.3, length), epsilons)
+        assert capfd.readouterr() == ("", "")
 
     @pytest.mark.parametrize("length", [math.pi, 1e3])
     def test_fit_residual_rule_is_scale_free(self, length):

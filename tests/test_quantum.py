@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +32,33 @@ EPS = sys.float_info.epsilon
 def beta_star(s, tension_ii):
     """Where delta(beta) = beta^2 t / (8 pi^2) - pi (4s+1) / (s (1+s)) vanishes."""
     return math.sqrt(8.0 * math.pi**2 * (4 * s + 1) / tension_ii) / s
+
+
+def level_threshold(s, n_tau1):
+    """Y_c of ``quantum._log_integrand``: nodes with Y = (1+s) tau_2 >= Y_c take the level sum."""
+    n = n_tau1 // math.gcd(n_tau1, 1 + s)
+    return max(0.408, (5.87 + 1.38 * math.sqrt(n)) / n)
+
+
+def p24(top):
+    """p_24(0..top) in exact integers from n p(n) = 24 sum_k sigma(k) p(n-k)."""
+    sigma = [0] + [sum(d for d in range(1, k + 1) if k % d == 0) for k in range(1, top + 1)]
+    p = [1]
+    for n in range(1, top + 1):
+        total = 24 * sum(sigma[k] * p[n - k] for k in range(1, n + 1))
+        assert total % n == 0
+        p.append(total // n)
+    return p
+
+
+def thermal_free_energies():
+    """(s, T_II, beta) of the free energies in the benchmark's thermal workload, seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(p["s"], p["T_II"], p["beta"]) for seed in (1, 2, 3)
+            for fn, p in workloads.build(seed) if fn == "free_energy"]
 
 
 def diverges_by_probe(s, beta, t):
@@ -448,24 +477,29 @@ def unfolded_log_integrand(tau2, s, beta, t, n_tau1):
 
 
 class TestTau1Fold:
-    """eta at the distinct folded tau_1 phases only, weighted by multiplicity."""
+    """eta at the distinct folded tau_1 phases only, weighted by multiplicity, below Y_c;
+    the level sum from Y_c up."""
 
     TAU2 = np.geomspace(2.0**-40, 2.0, 41)
 
-    @pytest.mark.parametrize("s", range(1, 7))
-    @pytest.mark.parametrize("n_tau1", [1, 7, 64, 256])
+    @pytest.mark.parametrize("s", range(1, 9))
+    @pytest.mark.parametrize("n_tau1", [1, 7, 16, 64, 100, 256])
     def test_matches_unfolded(self, s, n_tau1):
         cfg = QuantumStringConfig(s, math.pi)
         beta, t = 1.5 * beta_star(s, math.pi), translational_energy(cfg)
-        got = quantum._log_integrand(self.TAU2, s, beta, t, n_tau1)
-        ref = unfolded_log_integrand(self.TAU2, s, beta, t, n_tau1)
+        edge = level_threshold(s, n_tau1) / (1.0 + s)  # on both sides of the threshold
+        tau2 = np.sort(np.append(self.TAU2, edge * np.array([1.0 - 1e-12, 1.0 + 1e-12])))
+        got = quantum._log_integrand(tau2, s, beta, t, n_tau1)
+        ref = unfolded_log_integrand(tau2, s, beta, t, n_tau1)
         # each row's rounding is a few eps of the summed magnitude of its terms
         assert np.all(np.abs(got[:2] - ref[:2]) <= 2 * EPS * ref[1])
         assert np.array_equal(got[2], ref[2])
 
-    @pytest.mark.parametrize("s, per_node", [(1, 18), (2, 34), (3, 10)])
-    def test_eta_arguments_per_node(self, s, per_node, monkeypatch):
-        # 17, 33 and 9 folded phases of the 64 nodes, and eta on the imaginary axis
+    @pytest.mark.parametrize("s, phases, below, kept", [(1, 17, 37, 3), (2, 33, 37, 4), (3, 9, 37, 4)])
+    def test_eta_arguments_per_node(self, s, phases, below, kept, monkeypatch):
+        # the 17, 33 and 9 folded phases of the 64 nodes at each tau_2 node below Y_c, none from
+        # Y_c up, and none on the imaginary axis; with the floor of node 0, tau_2 = 2 on the
+        # level route, only at the nodes whose ray bound lies above it
         points, eta = [], quantum.log_abs_dedekind_eta
 
         def counting(z):
@@ -473,8 +507,87 @@ class TestTau1Fold:
             return eta(z)
 
         monkeypatch.setattr(quantum, "log_abs_dedekind_eta", counting)
-        quantum._log_integrand(self.TAU2, s, 20.0, 1.0, 64)
-        assert sum(points) == per_node * self.TAU2.size
+        cfg, tau2 = QuantumStringConfig(s, math.pi), self.TAU2[::-1].copy()
+        beta, t = 1.5 * beta_star(s, math.pi), translational_energy(cfg)
+        assert np.sum((1.0 + s) * tau2 < level_threshold(s, 64)) == below
+        quantum._log_integrand(tau2, s, beta, t, 64)
+        assert sum(points) == phases * below
+        points.clear()
+        rows = quantum._log_integrand(tau2, s, beta, t, 64, None, None)
+        assert sum(points) == phases * kept
+        assert np.sum(rows[0] == -math.inf) == below - kept
+
+
+class TestLevelSum:
+    """From Y_c up, the level-matched sum over 21 tabulated p_24 stands in for the tau_1 rule."""
+
+    def test_p24_literal(self):
+        assert [int(p) for p in quantum._P24] == p24(20)
+        assert quantum._P24.tolist() == [float(p) for p in p24(20)]  # each exact in a double
+
+    def test_threshold_bounds_aliasing_and_tail(self):
+        # the rule is off by 2 sum_{j >= 1} sum_m p(m) p(m + jN) e^{-2 pi Y (2m + jN)}, relative to
+        # sum_n p(n)^2 e^{-4 pi Y n}; the table leaves out n > 20.  Both are below 2^-60 from Y_c,
+        # and the formula is within 4% of the aliasing's own point wherever it binds
+        p = np.array(p24(300), dtype=float)
+        m = np.arange(p.size)
+
+        def level(y, start=0):
+            return np.sum(p[start:] ** 2 * np.exp(-4.0 * math.pi * y * m[start:]))
+
+        def aliasing(n, y):
+            total = sum(np.sum(p[:-d] * p[d:] * np.exp(-2.0 * math.pi * y * (2 * m[:-d] + d)))
+                        for d in range(n, p.size, n))
+            return 2.0 * total / level(y)
+
+        assert level(0.408, 21) / level(0.408) <= 2.0**-60 < level(0.4, 21) / level(0.4)
+        for n in range(1, 129):
+            yc = level_threshold(n, n)  # gcd(n, n + 1) = 1
+            assert aliasing(n, yc) <= 2.0**-60
+            if yc > 0.408:
+                assert aliasing(n, 0.96 * yc) > 2.0**-60
+
+    @pytest.mark.parametrize("y", [level_threshold(s, 64) for s in (1, 2, 3)] + [1.0, 3.0])
+    def test_matches_mpmath_quadrature(self, y):
+        # Int_{-1/2}^{1/2} dtau_1 |eta((1+s) tau)|^{-48} depends on Y = (1+s) tau_2 alone: Y_c of
+        # s = 1, 2, 3 at n_tau1 = 64, then 1 and 3
+        with mp.workdps(30):  # |eta| is even and 1-periodic in Re: twice the integral over [0, 1/2]
+            f = lambda u: mp.exp(-48 * _mp_ln_abs_eta(mp.mpc(u, y)))
+            ref = mp.log(2 * mp.quad(f, [0, mp.mpf(1) / 4, mp.mpf(1) / 2]))
+        got = quantum._ln_level_sum(np.array([y]))[0]
+        assert abs(got - ref) <= 2 * EPS * abs(ref)
+
+
+class TestScreen:
+    """Nodes whose tau_1 = 0 ray bound lies more than 746 e-folds below the row at tau2_max
+    are 0 in double precision: skipping them changes no bit, and keeps the rounding noise of
+    deep nodes near beta* out of the sums."""
+
+    def test_changes_no_bit(self, monkeypatch):
+        cases = thermal_free_energies() + [(1, math.pi, math.sqrt(40 * math.pi))]  # the last at beta*
+        points, eta = [], quantum.log_abs_dedekind_eta
+        monkeypatch.setattr(quantum, "log_abs_dedekind_eta", lambda z: points.append(np.size(z)) or eta(z))
+
+        def run():
+            points.clear()
+            return [repr(free_energy(QuantumStringConfig(s, tension), beta)) for s, tension, beta in cases]
+
+        screened, screened_points = run(), sum(points)
+        log_integrand = quantum._log_integrand
+        monkeypatch.setattr(quantum, "_log_integrand",
+                            lambda tau2, *args: log_integrand(tau2, *args[:5], -math.inf))
+        assert len(cases) == 73 and run() == screened
+        assert screened_points < sum(points) / 2
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("octaves", [96, 900])
+    def test_beta_star_at_any_depth(self, s, octaves):
+        # the logs below tau2_max 2^-48 are rounding noise of terms like 1/tau_2 and reached past
+        # the 700 e-fold check from about 60 octaves; their bound, with -delta/tau_2 = 0, skips them
+        cfg = QuantumStringConfig(s, math.pi)
+        beta = math.sqrt(40 * math.pi) if s == 1 else beta_star(s, math.pi)
+        ref, deep = free_energy(cfg, beta), free_energy(cfg, beta, max_octaves=octaves)
+        assert abs(deep.free_energy - ref.free_energy) <= ref.abs_error_estimate
 
 
 def _two_branch_theta(a):
