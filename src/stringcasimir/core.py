@@ -329,29 +329,25 @@ def imag_axis_log_ratio(xi, cfg):
     1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
     ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
     2m/L at xi = 0: the relative accuracy holds for every s.  Identically
-    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError, and
-    takes xi L < 1e-290 as 0; only this is its own, the kernel passes call its body
-    ``_log_ratio`` directly.
+    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError, and takes
+    xi L <= 1e-290 as 0; only the check is its own, the kernel passes call ``_log_ratio`` directly.
     """
-    xi, lo, scalar = _nonnegative_array("xi", xi)
-    if lo < 1e-290 / cfg.total_length:  # there the xi -> 0 limit holds far below rounding
-        xi, lo = np.where(xi < 1e-290 / cfg.total_length, 0.0, xi), 0.0
-    order = np.argsort(xi, axis=None) if lo == 0.0 else slice(None)  # the body takes the zeros first
-    out = np.empty_like(xi)
-    out.flat[order] = _log_ratio(xi.flat[order], cfg)  # flat indices: xi of any shape
+    xi, _, scalar = _nonnegative_array("xi", xi)
+    with np.errstate(over="ignore"):  # m xi past the float range, where the ratio is 0
+        out = _log_ratio(xi.ravel(), cfg).reshape(xi.shape)
     return float(out[0]) if scalar else out
 
 
 def _log_ratio(xi, cfg):
-    # imag_axis_log_ratio, unchecked, of a finite 1-d float array xi >= 0 whose zeros lead
+    # imag_axis_log_ratio, unchecked, of a finite 1-d float array xi >= 0 in any order
     s, length = cfg.length_ratio, cfg.total_length
     if cfg.tension_ratio == 1.0 or s == 1.0:
         return np.zeros_like(xi)
     d, m = length * abs(s - 1.0) / (s + 1.0), min(cfg.piece_length_i, cfg.piece_length_ii)
     d = d if d < math.inf else length * (abs(s - 1.0) / (s + 1.0))  # L |s - 1| past the float range
-    zeros = int(np.searchsorted(xi, 0.0, "right")) if xi.size and xi[0] == 0.0 else 0
-    r, rest = np.full_like(xi, d / length), xi[zeros:]
-    r[zeros:] = np.exp(-m * rest) * np.expm1(-d * rest) / np.expm1(-length * rest)
+    zero = xi <= 1e-290 / length  # there the xi -> 0 limit holds far below rounding
+    r = np.divide(np.exp(-m * xi) * np.expm1(-d * xi), np.expm1(-length * xi),
+                  out=np.full_like(xi, d / length), where=~zero)
     f = _contrast_or_zero(cfg.tension_ratio)
     part = r * r / (f + 1.0)
     if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
@@ -361,7 +357,7 @@ def _log_ratio(xi, cfg):
         sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
         lead[sub] = math.log(m) + np.log(xi[sub])
     gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - _log1mexp(length * xi))
-    gap[:zeros] = 2.0 * m / length
+    gap[zero] = 2.0 * m / length
     return np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
                     np.log1p(-np.minimum(part, 0.5)))
 

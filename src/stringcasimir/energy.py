@@ -144,7 +144,7 @@ def _representable(value):
 def _integrand(cfg):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
     point.  The two-piece ratio decays like e^{-2 m xi}; its body ``core._log_ratio`` runs unchecked
-    on the kernel's nodes, which are finite, >= 0 and ascending.  The 2N one is ln|ratio_N(q)| at
+    on the kernel's nodes, which are finite and >= 0.  The 2N one is ln|ratio_N(q)| at
     q = xi L/N; it decays like 2N e^{-q}, and at x = 0 it is 0 at xi = 0, the dropped zero
     mode.  DomainError where the truncation point, alone or times L, is not a float."""
     if isinstance(cfg, StringConfig):

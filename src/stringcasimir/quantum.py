@@ -38,7 +38,7 @@ relative, N = n_tau1 / gcd(n_tau1, 1+s).  From Y_c = max(0.408, (5.87 + 1.38 sqr
 are below 2^-60, so the level sum stands in for the rule and n_tau1 keeps its meaning.  Below,
 |eta(tau)| >= eta(i Im tau) bounds a node by its tau_1 = 0 ray, whose 1/tau_2 terms are formed
 as -delta/tau_2: a node bounded 746 e-folds below the row at tau2_max is 0 in double precision
-and skipped; the others take eta at the folded tau_1 phases.  eta(iw) is real arithmetic.
+and skipped; the others take eta at the folded tau_1 phases m / (2N).  eta(iw) is real arithmetic.
 """
 
 import math
@@ -182,14 +182,19 @@ def _ln_theta3_minus_one(a):
     dual = terms.sum(axis=-1)
     ln_theta = 0.5 * np.log(math.pi / a) + np.log1p(2.0 * dual)
     part = -np.expm1(-ln_theta)  # (theta - 1) / theta
-    slope = (-0.5 / a + 2.0 * math.pi**2 / a**2 * (terms @ k) / (1.0 + 2.0 * dual)) / part
+    dual_slope = 2.0 * math.pi**2 / np.maximum(a, 1e-3) ** 2  # terms is 0 below a = 1e-3
+    slope = (-0.5 / a + dual_slope * (terms @ k) / (1.0 + 2.0 * dual)) / part
     return ln_theta + np.log(part), slope
 
 
 def _phases(s, n_tau1):
-    """The distinct folded tau_1 phases of ``_log_integrand`` and their counts."""
-    r = (1.0 + s) * (-0.5 + np.arange(n_tau1) / n_tau1)
-    return np.unique(np.abs(r - np.round(r)), return_counts=True)
+    """The distinct folded phases |r - round(r)| of the n_tau1 nodes, r = (1+s) tau_1, their
+    counts and N = n_tau1 / g, g = gcd(n_tau1, 1+s): r = m / (2N) mod 1 takes each m of the parity
+    of (1+s) N g times, so a phase m / (2N), 0 <= m <= N, comes from m and from 2N - m."""
+    g = math.gcd(n_tau1, 1 + s)
+    n = n_tau1 // g
+    m = np.arange((1 + s) * n % 2, n + 1, 2)
+    return m / (2.0 * n), g * (2 - (m == 0) - (m == n)), n
 
 
 def _ln_eta_imag(w):
@@ -209,19 +214,17 @@ def _ln_level_sum(y):
     return 4.0 * math.pi * y + np.log(levels.sum(axis=-1))  # row by row, as the fold's sums
 
 
-def _log_integrand(tau2, s, beta, t, n_tau1, phases=None, shift=-math.inf):
+def _log_integrand(tau2, s, beta, t, n_tau1, shift=-math.inf):
     """Rows ln(tau_2 I(tau_2)) at an array of tau_2, the tau_1 integral the n_tau1-node
     trapezoid of the periodic direction; the summed magnitude of its terms, which sets its
     rounding error (about that times eps); and its beta derivative, each node by the routes
     of the module docstring.  Row 0 is -inf where the ray bound is 746 e-folds below ``shift``
     (None: node 0's row, where it takes the level sum).  eta is taken at the distinct folded
-    phases |r - round(r)|, r = (1+s) tau_1, weighted by their counts (17, 33, 9 of 64 nodes
-    for s = 1, 2, 3): ``phases``, or ``_phases(s, n_tau1)``, about _ETA_BLOCK per eta call.
-    Rows 0 and 1 of an element are the bits a call on it alone gives.
+    phases of ``_phases`` (17, 33, 9 of 64 nodes for s = 1, 2, 3) weighted by their counts, about
+    _ETA_BLOCK per eta call.  Rows 0 and 1 of an element are the bits a call on it alone gives.
     """
-    phase, count = _phases(s, n_tau1) if phases is None else phases
-    y, n = (1.0 + s) * tau2, n_tau1 // math.gcd(n_tau1, 1 + s)  # aliasing falls as e^{-2 pi n y}
-    level = y >= max(0.408, (5.87 + 1.38 * math.sqrt(n)) / n)
+    (phase, count, n), y = _phases(s, n_tau1), (1.0 + s) * tau2
+    level = y >= max(0.408, (5.87 + 1.38 * math.sqrt(n)) / n)  # aliasing falls as e^{-2 pi n y}
     ln_tau1 = np.full(tau2.shape, -math.inf)
     ln_tau1[level] = _ln_level_sum(y[level])
     with np.errstate(over="ignore"):  # a overflows only an ulp or more below tau2_max
@@ -277,11 +280,11 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
     if beta * beta * t / (8.0 * math.pi**2 * tau2_max) == math.inf:  # a overflows: F is the constant
         return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
-    phases, shift = _phases(s, n_tau1), None
+    shift = None
 
     def f(v):
         nonlocal shift
-        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1, phases, shift)
+        rows = _log_integrand(tau2_max * np.exp(-v), s, beta, t, n_tau1, shift)
         shift = float(rows[0, 0]) if shift is None else shift  # the first node is tau2_max
         excess = rows[0] - shift
         if not np.all(excess <= 700.0):  # near delta = 0, rounding at small tau_2
@@ -295,7 +298,7 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     ln_term = ln_prefactor + shift + math.log(integral)
     if ln_term > 700.0:
         raise QuadratureError(f"modulus integral not representable in double precision "
-                              f"(ln {ln_term:.1f}); lower tau2_max")
+                              f"(ln {ln_term:.4g}); lower tau2_max")
     term = math.exp(ln_term)
     error = term * (err / integral + _EPS * (abs(ln_term) + abs(ln_prefactor)))
     error += _EPS * abs(constant - term)  # the rounding of the constant and of F

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -351,6 +352,13 @@ class TestLogRatios:
         one, half = imag_axis_log_ratio(1.0, cfg), imag_axis_log_ratio(0.5, cfg)
         assert got.tobytes() == np.array([[zero, zero, one], [zero, zero, half]]).tobytes()
 
+    @pytest.mark.parametrize("length", [1e300, sys.float_info.max])
+    def test_two_piece_xi_past_the_float_range_of_m_xi(self, length):
+        # m xi overflows to inf, where the ratio is 0; it warned "overflow encountered in multiply"
+        for xi in (1e300, sys.float_info.max):
+            assert imag_axis_log_ratio(xi, StringConfig(2, 0.3, length)) == 0.0
+            assert imag_axis_log_ratio(xi, StringConfig(1e-300, 0.0, length)) == 0.0
+
     def test_2n_zero_limit(self):
         cfg = NPieceConfig(4, 0.3)
         w = 4 * 0.3 / 1.3**2
@@ -403,7 +411,7 @@ def _masked_log_ratio(xi, cfg):
 class TestTrustedBody:
     """The kernel passes call ``core._log_ratio``, the body of ``imag_axis_log_ratio``,
     on their own nodes without the input check; it gives the bits of the earlier masked
-    form ``_masked_log_ratio`` and of the public function."""
+    form ``_masked_log_ratio`` and of the public function, with the nodes in any order."""
 
     @staticmethod
     def _kernel_nodes(run, monkeypatch):
@@ -418,8 +426,11 @@ class TestTrustedBody:
         body = core._log_ratio(nodes, cfg)
         assert body.tobytes() == _masked_log_ratio(nodes, cfg).tobytes()
         assert body.tobytes() == imag_axis_log_ratio(nodes, cfg).tobytes()
-        # zeros last: the checked path takes them to the front by itself
-        assert body.tobytes() == imag_axis_log_ratio(nodes[::-1], cfg)[::-1].tobytes()
+        # nodes in any order, zeros last or among the others: the same bits, permuted alike
+        order = np.random.default_rng(nodes.size).permutation(nodes.size)
+        for perm in (np.arange(nodes.size)[::-1], order):
+            assert core._log_ratio(nodes[perm], cfg).tobytes() == body[perm].tobytes()
+            assert imag_axis_log_ratio(nodes[perm], cfg).tobytes() == body[perm].tobytes()
         # node by node, where each array holds one zero or none: the first 8 and every 16th
         picked = np.r_[0 : min(8, nodes.size), 8 : nodes.size : 16]
         single = np.array([imag_axis_log_ratio(xi, cfg) for xi in nodes[picked].tolist()])
