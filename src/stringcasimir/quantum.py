@@ -182,7 +182,7 @@ def _ln_theta3_minus_one(a):
     dual = terms.sum(axis=-1)
     ln_theta = 0.5 * np.log(math.pi / a) + np.log1p(2.0 * dual)
     part = -np.expm1(-ln_theta)  # (theta - 1) / theta
-    dual_slope = 2.0 * math.pi**2 / np.maximum(a, 1e-3) ** 2  # terms is 0 below a = 1e-3
+    dual_slope = 2.0 * math.pi**2 / np.maximum(a, 1e-3) ** 2  # terms is 0 below 1e-3, a^2 may be 0
     slope = (-0.5 / a + dual_slope * (terms @ k) / (1.0 + 2.0 * dual)) / part
     return ln_theta + np.log(part), slope
 
