@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _count, _nonnegative_array, _positive, _real
+from .errors import DomainError, _count, _instance, _nonnegative_array, _positive, _real
 
 __all__ = [
     "StringConfig",
@@ -190,7 +190,7 @@ def system_matrix(cfg, p):
     Unimodular for every real p because (1+x)^2/(4x) * (1 - alpha^2) = 1.
     Requires x > 0 (the prefactor diverges in the decoupled limit).
     """
-    x = cfg.tension_ratio
+    x = _instance("system_matrix", cfg, NPieceConfig).tension_ratio
     if x == 0.0:
         raise DomainError("system_matrix requires x > 0")
     alpha = alpha_param(x)
@@ -295,7 +295,7 @@ def dispersion_2n(q, cfg, slow_exact=False):
     grows like eps/(Nq)^2 as q -> 0.  Past N q of about 709 both are -inf.
     """
     _real("q", q, lambda v: v >= 0, ">= 0")
-    n = cfg.piece_pairs
+    n = _instance("dispersion_2n", cfg, NPieceConfig).piece_pairs
     if slow_exact:  # D = -lambda_+^N [1 + (lambda_-/lambda_+)^N - 2 (w/lambda_+)^N]
         alpha = alpha_param(cfg.tension_ratio)
         pair = lambda_pair(alpha, min(q, 710.0))  # math.cosh overflows past 710.5, D is -inf
@@ -329,17 +329,21 @@ def imag_axis_log_ratio(xi, cfg):
     1 - r^2 would cancel, so there the log is ln[(F + (1-r)(1+r)) / (F+1)] with
     ln(1-r) = ln(1 + e^{-(L-m) xi}) + ln(1 - e^{-m xi}) - ln(1 - e^{-L xi}),
     2m/L at xi = 0: the relative accuracy holds for every s.  Identically
-    zero for s = 1 or x = 1.  Accepts scalar or array xi >= 0, finite, else DomainError, and takes
-    xi L <= 1e-290 as 0; only the check is its own, the kernel passes call ``_log_ratio`` directly.
+    zero for s = 1 or x = 1.  Takes scalar or array xi >= 0, finite, and xi L <= 1e-290 as 0; else,
+    or where a piece length rounds to 0, DomainError: the checks around the unchecked body
+    ``_log_ratio``, which the kernel passes call directly.
     """
-    xi, _, scalar = _nonnegative_array("xi", xi)
+    xi, scalar = _nonnegative_array("xi", xi)
+    pieces = _instance("imag_axis_log_ratio", cfg, StringConfig).piece_length_i, cfg.piece_length_ii
+    if not min(pieces) > 0.0:
+        raise DomainError(f"piece lengths {pieces[0]:g} and {pieces[1]:g} must both be > 0")
     with np.errstate(over="ignore"):  # m xi past the float range, where the ratio is 0
         out = _log_ratio(xi.ravel(), cfg).reshape(xi.shape)
     return float(out[0]) if scalar else out
 
 
 def _log_ratio(xi, cfg):
-    # imag_axis_log_ratio, unchecked, of a finite 1-d float array xi >= 0 in any order
+    # imag_axis_log_ratio, unchecked, of a finite 1-d float array xi >= 0 in any order, m > 0
     s, length = cfg.length_ratio, cfg.total_length
     if cfg.tension_ratio == 1.0 or s == 1.0:
         return np.zeros_like(xi)
@@ -353,9 +357,8 @@ def _log_ratio(xi, cfg):
     if (d / length) ** 2 <= 0.5 * (f + 1.0):  # r <= d/L keeps every r^2/(F+1) <= 1/2
         return np.log1p(-part)
     lead = _log1mexp(m * xi)  # ln(1 - e^{-m xi}), as ln m + ln xi where m xi is subnormal
-    if m > 0.0:  # m = 0 only where a piece length underflows
-        sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
-        lead[sub] = math.log(m) + np.log(xi[sub])
+    sub = (m * xi < np.finfo(float).tiny) & (xi > 0.0)
+    lead[sub] = math.log(m) + np.log(xi[sub])
     gap = np.exp(np.log1p(np.exp(-(length - m) * xi)) + lead - _log1mexp(length * xi))
     gap[zero] = 2.0 * m / length
     return np.where(part > 0.5, np.log((f + gap * (1.0 + r)) / (f + 1.0)),
@@ -374,26 +377,24 @@ def imag_axis_log_ratio_2n(q, cfg):
     x = 1.  Evaluated as N(ln w + delta) + 2 ln[1 + (1 - e^{-N delta}) /
     (e^{Nq} - 1)] with delta = theta - q, each factor formed without a
     difference of nearly equal terms, so the relative accuracy holds as
-    q -> 0 and as x -> 1.  Scalar or array q >= 0, finite, else DomainError.
+    q -> 0 and as x -> 1.  Scalar or array q >= 0, finite, else DomainError: the check
+    around the unchecked body ``_log_ratio_2n``, which the kernel passes call directly.
     """
-    q, lo, scalar = _nonnegative_array("q", q)
-    n = cfg.piece_pairs
-    x = cfg.tension_ratio
-    if x == 1.0 or n == 1:
-        out = np.zeros_like(q)
-    elif x == 0.0:
-        # the linear-in-q parts cancel exactly:
-        # ratio = (1 - e^{-q})^N / (1 - e^{-Nq})
-        out = 2.0 * (n * _log1mexp(q) - _log1mexp(n * q))
-        if lo == 0.0:
-            out[q == 0.0] = -np.inf
-    else:
-        w, a2 = 4.0 * x / (1.0 + x) ** 2, ((1.0 - x) / (1.0 + x)) ** 2  # w = 1 - a2
-        log_growth = _log_growth(q, w, a2)
-        with np.errstate(over="ignore", invalid="ignore"):  # e^{Nq} past 709; 0/0 at q = 0
-            growth = -np.expm1(-n * _theta_minus_q(q, w, a2)) / np.expm1(n * q)
-        out = 2.0 * n * log_growth + 2.0 * np.log1p(growth)
-        if lo == 0.0:
-            zero = q == 0.0
-            out[zero] = 2.0 * (n - 1) * log_growth[zero]  # (N-1) ln w
+    q, scalar = _nonnegative_array("q", q)
+    with np.errstate(over="ignore"):  # N q past the float range, where the ratio is 0
+        out = _log_ratio_2n(q, _instance("imag_axis_log_ratio_2n", cfg, NPieceConfig))
     return float(out[0]) if scalar else out
+
+
+def _log_ratio_2n(q, cfg):
+    # imag_axis_log_ratio_2n, unchecked, of a finite float array q >= 0
+    n, x = cfg.piece_pairs, cfg.tension_ratio
+    if x == 1.0 or n == 1:
+        return np.zeros_like(q)
+    if x == 0.0:  # the linear-in-q parts cancel exactly: ratio = (1 - e^{-q})^N / (1 - e^{-Nq})
+        return np.where(q == 0.0, -np.inf, 2.0 * (n * _log1mexp(q) - _log1mexp(n * q)))
+    w, a2 = 4.0 * x / (1.0 + x) ** 2, ((1.0 - x) / (1.0 + x)) ** 2  # w = 1 - a2
+    log_growth = _log_growth(q, w, a2)  # ln sqrt(w) at q = 0, where the ratio is (N-1) ln w
+    with np.errstate(over="ignore", invalid="ignore"):  # e^{Nq} past 709; 0/0 at q = 0
+        growth = -np.expm1(-n * _theta_minus_q(q, w, a2)) / np.expm1(n * q)
+    return np.where(q == 0.0, 2.0 * (n - 1) * log_growth, 2.0 * n * log_growth + 2.0 * np.log1p(growth))

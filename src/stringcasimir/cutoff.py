@@ -86,15 +86,6 @@ def damped_mode_sum(spec, epsilon):
     return 0.5 * float(np.sum(m * w * np.exp(-epsilon * w)))
 
 
-def _float_range(length, ratio):
-    """DomainError where omega_max and the damped sums, which grow like 1/(ratio L) and
-    1/(ratio^2 L) with ratio = eps_min / L, pass the float range."""
-    least = 4.0 * max(_OMEGA_EPS_MIN / ratio, 1.0 / ratio**2) / sys.float_info.max
-    if length < least:
-        raise DomainError(f"total_length={length:g} is below {least:.3g}, the least L whose spectra "
-                          "and damped sums this damping grid keeps in the float range")
-
-
 def casimir_by_cutoff(cfg, epsilons=None):
     """Casimir energy via damped mode sums and eps -> 0 extrapolation.
 
@@ -103,34 +94,39 @@ def casimir_by_cutoff(cfg, epsilons=None):
     composite one; the differences are fit with c0 + c1 eps + c2 eps^2 and
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
-    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error,
-    and DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods
-    pi/L: with the default grid, outside about 1/1026 <= s <= 1026; or where L is so small
-    that the spectra or damped sums pass the float range: with the default grid, below
-    about 1.4e-304 for 1/3 <= s <= 3 (the fits, in eps / 2^k, serve every L above).
+    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error, and, from
+    one bound on ratio = eps_min / L checked before any spectrum (the default grid's from s),
+    DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods pi/L (the
+    default grid outside about 1/1026 <= s <= 1026), else where the spectra or damped sums pass
+    the float range (the default grid below L of about 1.4e-304 for 1/3 <= s <= 3; the fits,
+    in eps / 2^k, serve every L above).
     """
     _instance("casimir_by_cutoff", cfg, StringConfig)
     length, default = cfg.total_length, epsilons is None
-    if default:  # on the shorter piece's scale where it is below L/4
-        s = cfg.length_ratio  # the smallest epsilon over L, known before any epsilon can underflow
-        _float_range(length, DEFAULT_EPSILON_FRACTIONS[-1] * min(1.0, 4.0 * min(1.0, s) / (1.0 + s)))
-        scale = min(length, 4.0 * min(cfg.piece_length_i, cfg.piece_length_ii))
+    if default:  # on the shorter piece's scale below L/4; ratio from s, as an eps may underflow
+        s, scale = cfg.length_ratio, min(length, 4.0 * min(cfg.piece_length_i, cfg.piece_length_ii))
+        ratio = DEFAULT_EPSILON_FRACTIONS[-1] * min(1.0, 4.0 * min(1.0, s) / (1.0 + s))
         epsilons = [f * scale for f in DEFAULT_EPSILON_FRACTIONS]
-    epsilons = [float(_positive("epsilon", e)) for e in epsilons]
-    if len(epsilons) < 4:
-        raise DomainError("need at least 4 epsilon samples")
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        raise DomainError("epsilon samples must be strictly decreasing")
-
-    omega_max = _OMEGA_EPS_MIN / epsilons[-1] * 1.002
-    if omega_max > _omega_limit(length):  # the spectra's own limit, checked before either is built
-        least = _OMEGA_EPS_MIN * 1.002 / _omega_limit(length)  # the least epsilon that fits
+    else:
+        epsilons = [float(_positive("epsilon", e)) for e in epsilons]
+        if len(epsilons) < 4:
+            raise DomainError("need at least 4 epsilon samples")
+        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+            raise DomainError("epsilon samples must be strictly decreasing")
+        ratio = epsilons[-1] / length
+    fits = _OMEGA_EPS_MIN * 1.002 / _omega_limit(1.0)  # the least ratio whose spectra fit
+    if ratio < fits:  # first, so that ratio > 0 below
         if default:  # the smallest epsilon is 4 f L/(1 + s) past s = 3, as s <-> 1/s below 1/3
-            top = 4.0 * DEFAULT_EPSILON_FRACTIONS[-1] * length / least - 1.0
+            top = 4.0 * DEFAULT_EPSILON_FRACTIONS[-1] / fits - 1.0
             raise DomainError(f"length_ratio={cfg.length_ratio:g} is past the default damping "
                               f"grid's range of about 1/{top:.0f} <= s <= {top:.0f}")
-        raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {least:g}, the least that fits")
-    _float_range(length, epsilons[-1] / length)
+        raise DomainError(f"smallest epsilon={epsilons[-1]:g} is below {fits * length:g}, "
+                          "the least that fits")
+    least = 4.0 * max(_OMEGA_EPS_MIN / ratio, ratio**-2) / sys.float_info.max  # no OverflowError
+    if length < least:
+        raise DomainError(f"total_length={length:g} is below {least:.3g}, the least L whose spectra "
+                          "and damped sums this damping grid keeps in the float range")
+    omega_max = _OMEGA_EPS_MIN / epsilons[-1] * 1.002
     composite = find_spectrum(cfg, omega_max)
     uniform = uniform_spectrum(length, omega_max)
 

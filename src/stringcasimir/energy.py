@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NPieceConfig, StringConfig, _bloch_angles, _log_ratio, imag_axis_log_ratio_2n
+from .core import NPieceConfig, StringConfig, _bloch_angles, _log_ratio, _log_ratio_2n
 from .errors import DomainError, QuadratureError, _count, _instance, _real
 
 __all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir_2n",
@@ -143,10 +143,10 @@ def _representable(value):
 
 def _integrand(cfg):
     """(1/2 pi) ln|ratio(xi)| of a StringConfig or an NPieceConfig and its truncation
-    point.  The two-piece ratio decays like e^{-2 m xi}; its body ``core._log_ratio`` runs unchecked
-    on the kernel's nodes, which are finite and >= 0.  The 2N one is ln|ratio_N(q)| at
-    q = xi L/N; it decays like 2N e^{-q}, and at x = 0 it is 0 at xi = 0, the dropped zero
-    mode.  DomainError where the truncation point, alone or times L, is not a float."""
+    point: the unchecked bodies ``core._log_ratio``, decaying like e^{-2 m xi}, and ``_log_ratio_2n``
+    at q = xi L/N, like 2N e^{-q}, 0 at xi = 0 at x = 0 (the dropped zero mode), on finite nodes
+    >= 0.  This is the energies' one check: DomainError where the truncation point, alone or
+    times L, is not a float (a piece length that rounds to 0 among them)."""
     if isinstance(cfg, StringConfig):
         reach, piece = 21.0, min(cfg.piece_length_i, cfg.piece_length_ii)
         f = lambda xi: _log_ratio(xi, cfg) / (2.0 * math.pi)
@@ -154,7 +154,7 @@ def _integrand(cfg):
         reach, piece = 48.0 + math.log(1.0 + cfg.piece_pairs), cfg.total_length / cfg.piece_pairs
 
         def f(xi):  # piece is q per unit xi; the contour's first xi underflows to 0 past L = 1e282
-            value = imag_axis_log_ratio_2n(xi * piece, cfg) / (2.0 * math.pi)
+            value = _log_ratio_2n(xi * piece, cfg) / (2.0 * math.pi)
             return np.where(xi > 0.0, value, 0.0) if cfg.tension_ratio == 0.0 else value
 
     if not (piece > 0.0 and math.isfinite(reach / piece * cfg.total_length)):

@@ -1,9 +1,9 @@
 """Exception types shared across the package, and the input contract.
 
-Every argument check of the library goes through ``_real``, ``_positive``,
-``_count`` (a finite real or an integer, never a bool, that meets its condition),
-``_instance`` (the class a function expects) and ``_nonnegative_array``
-(an array kernel's argument), or a DomainError names it.
+Every argument check of the library goes through ``_real``, ``_positive``, ``_count`` (a finite
+real or an integer, never a bool, that meets its condition), ``_instance`` (the class a function
+expects) and ``_nonnegative_array`` (an array kernel's argument), or a DomainError names it, once,
+where the input enters a public function; the kernel passes and routes behind it check nothing.
 """
 
 import math
@@ -98,11 +98,11 @@ def _instance(name, value, cls):
 
 
 def _nonnegative_array(name, value):
-    """``value`` as an at least 1-d float array, its least element and whether it
-    was a scalar, if every element is finite and >= 0 (one min, one max)."""
+    """``value`` as an at least 1-d float array and whether it was a scalar, if every
+    element is finite and >= 0 (one min, one max): the check of an array kernel's door."""
     value = np.asarray(value, dtype=float)
     lo = np.minimum.reduce(value, axis=None, initial=math.inf)
     hi = np.maximum.reduce(value, axis=None, initial=0.0)
     if not (lo >= 0.0 and hi < math.inf):  # a nan fails both
         raise DomainError(f"{name} must hold finite real numbers >= 0, got values in [{lo}, {hi}]")
-    return np.atleast_1d(value), lo, value.ndim == 0
+    return np.atleast_1d(value), value.ndim == 0

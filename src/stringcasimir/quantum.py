@@ -68,7 +68,7 @@ _P24 = np.array([1, 24, 324, 3200, 25650, 176256, 1073720, 5930496, 30178575, 14
 
 @dataclass(frozen=True)
 class QuantumStringConfig:
-    """Integer length ratio s and the finite companion tension T_II."""
+    """Integer length ratio s and the finite companion tension T_II, held as a Python float."""
 
     s: int
     tension_ii: float
@@ -76,7 +76,7 @@ class QuantumStringConfig:
 
     def __post_init__(self):
         _count("s", self.s)
-        _positive("tension_ii", self.tension_ii)
+        object.__setattr__(self, "tension_ii", float(_positive("tension_ii", self.tension_ii)))
         if self.spacetime_dim != 26:
             raise DomainError("only the critical dimension 26 is supported")
 
@@ -128,12 +128,12 @@ class ThermoResult:
 
 def mean_tension(cfg):
     """Mean tension of the composite string, T_II s / (1 + s)."""
-    return cfg.tension_ii * cfg.s / (1.0 + cfg.s)
+    return _instance("mean_tension", cfg, QuantumStringConfig).tension_ii * cfg.s / (1.0 + cfg.s)
 
 
 def translational_energy(cfg):
     """Translational energy pi * mean tension (equals the mass scale t)."""
-    return math.pi * mean_tension(cfg)
+    return math.pi * mean_tension(_instance("translational_energy", cfg, QuantumStringConfig))
 
 
 def mass_squared_excess(cfg, occ):
@@ -144,9 +144,9 @@ def mass_squared_excess(cfg, occ):
     occupations; the divergent vacuum constants are not part of this
     (they survive only as the regularized constant in the free energy).
     """
-    t = translational_energy(cfg)
-    rate = 1.0 + cfg.s
-    total = 0.0
+    t = translational_energy(_instance("mass_squared_excess", cfg, QuantumStringConfig))
+    _instance("mass_squared_excess", occ, OccupationState)
+    rate, total = 1.0 + cfg.s, 0.0
     for modes, weight in ((occ.a_modes, t), (occ.a_tilde_modes, t), (occ.c_modes, 2.0 * cfg.s * t)):
         for (n, _i), number in modes.items():
             total += weight * rate * n * number
@@ -154,8 +154,12 @@ def mass_squared_excess(cfg, occ):
 
 
 def hagedorn_beta(cfg):
-    """Critical inverse temperature beta_c = (4/s) sqrt(pi (1+s) / T_II)."""
-    return (4.0 / cfg.s) * math.sqrt(math.pi * (1.0 + cfg.s) / cfg.tension_ii)
+    """Critical inverse temperature beta_c = (4/s) sqrt(pi (1+s) / T_II), finite and > 0:
+    where pi (1+s) / T_II overflows, the roots are taken apart and (4/s) applied first."""
+    s, tension = _instance("hagedorn_beta", cfg, QuantumStringConfig).s, cfg.tension_ii
+    if math.pi * (1.0 + s) / tension < math.inf:
+        return (4.0 / s) * math.sqrt(math.pi * (1.0 + s) / tension)
+    return (4.0 / s) * math.sqrt(math.pi) * math.sqrt(1.0 + s) / math.sqrt(tension)
 
 
 def _ln_theta3_minus_one(a):
@@ -261,9 +265,10 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     in (0, max_octaves ln 2] is a trapezoid sum after the double-exponential map of the contour
     routes, which also resolves the tau2_max end, where the integrand is largest.  Its
     normalisation is row 0 at the contour's first node, v = e^{-94.5}, where tau_2 is tau2_max;
-    where that is -inf, F is the constant.  ``abs_error_estimate`` bounds the kernel's
-    discretization and noise, the rounding of the log integrand and of its exponential, about
-    |ln| eps relative with |ln| up to hundreds, and the rounding of F itself.
+    where that is -inf, F is the constant.  Past those two returns, DomainError where the log
+    integrand's largest term, 4 pi s (1+s) tau2_max, is not a float.  ``abs_error_estimate``
+    bounds the kernel's discretization and noise, the rounding of the log integrand and of its
+    exponential, about |ln| eps relative with |ln| up to hundreds, and the rounding of F itself.
     """
     _instance("free_energy", cfg, QuantumStringConfig)
     beta = float(_positive("beta", beta))  # a numpy beta would warn where beta^2 overflows
@@ -274,12 +279,15 @@ def free_energy(cfg, beta, tau2_max=1.0, n_tau1=64, max_octaves=48):
     if math.log(tau2_max) - max_octaves * math.log(2.0) < -660.0:
         raise DomainError("tau2_max / 2^max_octaves must exceed e^-660")
     s, t = cfg.s, translational_energy(cfg)
-    constant = -((s - 1) ** 2) / (24.0 * s)  # -(s + 1/s - 2)/24, rounded once
+    constant = -((s - 1) ** 2) / (24 * s)  # -(s + 1/s - 2)/24, rounded once, in integers
     heat, vacuum = beta * beta * t / (8.0 * math.pi**2), math.pi * (4.0 * s + 1.0) / (s * (1.0 + s))
     if heat - vacuum < -4.0 * _EPS * (heat + vacuum):  # delta < 0 beyond the rounding of its terms
         return ThermoResult(-math.inf, beta, "diverged-below-hagedorn")
     if beta * beta * t / (8.0 * math.pi**2 * tau2_max) == math.inf:  # a overflows: F is the constant
         return ThermoResult(constant, beta, "converged", constant + 0.0, 0.0, 0.0, _EPS * abs(constant))
+    if not 4.0 * math.pi * s * (1.0 + s) * tau2_max < math.inf:  # -24 ln eta at tau2_max
+        raise DomainError(f"s={s:.4g} puts 4 pi s (1+s) tau2_max, the modulus integrand's "
+                          "largest term, past the float range")
     shift = None
 
     def f(v):

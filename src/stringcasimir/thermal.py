@@ -41,12 +41,13 @@ _CALL_COST = 256.0  # lattice nodes that take as long as a lattice call's overhe
 
 @dataclass(frozen=True)
 class ThermalConfig:
-    """Temperature in energy units (k_B = 1)."""
+    """Temperature in energy units (k_B = 1), held as a Python float."""
 
     temperature: float
 
     def __post_init__(self):
-        _real("temperature", self.temperature, lambda v: v >= 0, ">= 0")
+        object.__setattr__(self, "temperature", float(_real("temperature", self.temperature,
+                                                             lambda v: v >= 0, ">= 0")))
 
     def matsubara(self, n):
         return 2.0 * math.pi * n * self.temperature

@@ -284,6 +284,14 @@ class TestInputContract:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "domain"
 
+    def test_oracle_past_the_float_range_of_its_contrast(self, capsys):
+        # the default grid's float-range check divided by ratio^2 = 0: a traceback, not a record
+        assert main(["oracle", "--s", "1e200", "--x", "0.3"]) == 1
+        captured = capsys.readouterr()
+        record = json.loads(captured.err)
+        assert captured.out == "" and record["error"] == "domain"
+        assert record["message"].startswith("length_ratio=1e+200 is past the default damping grid")
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

@@ -4,10 +4,14 @@ instead of returning nan or a wrong count or failing deeper down with
 another exception.
 
 Each row names one argument of one entry point: a function of that
-argument alone, a value it accepts, and the values it must reject.
+argument alone, a value it accepts, and the values it must reject.  Two
+standing checks follow the table: every config parameter of each layer's
+public functions, and a log-uniform sweep across the float range.
 """
 
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -218,3 +222,89 @@ def test_huge_negative_count_is_a_domain_error(call):
     # the message printed the count, and the repr of an int past 4300 digits raises ValueError
     with pytest.raises(sc.DomainError, match="negative 16610-bit integer"):
         call()
+
+
+# a valid value of each other required parameter of a function that takes a config; ``cfg``
+# is the first of S2, N3 and Q1 the function accepts
+VALID = {"p": 0.5, "q": 0.5, "xi": 0.5, "omega_max": 5.0, "x": 0.3, "piece_pairs": 3,
+         "total_length": math.pi, "epsilon": 1.0, "beta": 25.0, "th": TH,
+         "occ": sc.OccupationState(), "spec": SPEC}
+CONFIGS = ("cfg", "th", "occ", "spec")
+LAYERS = (core, sc.spectrum, sc.energy, sc.thermal, sc.cutoff, sc.modular, sc.quantum, sc.errors)
+
+
+def _required(fn):
+    return [p for p, v in inspect.signature(fn).parameters.items() if v.default is v.empty]
+
+
+def _accepts(fn, args):
+    try:
+        fn(**args)
+    except Exception:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("fn, param", [
+    pytest.param(getattr(layer, name), param, id=f"{name}.{param}")
+    for layer in LAYERS for name in layer.__all__ if inspect.isfunction(getattr(layer, name))
+    for param in _required(getattr(layer, name)) if param in CONFIGS
+    and name != "dispersion_two_piece"  # unchecked, as the README documents
+])
+def test_every_config_parameter_is_checked(fn, param):
+    # a bare number for a config raised AttributeError in eight functions; a public function
+    # added without the check of its config fails here
+    calls = [{p: cfg if p == "cfg" else VALID[p] for p in _required(fn)} for cfg in (S2, N3, Q1)]
+    args = next(args for args in calls if _accepts(fn, args))
+    with pytest.raises(sc.DomainError):
+        fn(**{**args, param: 3.0})
+
+
+def test_float_range_sweep():
+    """s, L, x, N, xi, T and the quantum string's s and T_II drawn log-uniformly across the float
+    range, as Python and as numpy numbers: the public log ratios, ``high_t_limit``,
+    ``hagedorn_beta`` and the cutoff oracle past its contrast range return no nan or +inf, warn
+    nothing and raise only the package's errors; no value is checked against a reference."""
+    rng = np.random.default_rng(30)
+    n = 1500
+
+    def draw(lo, hi, zeros=0.0):
+        values = np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+        return np.where(rng.random(n) < zeros, 0.0, values)
+
+    s, length, x = draw(1e-308, 1e308), draw(5e-324, 1.7e308), draw(1e-300, 1.0, 0.2)
+    xi, temperature = draw(5e-324, 1.7e308, 0.2), draw(5e-324, 1.7e308)
+    pairs = np.floor(draw(1.0, 2.0**62)).astype(np.int64)
+    quantum_s, tension = [int(v) for v in draw(1.0, 2.0**1023)], draw(5e-324, 1.7e308)
+    failures = []
+
+    def check(label, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                value = np.asarray(call(), dtype=float)
+            except sc.StringCasimirError:
+                return
+            except Exception as exc:  # a warning raised as an error, or a raw exception
+                failures.append(f"{label}: {type(exc).__name__}: {exc}")
+                return
+        if np.isnan(value).any() or (value == math.inf).any():
+            failures.append(f"{label}: {value}")
+
+    for i in range(n):
+        kind = float if i % 2 else np.float64  # Python floats, then numpy scalars
+        cfg = sc.StringConfig(kind(s[i]), kind(x[i]), kind(length[i]))
+        ncfg = sc.NPieceConfig(int(pairs[i]) if i % 2 else pairs[i], kind(x[i]), kind(length[i]))
+        th = sc.ThermalConfig(kind(temperature[i]))
+        nodes = np.array([0.0, xi[i], xi[i - 1]])
+        check(f"imag_axis_log_ratio({nodes}, {cfg})", lambda: core.imag_axis_log_ratio(nodes, cfg))
+        check(f"imag_axis_log_ratio_2n({nodes}, {ncfg})",
+              lambda: core.imag_axis_log_ratio_2n(nodes, ncfg))
+        check(f"high_t_limit({cfg}, {th})", lambda: sc.high_t_limit(cfg, th).value)
+        qcfg = sc.QuantumStringConfig(quantum_s[i], kind(tension[i]))
+        # beta_c is finite and > 0: one <= 0 reads as nan
+        check(f"hagedorn_beta({qcfg})", lambda: max(sc.hagedorn_beta(qcfg), 0.0) or math.nan)
+        if not 1 / 1026 <= s[i] <= 1026:  # refused before any spectrum is built
+            check(f"casimir_by_cutoff({cfg})",
+                  lambda: sc.casimir_by_cutoff(cfg).extrapolated_energy)
+    assert failures == []

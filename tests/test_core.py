@@ -18,6 +18,7 @@ from stringcasimir import (
     transfer_matrix,
 )
 from stringcasimir import ThermalConfig, casimir_two_piece, casimir_two_piece_thermal, core, energy
+from stringcasimir import casimir_2n, casimir_2n_thermal, high_t_limit
 from stringcasimir.core import imag_axis_log_ratio, imag_axis_log_ratio_2n
 
 
@@ -382,6 +383,23 @@ class TestLogRatios:
         assert vals[-1] < 1e-50
         assert imag_axis_log_ratio_2n(2000.0, cfg) == 0.0
 
+    @pytest.mark.parametrize("x", [0.0, 0.3])
+    def test_2n_q_past_the_float_range_of_n_q(self, x):
+        # N q overflows to inf, where the ratio is 0; at x = 0 it warned "overflow encountered
+        # in multiply"
+        for q in (1e308, sys.float_info.max):
+            assert imag_axis_log_ratio_2n(q, NPieceConfig(3, x)) == 0.0
+
+    @pytest.mark.parametrize("s, x, length", [(1e-300, 0.0, 1e-300), (1e300, 0.3, 1e-300)])
+    def test_two_piece_refuses_a_piece_that_rounds_to_zero(self, s, x, length):
+        # m = 0, which the energies refuse too: at x = 0 the gap form took the log of 0 ("divide
+        # by zero encountered in log"), and at x = 0.3 it returned a value for a piece of length 0
+        cfg = StringConfig(s, x, length)
+        with pytest.raises(DomainError, match="piece lengths"):
+            imag_axis_log_ratio(np.array([0.0, 1.0, 30.0]), cfg)
+        with pytest.raises(DomainError, match="piece lengths"):
+            high_t_limit(cfg, ThermalConfig(1.0))
+
 
 def _masked_log_ratio(xi, cfg):
     """``imag_axis_log_ratio`` of a float array xi >= 0 in its earlier form, which masks
@@ -491,6 +509,10 @@ class TestTrustedBody:
         cfg = StringConfig(2.1, 0.3)
         assert casimir_two_piece_thermal(cfg, ThermalConfig(1e-3)).method == "matsubara"
         assert casimir_two_piece(cfg).method == "contour"
+        # the 2N contour and lattice call the body ``core._log_ratio_2n`` too
+        for x in (0.3, 0.0):
+            assert casimir_2n(NPieceConfig(3, x)).method == "contour"
+        assert casimir_2n_thermal(NPieceConfig(16000, 0.3), ThermalConfig(19.0)).method == "matsubara"
 
 
 def _contour_nodes(cfg, monkeypatch):

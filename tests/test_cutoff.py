@@ -149,6 +149,27 @@ class TestCasimirByCutoff:
         with pytest.raises(DomainError, match=r"length_ratio=.* about 1/1026 <= s <= 1026"):
             casimir_by_cutoff(StringConfig(s, 0.3))
 
+    @pytest.mark.parametrize("s, length", [(1e-200, math.pi), (1e200, math.pi), (5e-324, 1.0)])
+    def test_default_grid_refuses_extreme_contrast_by_name(self, s, length):
+        # the float-range check ran first and divided by ratio^2, which underflows to 0 for s
+        # past about 1e161 or below 1e-161: a raw ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"length_ratio=\S+ is past the default damping grid"):
+                casimir_by_cutoff(StringConfig(s, 0.3, length))
+
+    def test_default_grid_past_both_bounds_gets_the_contrast_message(self):
+        # s = 1e4 is past the spectra's reach and L = 1e-305 below the float range: the reach
+        # is checked first (this got the float-range message)
+        with pytest.raises(DomainError, match=r"length_ratio=10000 is past the default damping grid"):
+            casimir_by_cutoff(StringConfig(1e4, 0.3, 1e-305))
+
+    def test_caller_grid_far_above_length_raises_no_overflow_error(self):
+        # 1 / ratio^2 of the float-range check raised OverflowError once eps_min / L passed 1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            casimir_by_cutoff(StringConfig(2, 0.3), [1e300, 1e299, 1e298, 1e297])
+
     def test_caller_grid_refuses_its_smallest_epsilon(self):
         with pytest.raises(DomainError, match=r"smallest epsilon=1e-05 is below 0\.000152893"):
             casimir_by_cutoff(StringConfig(2, 0.3, math.pi), [0.1, 0.05, 0.02, 1e-5])

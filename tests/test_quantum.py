@@ -268,6 +268,16 @@ class TestHagedorn:
         vals = [hagedorn_beta(QuantumStringConfig(s, math.pi)) for s in (1, 2, 3, 5, 9)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("s", [1, 10**150, 10**300, 2**1023])
+    @pytest.mark.parametrize("tension", [5e-324, 1e-300, math.pi, 1e300, 1.7e308])
+    def test_finite_across_the_float_range(self, s, tension):
+        # pi (1+s) / T_II overflowed before 4/s scaled it back: inf at (10^300, 1e-300)
+        got = hagedorn_beta(QuantumStringConfig(s, tension))
+        with mp.workdps(50):
+            ref = 4 / mp.mpf(s) * mp.sqrt(mp.pi * (1 + mp.mpf(s)) / mp.mpf(tension))
+        assert 0.0 < got < math.inf
+        assert abs(got - ref) <= 3 * math.ulp(float(ref))
+
 
 class TestFreeEnergy:
     def test_constant_term_matches_decoupled_energy(self):
@@ -369,6 +379,30 @@ class TestFreeEnergy:
         with pytest.raises(QuadratureError, match="lower tau2_max") as info:
             free_energy(QuantumStringConfig(1, math.pi), 20.0, tau2_max=tau2_max)
         assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("s", [2**512, 10**153, 10**154, 10**155, 10**300])
+    @pytest.mark.parametrize("tension", [1e-300, math.pi, 1e300])
+    @pytest.mark.parametrize("beta", [20.0, 1e3])
+    def test_huge_s_is_a_value_or_a_package_error(self, s, tension, beta):
+        # (s - 1)^2 as a float raised OverflowError past s = 1.34e154, and at s = 10^154 the rows
+        # met inf - inf ("invalid value encountered in subtract")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                res = free_energy(QuantumStringConfig(s, tension), beta)
+            except (QuadratureError, DomainError):
+                return
+        assert res.free_energy == -math.inf or math.isfinite(res.free_energy)
+
+    def test_huge_s_refusal_names_s(self):
+        with pytest.raises(DomainError, match=r"s=1e\+154 puts 4 pi s \(1\+s\) tau2_max"):
+            free_energy(QuantumStringConfig(10**154, math.pi), 20.0)
+
+    def test_constant_is_rounded_once_in_integers(self):
+        # the constant's divisor is the integer 24 s: one rounding of the exact quotient
+        for s in (1, 2, 3, 7, 2**40 + 1, 10**100):  # at beta = 1e200 F is the constant
+            res = free_energy(QuantumStringConfig(s, math.pi), 1e200)
+            assert res.free_energy == float(-Fraction((s - 1) ** 2, 24 * s))
 
     def test_numpy_beta_is_taken_as_a_float(self):
         # an np.float64 beta warned where beta^2 overflows, and the record kept its type
