@@ -259,14 +259,15 @@ def _theta_minus_q(q, w, a2):
     return 4.0 * np.arcsinh(ratio * a2 / (2.0 * root * (1.0 + root)))
 
 
-def _bloch_angles(cfg):
+def _bloch_angles(cfg, m=None):
     """The 2N string's distinct Bloch angles theta_m in [0, pi], sin(theta_m/2) = sqrt(w) sin(pi m/N)
-    for m = 0..N/2 (modes N(2 pi j + theta_m)/L and N(2 pi (j+1) - theta_m)/L, j >= 0), as the
-    arrays (theta, pi - theta, phi - theta, pi - phi), phi = 2 pi m/N the uniform angle, and
-    the multiplicities, 1 at m = 0 and m = N/2, else 2.  Each angle is an atan2 of sines and
-    cosines built from positive terms, so it keeps its relative accuracy as x -> 1 and theta -> pi."""
+    for the ascending integers ``m`` in [0, N/2], all of them by default (modes N(2 pi j + theta_m)/L
+    and N(2 pi (j+1) - theta_m)/L, j >= 0), as the arrays (theta, pi - theta, phi - theta, pi - phi),
+    phi = 2 pi m/N the uniform angle, and the multiplicities, 1 at m = 0 and m = N/2, else 2.
+    Each angle is an atan2 of sines and cosines built from positive terms, so it keeps its
+    relative accuracy as x -> 1 and theta -> pi."""
     n, x = cfg.piece_pairs, cfg.tension_ratio
-    m = np.arange(n // 2 + 1)
+    m = np.arange(n // 2 + 1) if m is None else m
     half = (0.5 * n - m) * (math.pi / n)  # (pi - phi)/2
     sin_phi, cos_phi = np.sin(m * (math.pi / n)), np.sin(half)  # of phi/2
     root, alpha = 2.0 * math.sqrt(x) / (1.0 + x), (1.0 - x) / (1.0 + x)
@@ -275,7 +276,9 @@ def _bloch_angles(cfg):
     gap = np.arctan2(alpha * alpha * sin_phi / (root * cos_phi + cos_t),
                      cos_phi * cos_t + sin_t * sin_phi)
     mult = np.full(m.size, 2)
-    mult[-1], mult[0] = 1 + n % 2, 1  # m = N/2 for an even N, and m = 0, are single
+    if m.size:  # m = 0, the first, and m = N/2 of an even N, the last, are single
+        mult[0] -= m[0] == 0
+        mult[-1] -= 2 * m[-1] == n
     angles = 2.0 * np.arctan2(sin_t, cos_t), 2.0 * np.arctan2(cos_t, sin_t), 2.0 * gap, 2.0 * half
     return angles, mult
 

@@ -94,7 +94,10 @@ def casimir_by_cutoff(cfg, epsilons=None):
     composite one; the differences are fit with c0 + c1 eps + c2 eps^2 and
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
-    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error, and, from
+    Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error, and
+    DomainError for a caller's grid whose largest epsilon is not below L: the uniform string's
+    damped sum (2 pi/L) e^{-a}/(1 - e^{-a})^2, a = 2 pi eps/L, has its series in eps end there,
+    so no fit in powers of eps holds (every sum may be 0, a fit of 0 with a bar of 0).  From
     one bound on ratio = eps_min / L checked before any spectrum (the default grid's from s),
     DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods pi/L (the
     default grid outside about 1/1026 <= s <= 1026), else where the spectra or damped sums pass
@@ -113,6 +116,9 @@ def casimir_by_cutoff(cfg, epsilons=None):
             raise DomainError("need at least 4 epsilon samples")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise DomainError("epsilon samples must be strictly decreasing")
+        if epsilons[0] >= length:  # the uniform sum's poles in eps, at 2 pi eps/L = +-2 pi i
+            raise DomainError(f"largest epsilon={epsilons[0]:g} is not below L={length:g}, where "
+                              "the damped sums' series in epsilon ends")
         ratio = epsilons[-1] / length
     fits = _OMEGA_EPS_MIN * 1.002 / _omega_limit(1.0)  # the least ratio whose spectra fit
     if ratio < fits:  # first, so that ratio > 0 below

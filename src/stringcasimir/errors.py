@@ -65,13 +65,22 @@ _INTEGERS = (int, np.integer)
 _MAX_COUNT = int(np.finfo(float).max)
 
 
+def _shown(value):
+    """repr(value), or the size of an integer past the float range, whose repr may pass
+    4300 digits, a ValueError to print."""
+    if isinstance(value, _INTEGERS) and abs(value) > _MAX_COUNT:
+        return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"
+    return repr(value)
+
+
 def _real(name, value, ok=lambda v: True, need=""):
     """``value`` if it is a finite real number, not a bool, with ``ok(value)``;
     ``need`` says in words what ``ok`` asks, as in "in [0, 1]"."""
-    if type(value) is bool or not (isinstance(value, _REALS) and math.isfinite(value)
-                                   and ok(value)):
+    big = isinstance(value, int) and abs(value) > _MAX_COUNT  # math.isfinite raises on it
+    if type(value) is bool or big or not (isinstance(value, _REALS) and math.isfinite(value)
+                                          and ok(value)):
         what = f"a finite real number {need}" if need else "a finite real number"
-        raise DomainError(f"{name} must be {what}, got {value!r}")
+        raise DomainError(f"{name} must be {what}, got {_shown(value)}")
     return value
 
 
@@ -83,10 +92,8 @@ def _positive(name, value):
 def _count(name, value, least=1):
     """``value`` if it is an integer >= ``least``, not a bool, that a float can hold."""
     if type(value) is bool or not (isinstance(value, _INTEGERS) and least <= value <= _MAX_COUNT):
-        # past the float range the repr of an int may pass 4300 digits, a ValueError to print
-        big = isinstance(value, _INTEGERS) and not -_MAX_COUNT <= value <= _MAX_COUNT
-        got = f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer" if big else repr(value)
-        raise DomainError(f"{name} must be an integer >= {least} that a float holds, got {got}")
+        raise DomainError(f"{name} must be an integer >= {least} that a float holds, "
+                          f"got {_shown(value)}")
     return value
 
 

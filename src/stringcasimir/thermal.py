@@ -12,9 +12,13 @@ cost bounded in T.
 
 For 0 < x < 1 the 2N modes are the closed-form Bloch spectrum, so the sum's
 Poisson dual runs instead where its terms cost at most the lattice's nodes
-plus one call's overhead (``_thermal``): the exact E_N plus
-T sum ln(1 - e^{-omega/T}) over the modes below 40 T, each paired with the
-uniform string's mode it replaces, in one array pass whatever x.
+plus one call's overhead (``_thermal``): E_N plus T sum ln(1 - e^{-omega/T})
+over the modes, each paired with the uniform string's mode it replaces, in
+one array pass whatever x.  Only the pairs whose lower mode lies below 40 T
+are built, a prefix of the Bloch angles on the + branches and a suffix on
+the - branches (``_ranges``), so their number follows the uniform modes
+below 40 T, not N; the rest are bounded in the bar (``_left_out``).  E_N is
+the exact Bloch sum up to N = 1024 and the contour of :mod:`.energy` above.
 At x = 0, where the dropped 2N zero mode leaves a T ln T term, the sum is
 2T [N ln phi(e^{-c}) - ln phi(e^{-Nc})], c = 2 pi T L/N, phi(q) = prod (1 - q^n),
 in closed form through the modular transformation of the Dedekind eta.
@@ -26,17 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NPieceConfig, StringConfig, _bloch_angles, imag_axis_log_ratio, tension_contrast
-from .energy import _NOISE, EnergyResult, _bloch_energy, _integrand, _representable
+from .energy import _NOISE, EnergyResult, _bloch_energy, _integrand, _representable, casimir_2n
 from .energy import _trapezoid, _vanishes
 from .errors import DomainError, _instance, _positive, _real
 
 __all__ = ["ThermalConfig", "casimir_two_piece_thermal", "high_t_limit", "mirror_limit",
            "casimir_2n_thermal", "casimir_2n_thermal_x0", "frequency_ratio"]
 
-_REACH = 40.0  # omega/T to which the 2N mode sum runs: each later term is below e^{-40}
-_MAX_PAIRS = 1 << 17  # most N of a mode sum, whose arrays then peak near 17 MB
+_REACH = 40.0  # omega/T of the lower modes the 2N mode sum takes: a pair past it is below e^{-40}
+_MAX_PAIRS = 1 << 17  # most pairs of a mode sum's two ranges, whose arrays then peak near 17 MB
+_EXACT_PAIRS = 1 << 10  # most N whose E_N is the Bloch sum; it and the contour take 0.06-0.1 ms here
 _TERM_COST = 3.0  # lattice nodes that take as long as one mode-sum term: 2.5 to 3.6 at N = 2^14-2^17
-_CALL_COST = 256.0  # lattice nodes that take as long as a lattice call's overhead over a mode sum's
+# Lattice nodes by which the mode sum's terms may pass the lattice's: where both take as long
+# it is about 0 at N <= 8, 100 at N = 16 and 150-350 at N = 32-512 (x = 0.3).
+_CALL_COST = 128.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +80,9 @@ def _matsubara(f, b, h):
 
 def _thermal(name, cfg, kind, th):
     """The thermal energy of ``cfg``, a ``kind``, after the lattice's checks: 2N at x = 0 in closed
-    form, else the mode sum where N <= _MAX_PAIRS and its N + 40TL/2 pi terms cost at most the
-    lattice's b/h nodes plus one call's overhead, else the lattice."""
+    form, else the mode sum where its ranges hold at most _MAX_PAIRS pairs and their terms, the
+    pairs times the periods below 40 T plus one, cost at most the lattice's b/h nodes plus one
+    call's overhead, else the lattice."""
     t = _positive("temperature", _temperature(name, cfg, kind, th))
     if _vanishes(cfg):
         return EnergyResult(0.0, "analytic-limit", 0.0)
@@ -85,8 +93,9 @@ def _thermal(name, cfg, kind, th):
     if kind is NPieceConfig:
         if cfg.tension_ratio == 0.0:
             return _decoupled_sum(cfg, t)
-        terms = cfg.piece_pairs + _REACH * t * cfg.total_length / (2.0 * math.pi)
-        if cfg.piece_pairs <= _MAX_PAIRS and _TERM_COST * terms <= nodes + _CALL_COST:
+        prefix, suffix, periods = _ranges(cfg, t)
+        terms = (prefix + suffix) * (periods / cfg.piece_pairs + 1.0)
+        if prefix + suffix <= _MAX_PAIRS and _TERM_COST * terms <= nodes + _CALL_COST:
             return _mode_sum(cfg, t)
     return _matsubara(f, b, h)
 
@@ -170,38 +179,109 @@ def _decoupled_sum(cfg, t):
     return EnergyResult(_representable(value), "analytic-limit", bar)
 
 
+def _ranges(cfg, t):
+    """(p, s, periods): the prefix m = 1..p of + branch pairs, whose lower mode N theta_m/L lies
+    below _REACH T where sin(pi m/N) < sin(20TL/N)/sqrt(w); the suffix of the last s m <= N/2 on
+    the - branches, whose lower mode, the uniform 2 pi (N - m)/L, lies there where
+    m > N - 20TL/pi; and 40TL/2 pi, the periods 2 pi N/L below _REACH T.  From one period up
+    both ranges are every m >= 1."""
+    n, x, reach = cfg.piece_pairs, cfg.tension_ratio, _REACH * t * cfg.total_length
+    root, half = 2.0 * math.sqrt(x) / (1.0 + x), reach / (2.0 * n)  # sqrt(w), theta/2 at _REACH T
+    ratio = math.sin(half) / root if half < 0.5 * math.pi else 1.0  # sin(pi m/N) at _REACH T
+    prefix = n // 2 if ratio >= 1.0 else min(n // 2, math.floor(n * (math.asin(ratio) / math.pi)))
+    periods = reach / (2.0 * math.pi)
+    return prefix, max(0, n // 2 - math.floor(max(0.0, n - periods))), periods
+
+
+def _left_out(cfg, t, prefix, suffix):
+    """A bound on the pairs that ``_ranges`` leaves out, each at every period.  A pair's term is
+    at most T e^{-a} (1 - e^{-delta}) / (1 - e^{-a}), a its lower mode and delta its gap over T.
+    Each branch holds N - 1 pairs a period, counted with multiplicity, and the next period's lie
+    e^{-2 pi N/(L T)} times further.  The gap phi - theta grows with m, as
+    d theta/d phi = sqrt(w) cos(phi/2)/cos(theta/2) <= 1, and sin(gap/2) is at most alpha and at
+    most alpha^2 tan(phi/2)/(1 + sqrt(w)), as cos(theta/2) >= cos(phi/2): so the bound keeps the
+    terms' alpha^2 as x -> 1.  The - branches leave out m up to N/2 - s, at or past the lower
+    mode and under the gap of the last; the + branches m from p + 1, at or past its lower mode,
+    under the gap at phi = pi/2 up to there, and past it at least N theta/L, sin(theta/2) =
+    sqrt(w/2).  It is taken twice over, for the rounding of the modes and of the ranges."""
+    n, x, top = cfg.piece_pairs, cfg.tension_ratio, cfg.piece_pairs // 2
+    if prefix == top == suffix:
+        return 0.0
+    root, alpha = 2.0 * math.sqrt(x) / (1.0 + x), (1.0 - x) / (1.0 + x)
+    scale = n * min(1.0 / cfg.total_length / t, 1e300)  # omega/T per unit angle
+
+    def edge(m):  # 1 - e^{-delta} at the widest gap up to m, sin and cos of phi/2 as in the angles
+        sin_phi, cos_phi = math.sin(m * (math.pi / n)), math.sin((0.5 * n - m) * (math.pi / n))
+        wide = alpha if cos_phi == 0.0 else min(alpha, alpha * alpha * sin_phi / (1.0 + root) / cos_phi)
+        return -math.expm1(-scale * 2.0 * math.asin(wide))
+
+    total = 0.0
+    if suffix < top:
+        last = top - suffix
+        total += math.exp(-scale * (2.0 * math.pi * ((n - last) / n))) * edge(last)
+    if prefix < top:
+        low = scale * 2.0 * math.asin(root * math.sin(math.pi * (prefix + 1) / n))
+        high = max(low, scale * 2.0 * math.asin(math.sqrt(0.5) * root))
+        total += math.exp(-low) * edge(0.25 * n) + math.exp(-high) * edge(0.5 * n)
+    return 2.0 * t * (n - 1.0) * total / -math.expm1(-2.0 * math.pi * scale)
+
+
+def _pair_terms(start, delta, mult, t, scale, periods):
+    """(sum, bar) of T [ln(1 - e^{-a}) - ln(1 - e^{-a - delta})] times the signed multiplicity over
+    the pairs, a = scale (2 pi j + start) their lower mode over T in each of ``periods`` periods
+    and delta their gap over T.  The bar adds the terms' rounding (a to a few eps moves a term by
+    (1 + a) eps times itself) and the tail past the last period."""
+    edge = -np.expm1(-delta)
+    lower = scale * (2.0 * math.pi * np.arange(periods)[:, None] + start)
+    down = -lower
+    upper = np.expm1(down - delta)  # e^{-omega/T} - 1 of the upper mode of each pair
+    # ln(1 - e^{-lower}) - ln(1 - e^{-upper}) = log1p(q) <= 0, or the log of the ratio below 1/2
+    q = np.exp(down) * edge / upper
+    pair = np.log(np.expm1(down) / upper)
+    np.log1p(q, out=pair, where=q >= -0.5)
+    terms = (t * pair * mult).ravel()
+    bar = _NOISE * math.fsum((np.abs(terms) * (1.0 + lower.ravel())).tolist())
+    # past the grid each branch is below its next term over 1 - e^{-2 pi N/(L T)}, twice over
+    tail = np.exp(-(lower[-1] + 2.0 * math.pi * scale)) * (np.abs(mult) * edge)
+    bar += 2.0 * t * math.fsum(tail.tolist()) / -math.expm1(-2.0 * math.pi * scale)
+    return math.fsum(terms.tolist()), bar
+
+
 def _mode_sum(cfg, t):
     """E_N + T [sum_modes ln(1 - e^{-omega/T}) - 2 sum_{k>=1} ln(1 - e^{-2 pi k/(L T)})], the free
     energy less the uniform string's, as a result.  Each Bloch mode N(2 pi j +- theta_m)/L is
     paired with the uniform mode N(2 pi j +- phi_m)/L (at m = 0 the two coincide, the shared
-    zero mode too), on one grid of j past omega = _REACH T; a pair's term, from the lower mode
-    and the gap N(phi_m - theta_m)/L, keeps its relative accuracy as x -> 1.  The bar adds E_N's,
-    the terms' rounding (y = omega/T to a few eps moves a term by (1 + y) eps times itself)
-    and the tail past the grid."""
-    n, periods = cfg.piece_pairs, _REACH * t * cfg.total_length / (2.0 * math.pi)
-    angles = _bloch_angles(cfg)
-    energy, bar = _bloch_energy(cfg, angles)
+    zero mode too); a pair's term, from the lower mode and the gap N(phi_m - theta_m)/L, keeps its
+    relative accuracy as x -> 1.  Only the pairs of ``_ranges`` are summed, on one grid of j past
+    omega = _REACH T; every other pair has its lower mode past _REACH T.  Up to N = _EXACT_PAIRS,
+    E_N is the Bloch sum ``_bloch_energy`` over every angle, and the ranges' angles are its;
+    above, E_N is the contour ``casimir_2n`` and the angles of the ranges alone are built.
+    The bar adds E_N's, ``_pair_terms``' and ``_left_out``'s."""
+    n, (prefix, suffix, periods) = cfg.piece_pairs, _ranges(cfg, t)
+    top = n // 2
+    if n <= _EXACT_PAIRS:
+        angles = _bloch_angles(cfg)
+        energy, bar = _bloch_energy(cfg, angles)
+        plus, minus = slice(1, prefix + 1), slice(top + 1 - suffix, top + 1)  # m = 0 is no pair
+    else:
+        zero = casimir_2n(cfg)
+        energy, bar = zero.value, zero.abs_error_estimate
+        m, later = np.arange(1, prefix + 1), max(top - suffix, prefix) + 1
+        if later <= top:  # the union of the ranges
+            m = np.concatenate([m, np.arange(later, top + 1)])
+        angles = _bloch_angles(cfg, m) if m.size else None
+        plus, minus = slice(0, prefix), slice(m.size - suffix, m.size)
+    bar += _left_out(cfg, t, prefix, suffix)
+    if not prefix + suffix:
+        return EnergyResult(_representable(energy), "mode-sum", bar)
     (theta, _, gap, rest_phi), mult = angles
     scale = n * min(1.0 / cfg.total_length / t, 1e300)  # omega/T per unit angle, 0 terms past 1e300
     # per pair, on the + branches then the - branches: the lower mode's angle within a period
     # (the 2N one on the + branches, the uniform one on the -), the gap, the signed multiplicity
-    start, delta, mult = np.concatenate([theta[1:], math.pi + rest_phi[1:], gap[1:], gap[1:],
-                                         mult[1:], -mult[1:]]).reshape(3, -1)
-    delta *= scale  # omega/T of each pair's gap
-    edge = -np.expm1(-delta)
-    # omega/T of the lower mode of each pair, period by period
-    lower = scale * (2.0 * math.pi * np.arange(int(periods / n) + 1)[:, None] + start)
-    upper = np.expm1(-(lower + delta))  # e^{-omega/T} - 1 of the upper mode of each pair
-    # ln(1 - e^{-lower}) - ln(1 - e^{-upper}) = log1p(q) <= 0, or the log of the ratio below 1/2
-    q = np.exp(-lower) * edge / upper
-    pair = np.log(np.expm1(-lower) / upper)
-    np.log1p(q, out=pair, where=q >= -0.5)
-    terms = (t * pair * mult).ravel()
-    bar += _NOISE * math.fsum((np.abs(terms) * (1.0 + lower.ravel())).tolist())
-    # past the grid each branch is below its next term over 1 - e^{-2 pi N/(L T)}, twice over
-    tail = np.exp(-(lower[-1] + 2.0 * math.pi * scale)) * (np.abs(mult) * edge)
-    bar += 2.0 * t * math.fsum(tail.tolist()) / -math.expm1(-2.0 * math.pi * scale)
-    return EnergyResult(_representable(energy + math.fsum(terms.tolist())), "mode-sum", bar)
+    start, delta, mult = np.concatenate([theta[plus], math.pi + rest_phi[minus], gap[plus],
+                                         gap[minus], mult[plus], -mult[minus]]).reshape(3, -1)
+    value, terms_bar = _pair_terms(start, scale * delta, mult, t, scale, int(periods / n) + 1)
+    return EnergyResult(_representable(energy + value), "mode-sum", bar + terms_bar)
 
 
 def casimir_2n_thermal_x0(piece_pairs, th, total_length):

@@ -22,7 +22,7 @@ from stringcasimir import core
 NAN, INF = math.nan, math.inf
 REAL = [NAN, INF, -INF, True]  # never a valid real argument
 COUNT = [NAN, INF, -INF, True, 2.5]  # never a valid count
-BIG = 10**400  # an integer count past the float range: its first float operation overflowed
+BIG = 10**400  # an integer past the float range: its first float operation overflowed
 # never a valid argument of the array kernels, alone or in an array
 KERNEL = [NAN, INF, -INF, -1.0, -1e-300]
 # never a valid point of the upper half-plane
@@ -37,7 +37,8 @@ EPSILONS = [0.1, 0.08, 0.06]
 
 CASES = {
     # core
-    "StringConfig.length_ratio": (lambda v: sc.StringConfig(v, 0.3), 2.0, REAL + [0.0, -1.0]),
+    "StringConfig.length_ratio": (lambda v: sc.StringConfig(v, 0.3), 2.0,
+                                  REAL + [0.0, -1.0, BIG]),
     "StringConfig.tension_ratio": (lambda v: sc.StringConfig(2.0, v), 0.3, REAL + [-0.1]),
     "StringConfig.total_length": (lambda v: sc.StringConfig(2.0, 0.3, v), 1.0, REAL + [0.0]),
     "NPieceConfig.piece_pairs": (lambda v: sc.NPieceConfig(v, 0.3), 3, COUNT + [0, BIG]),
@@ -117,7 +118,7 @@ CASES = {
     "scaling_function.x": (lambda v: sc.scaling_function(2, v), 0.5, REAL + [0.0, 1.0]),
     "scaling_fit.x": (sc.scaling_fit, 0.5, REAL + [-0.1, 1.5]),
     # thermal
-    "ThermalConfig.temperature": (sc.ThermalConfig, 0.5, REAL + [-1.0]),
+    "ThermalConfig.temperature": (sc.ThermalConfig, 0.5, REAL + [-1.0, BIG]),
     "ThermalConfig.beta": (lambda v: sc.ThermalConfig(v).beta, 0.5, [0.0]),
     "casimir_two_piece_thermal.T": (lambda v: sc.casimir_two_piece_thermal(S2, sc.ThermalConfig(v)),
                                     0.5, [0.0, 1e308]),
@@ -175,7 +176,7 @@ CASES = {
     # quantum
     "QuantumStringConfig.s": (lambda v: sc.QuantumStringConfig(v, math.pi), 1, COUNT + [0, BIG]),
     "QuantumStringConfig.tension_ii": (lambda v: sc.QuantumStringConfig(1, v), math.pi,
-                                       REAL + [0.0]),
+                                       REAL + [0.0, BIG]),
     "OccupationState.mode_index": (lambda v: sc.OccupationState(a_modes={(v, 1): 1}), 2,
                                    COUNT + [0, BIG]),
     "OccupationState.direction": (lambda v: sc.OccupationState(a_modes={(1, v): 1}), 24,
@@ -188,7 +189,7 @@ CASES = {
     "ThermoResult.abs_error_estimate": (
         lambda v: sc.ThermoResult(-1.0, 20.0, "converged", abs_error_estimate=v), 0.0,
         REAL + [-1.0]),
-    "free_energy.beta": (lambda v: sc.free_energy(Q1, v), 25.0, REAL + [0.0]),
+    "free_energy.beta": (lambda v: sc.free_energy(Q1, v), 25.0, REAL + [0.0, BIG]),
     "free_energy.tau2_max": (lambda v: sc.free_energy(Q1, 25.0, tau2_max=v), 1.0, REAL + [0.0]),
     # refused before its tau_1 nodes are built
     "free_energy.n_tau1": (lambda v: sc.free_energy(Q1, 25.0, n_tau1=v), 16, COUNT + [0, 2**40]),

@@ -512,7 +512,7 @@ class TestTrustedBody:
         # the 2N contour and lattice call the body ``core._log_ratio_2n`` too
         for x in (0.3, 0.0):
             assert casimir_2n(NPieceConfig(3, x)).method == "contour"
-        assert casimir_2n_thermal(NPieceConfig(16000, 0.3), ThermalConfig(19.0)).method == "matsubara"
+        assert casimir_2n_thermal(NPieceConfig(2**14, 0.3), ThermalConfig(100.0)).method == "matsubara"
 
 
 def _contour_nodes(cfg, monkeypatch):

@@ -165,10 +165,21 @@ class TestCasimirByCutoff:
             casimir_by_cutoff(StringConfig(1e4, 0.3, 1e-305))
 
     def test_caller_grid_far_above_length_raises_no_overflow_error(self):
-        # 1 / ratio^2 of the float-range check raised OverflowError once eps_min / L passed 1.3e154
+        # 1 / ratio^2 of the float-range check raised OverflowError once eps_min / L passed 1.3e154;
+        # such a grid is now refused by its largest epsilon, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            casimir_by_cutoff(StringConfig(2, 0.3), [1e300, 1e299, 1e298, 1e297])
+            with pytest.raises(DomainError, match=r"largest epsilon=1e\+300 is not below L"):
+                casimir_by_cutoff(StringConfig(2, 0.3), [1e300, 1e299, 1e298, 1e297])
+
+    def test_caller_grid_refuses_its_largest_epsilon(self):
+        # every damped sum is 0 here (omega_max = 40/70 is below the first mode), and the fit
+        # returned 0.0 with a bar of 0.0 where the contour gives -0.005872
+        with pytest.raises(DomainError, match=r"largest epsilon=100 is not below L=3\.14159"):
+            casimir_by_cutoff(StringConfig(2, 0.3), [100, 90, 80, 70])
+        with pytest.raises(DomainError, match=r"largest epsilon=3\.14159 is not below"):
+            casimir_by_cutoff(StringConfig(2, 0.3), [math.pi, 0.1, 0.08, 0.06])
+        casimir_by_cutoff(StringConfig(2, 0.3), [0.9 * math.pi, 0.1, 0.08, 0.06])  # no refusal
 
     def test_caller_grid_refuses_its_smallest_epsilon(self):
         with pytest.raises(DomainError, match=r"smallest epsilon=1e-05 is below 0\.000152893"):

@@ -189,11 +189,13 @@ class TestBatchedFirstCall:
         assert row_bound - bound == pytest.approx(rows[1]) and rows[1] == pytest.approx(6e-9, rel=0.1)
 
     def test_contour_runs_past_the_first_call(self):
-        # the step of a contour: 17 nodes at level 0, 129 in the first call
+        # the step of a contour: 33 nodes at level 0, and the first call takes every level
+        # whose 32 2^k intervals stay under _BATCH; this integrand needs a finer one
         g = lambda t: np.exp(-np.exp(t)) * np.exp(t) * np.cos(3.0 * np.exp(t))
-        got, calls = _run(energy._trapezoid, g, -4.5, 3.5, 0.5)
-        ref, ref_calls = _run(_level_by_level, g, -4.5, 3.5, 0.5)
-        assert got == ref and len(calls) > 1 and calls[0].size == 129
+        got, calls = _run(energy._trapezoid, g, -4.5, 11.5, 0.5)
+        ref, ref_calls = _run(_level_by_level, g, -4.5, 11.5, 0.5)
+        depth = max(k for k in range(1, 20) if 32 * 2**k < energy._BATCH)
+        assert got == ref and len(calls) > 1 and calls[0].size == 32 * 2**depth + 1
 
     def test_node_budget_raise_carries_the_same_estimate(self, monkeypatch):
         monkeypatch.setattr(energy, "_MAX_NODES", 1000)
@@ -235,9 +237,11 @@ class TestIntegrandCalls:
         casimir_two_piece(StringConfig(2, 0.3))
         assert integrand_calls == [1]
 
-    def test_modulus_integral(self, integrand_calls):
-        free_energy(QuantumStringConfig(1, math.pi), 17.0)
-        assert integrand_calls and max(integrand_calls) <= 2
+    @pytest.mark.parametrize("s, beta", [(1, 17.0), (2, 11.3), (3, 9.0)])
+    def test_modulus_integral(self, s, beta, integrand_calls):
+        # levels 0-4 in one call: s = 2 and 3 took a second call for level 4
+        free_energy(QuantumStringConfig(s, math.pi), beta)
+        assert integrand_calls == [1]
 
 
 class TestTwoPieceSummandRoute:
@@ -274,12 +278,9 @@ class TestTwoNRoute:
         res = casimir_2n_thermal(NPieceConfig(4, 0.3), ThermalConfig(1e-3))
         assert res.method == "mode-sum"
 
-    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 100.0),  # 18384 terms, 479 nodes
-                                        (NPieceConfig(10**6, 0.3), 1e-3),  # N past _MAX_PAIRS
+    @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 100.0),  # 2399 pairs, 479 nodes
                                         (NPieceConfig(4, 0.3), 1e4),  # T L >> 1: terms >> nodes
-                                        (NPieceConfig(2**14, 0.3), 2.0),  # 16464 terms, 23950 nodes
-                                        # 8.6x and 9.6x faster on the lattice than on the mode sum
-                                        (NPieceConfig(16000, 0.3), 19.0),
+                                        # 3 terms pass the nodes by 184, where both take 0.44 ms
                                         (NPieceConfig(8192, 0.3), 60.0 / L)])
     def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
         with pytest.raises(AssertionError, match="a lattice pass"):
@@ -287,19 +288,24 @@ class TestTwoNRoute:
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 1e-3),
                                         (NPieceConfig(20000, 0.3), 1e-3),
-                                        (NPieceConfig(10**5, 1e-6), 1e-4)])
+                                        (NPieceConfig(10**5, 1e-6), 1e-4),
+                                        (NPieceConfig(10**6, 0.3), 1e-3)])
     def test_mode_sum_runs_past_one_block(self, cfg, t, no_lattice):
-        # past 2^14 terms but costing less than the lattice's nodes: the lattice took 20 to
-        # 40 times as long here, and at (1e5, 1e-6) it ran out of nodes
+        # no pair, or one, below 40 T: the lattice took 20 to 40 times as long here, at
+        # (1e5, 1e-6) it ran out of nodes, and at (1e6, 0.3) it raised
         assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(128, 0.3), 1.0),
                                         (NPieceConfig(512, 0.3), 1.0),
-                                        (NPieceConfig(2, 0.3), 0.6), (NPieceConfig(6, 0.3), 1.8)])
+                                        (NPieceConfig(2, 0.3), 0.6), (NPieceConfig(6, 0.3), 1.8),
+                                        (NPieceConfig(2**14, 0.3), 2.0),
+                                        (NPieceConfig(16000, 0.3), 19.0)])
     def test_mode_sum_runs_within_one_call_of_the_lattice(self, cfg, t, no_lattice):
-        # 3 terms over the lattice's nodes by at most one call's overhead: at (512, T = 1) by
-        # 190 nodes, where the lattice takes 0.55 ms and the mode sum 0.33; N = 2 and 6 at
-        # T/N = 0.3 are the benchmark's corners
+        # the ranges' 3 terms within the lattice's nodes plus one call's overhead: at (512, T = 1)
+        # 23 pairs against 1407 nodes, where the lattice takes 0.34 ms and the mode sum 0.11;
+        # N = 2 and 6 at T/N = 0.3 are the benchmark's corners (3 terms pass the nodes by 34
+        # and 118); the last two took the lattice while the mode sum built every Bloch angle,
+        # and now take 0.32 ms against 3.8 and 0.43 against 0.73
         assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3), (NPieceConfig(3, 0.0), 1e-6),
@@ -308,6 +314,40 @@ class TestTwoNRoute:
     def test_decoupled_pieces_run_no_lattice(self, cfg, t, no_lattice):
         # 0.8 s on the lattice at (3, 1e-6); over its node budget at (40, 1e-5)
         assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "analytic-limit"
+
+    @pytest.mark.parametrize("n", [10**5, 2**17, 10**6, 2**20])
+    @pytest.mark.parametrize("t", [1e-3, 0.05])
+    def test_large_n_agrees_with_the_contour(self, n, t, no_lattice):
+        # at T = 1e-3 no pair lies below 40 T, at 0.05 the prefix holds one: E_N is the contour's,
+        # and the thermal part lies far inside both bars
+        cfg = NPieceConfig(n, 0.3)
+        res, zero = casimir_2n_thermal(cfg, ThermalConfig(t)), casimir_2n(cfg)
+        assert res.method == "mode-sum" and thermal._ranges(cfg, t)[:2] == ((0, 0) if t < 0.01 else (1, 0))
+        assert abs(res.value - zero.value) <= res.abs_error_estimate + zero.abs_error_estimate
+
+    @pytest.mark.parametrize("n, x, t", [(10**5, 0.3, 1.0), (2**20, 0.9, 3.0), (2000, 0.3, 60.0),
+                                         (1000, 0.05, 0.4), (64, 1 - 1e-6, 0.5), (40, 0.3, 1.5),
+                                         (41, 0.7, 1.6), (7, 0.3, 3.0)])
+    def test_terms_hold_only_the_ranges(self, n, x, t, monkeypatch):
+        # the term arrays hold the pairs whose lower mode lies below 40 T, found here from every
+        # angle: N theta_m/L on the + branches, 2 pi (N - m)/L on the -; past _EXACT_PAIRS, where
+        # E_N is the contour's, the angles built are those pairs' alone
+        sizes, built = [], []
+        pair_terms, bloch_angles = thermal._pair_terms, thermal._bloch_angles
+        monkeypatch.setattr(thermal, "_pair_terms",
+                            lambda start, *rest: sizes.append(start.size) or pair_terms(start, *rest))
+        monkeypatch.setattr(thermal, "_bloch_angles",
+                            lambda cfg, m=None: built.append(m) or bloch_angles(cfg, m))
+        cfg, top = NPieceConfig(n, x), n // 2
+        (theta, _, _, rest_phi), _ = core._bloch_angles(cfg)
+        scale = n / (L * t)
+        plus = (np.flatnonzero(scale * theta[1:] < thermal._REACH) + 1).tolist()
+        minus = (np.flatnonzero(scale * (math.pi + rest_phi[1:]) < thermal._REACH) + 1).tolist()
+        thermal._mode_sum(cfg, t)
+        assert plus == list(range(1, len(plus) + 1)) and minus == list(range(top + 1 - len(minus), top + 1))
+        assert thermal._ranges(cfg, t)[:2] == (len(plus), len(minus)) and sizes == [len(plus) + len(minus)]
+        if n > thermal._EXACT_PAIRS:
+            assert [m.tolist() for m in built] == [sorted({*plus, *minus})]
 
 
 class TestFormerQuadratureFailures:
@@ -552,17 +592,19 @@ def test_routes_agree_across_the_crossover(n, x, t_l):
 
 
 def test_mode_sum_peak_memory_at_the_cap():
-    # the arrays grow as N (where 3 terms <= nodes there are at most 21 periods,
-    # under one row), so the peak at 2^15, scaled to _MAX_PAIRS, bounds it there; tracing
-    # the cap itself takes over 1 s, as tracemalloc slows each float of a tolist
-    n = 2**15
+    # the arrays grow as the ranges' pairs (where 3 terms <= nodes they span one period), so
+    # the peak at about 2^15 pairs, scaled to _MAX_PAIRS, bounds it there; tracing the cap
+    # itself takes over 1 s, as tracemalloc slows each float of a tolist
+    cfg, t = NPieceConfig(2**26, 0.3), 1380.0
+    prefix, suffix, _ = thermal._ranges(cfg, t)
+    assert 2**14 < prefix + suffix <= 2**15
     tracemalloc.start()
     try:
-        assert casimir_2n_thermal(NPieceConfig(n, 0.3), ThermalConfig(1e-3)).method == "mode-sum"
+        assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak * (thermal._MAX_PAIRS / n) <= 24e6
+    assert peak * (thermal._MAX_PAIRS / (prefix + suffix)) <= 24e6
 
 
 _X_NEAR_ONE = st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e)
@@ -574,10 +616,12 @@ _X_NEAR_ONE = st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e)
        u=st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
 def test_mode_sum_agrees_with_the_lattice(n, x, u):
     # T L = u: the lattice takes at most about 3e5 nodes
+    # the public sum is one of the two, the lattice where the mode sum's terms pass its nodes by
+    # more than one call's overhead (at T L near 10)
     cfg, t = NPieceConfig(n, x), u / L
-    dual = casimir_2n_thermal(cfg, ThermalConfig(t))
+    dual = thermal._mode_sum(cfg, t)
     lattice = thermal._matsubara(*energy._integrand(cfg), 2.0 * math.pi * t)
-    assert dual.method == "mode-sum"
+    assert casimir_2n_thermal(cfg, ThermalConfig(t)) in (dual, lattice)
     assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
 
 
@@ -602,6 +646,25 @@ def _mp_two_n_thermal(n, x, t):
     return zero, zero + t * mp.fsum(logs)
 
 
+@pytest.mark.parametrize("n, x, t", [(64, 1 - 1e-6, 0.5), (1000, 0.05, 0.4), (41, 0.7, 1.6),
+                                     (10, 0.9, 0.3), (6, 0.3, 0.2), (3, 1e-9, 0.05),
+                                     (2**12, 0.3, 2.0), (7, 1 - 1e-9, 0.2)])
+def test_left_out_bounds_the_pairs_left_out(n, x, t):
+    # the pairs outside the ranges, every period of them, summed from the full angles
+    cfg = NPieceConfig(n, x)
+    prefix, suffix, _ = thermal._ranges(cfg, t)
+    (theta, _, gap, rest_phi), mult = core._bloch_angles(cfg)
+    plus, minus = slice(prefix + 1, None), slice(1, n // 2 + 1 - suffix)
+    start = np.concatenate([theta[plus], math.pi + rest_phi[minus]])
+    scale = n / (L * t)
+    delta = scale * np.concatenate([gap[plus], gap[minus]])
+    signed = np.concatenate([mult[plus], -mult[minus]]).astype(float)
+    rows = int(800.0 / (2.0 * math.pi * scale)) + 2  # past e^{-800} every term is 0
+    left_out, _ = thermal._pair_terms(start, delta, signed, t, scale, rows)
+    bound = thermal._left_out(cfg, t, prefix, suffix)
+    assert start.size and abs(left_out) <= bound <= 1e-12 * abs(energy._bloch_energy(cfg)[0])
+
+
 @pytest.mark.parametrize("n, x, t", [(2, 0.3, 0.5), (3, 1e-9, 1e-6), (5, 0.05, 0.02),
                                      (10, 0.9, 3.0), (40, 1e-3, 0.4), (7, 1 - 1e-9, 1.0),
                                      (1000, 0.3, 1e-3), (10**4, 1 - 1e-9, 1.0)])
@@ -609,10 +672,11 @@ def test_mode_sum_bar_covers_mpmath(n, x, t):
     with mp.workdps(40):  # near x = 1, E_N cancels to about 1e-19 of its terms
         zero, ref = _mp_two_n_thermal(n, x, t)
     res = casimir_2n_thermal(NPieceConfig(n, x), ThermalConfig(t))
-    # at (10^4, T = 1) 3 terms pass the lattice's nodes by 1077, over one call's overhead
-    assert res.method == ("matsubara" if n == 10**4 else "mode-sum")
+    # at (10, T = 3) 3 terms pass the lattice's nodes by 202, over one call's overhead
+    assert res.method == ("matsubara" if n == 10 else "mode-sum")
     # each Bloch mode paired with the uniform one keeps the bar relative, also near x = 1,
-    # and the mode sum keeps it also where the router takes the lattice
+    # where at (10^4, T = 1) E_N is the contour's and most pairs are left out; the mode sum
+    # keeps it also where the router takes the lattice
     for res in (res, thermal._mode_sum(NPieceConfig(n, x), t)):
         assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-12 * abs(res.value)
     value, bar = energy._bloch_energy(NPieceConfig(n, x))
