@@ -30,6 +30,9 @@ __all__ = ["CutoffResult", "damped_mode_sum", "casimir_by_cutoff", "DEFAULT_EPSI
 DEFAULT_EPSILON_FRACTIONS = (0.04, 0.032, 0.025, 0.02, 0.016, 0.0125)
 
 _OMEGA_EPS_MIN = 40.0
+# Most eps_max / min(L_I, L_II) of a caller's grid: the fit's bar covered its error up to 0.6
+# (at 0.74 to 0.94 of the bar) and not from about 0.7 on, for 1/2 <= s <= 20, x in {0, 0.3, 0.9}.
+_EPS_MAX_SHORT = 0.6
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,10 @@ def casimir_by_cutoff(cfg, epsilons=None):
     c0 is the extrapolated energy.  The linear term is analytically absent
     but guards against imperfect cancellation from the finite spectrum.
     Raises ExtrapolationUnstableError past a fit residual of 1e-3 |c0| + root error, and
-    DomainError for a caller's grid whose largest epsilon is not below L: the uniform string's
-    damped sum (2 pi/L) e^{-a}/(1 - e^{-a})^2, a = 2 pi eps/L, has its series in eps end there,
-    so no fit in powers of eps holds (every sum may be 0, a fit of 0 with a bar of 0).  From
+    DomainError for a caller's grid whose largest epsilon passes 0.6 min(L_I, L_II): past it
+    the fit's bar falls short of its error, by 1.1-1.4 times at 0.9 and 5-11 times at 1.5,
+    and from L, where the uniform string's damped sum (2 pi/L) e^{-a}/(1 - e^{-a})^2,
+    a = 2 pi eps/L, ends its series in eps, every sum may be 0 (a fit of 0 with a bar of 0).  From
     one bound on ratio = eps_min / L checked before any spectrum (the default grid's from s),
     DomainError where the smallest epsilon needs a spectrum over 2^18 half-periods pi/L (the
     default grid outside about 1/1026 <= s <= 1026), else where the spectra or damped sums pass
@@ -116,9 +120,11 @@ def casimir_by_cutoff(cfg, epsilons=None):
             raise DomainError("need at least 4 epsilon samples")
         if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
             raise DomainError("epsilon samples must be strictly decreasing")
-        if epsilons[0] >= length:  # the uniform sum's poles in eps, at 2 pi eps/L = +-2 pi i
-            raise DomainError(f"largest epsilon={epsilons[0]:g} is not below L={length:g}, where "
-                              "the damped sums' series in epsilon ends")
+        top = _EPS_MAX_SHORT * min(cfg.piece_length_i, cfg.piece_length_ii)
+        if epsilons[0] > top:
+            raise DomainError(f"largest epsilon={epsilons[0]:g} is past {top:g}, "
+                              f"{_EPS_MAX_SHORT} of the shorter piece, where the fit's bar "
+                              "no longer covers its error")
         ratio = epsilons[-1] / length
     fits = _OMEGA_EPS_MIN * 1.002 / _omega_limit(1.0)  # the least ratio whose spectra fit
     if ratio < fits:  # first, so that ratio > 0 below

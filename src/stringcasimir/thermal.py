@@ -41,9 +41,7 @@ _REACH = 40.0  # omega/T of the lower modes the 2N mode sum takes: a pair past i
 _MAX_PAIRS = 1 << 17  # most pairs of a mode sum's two ranges, whose arrays then peak near 17 MB
 _EXACT_PAIRS = 1 << 10  # most N whose E_N is the Bloch sum; it and the contour take 0.06-0.1 ms here
 _TERM_COST = 3.0  # lattice nodes that take as long as one mode-sum term: 2.5 to 3.6 at N = 2^14-2^17
-# Lattice nodes by which the mode sum's terms may pass the lattice's: where both take as long
-# it is about 0 at N <= 8, 100 at N = 16 and 150-350 at N = 32-512 (x = 0.3).
-_CALL_COST = 128.0
+_CALL_COST = 256.0  # lattice nodes that take as long as a lattice call's overhead over a mode sum's
 
 
 @dataclass(frozen=True)

@@ -217,9 +217,10 @@ class TestMain:
         assert "modulus integral not representable" in record["message"]
 
     def test_numerical_error_exit_two(self, capsys):
-        # damping grid too coarse for a quadratic fit: extrapolation unstable
+        # damping grid too coarse for a quadratic fit: extrapolation unstable (its largest
+        # epsilon at 0.6 of the shorter piece, the most a caller's grid may take)
         code = main(["oracle", "--s", "2", "--x", "0", "--L", "pi",
-                     "--epsilons", "0.9,0.6,0.4,0.25"])
+                     "--epsilons", "0.6,0.4,0.25,0.15"])
         err = capsys.readouterr().err
         if code == 2:
             assert json.loads(err)["error"] == "numerical"

@@ -169,17 +169,28 @@ class TestCasimirByCutoff:
         # such a grid is now refused by its largest epsilon, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=r"largest epsilon=1e\+300 is not below L"):
+            with pytest.raises(DomainError, match=r"largest epsilon=1e\+300 is past 0\.628319"):
                 casimir_by_cutoff(StringConfig(2, 0.3), [1e300, 1e299, 1e298, 1e297])
 
     def test_caller_grid_refuses_its_largest_epsilon(self):
         # every damped sum is 0 here (omega_max = 40/70 is below the first mode), and the fit
         # returned 0.0 with a bar of 0.0 where the contour gives -0.005872
-        with pytest.raises(DomainError, match=r"largest epsilon=100 is not below L=3\.14159"):
+        with pytest.raises(DomainError, match=r"largest epsilon=100 is past 0\.628319, 0\.6 of "
+                                              r"the shorter piece"):
             casimir_by_cutoff(StringConfig(2, 0.3), [100, 90, 80, 70])
-        with pytest.raises(DomainError, match=r"largest epsilon=3\.14159 is not below"):
-            casimir_by_cutoff(StringConfig(2, 0.3), [math.pi, 0.1, 0.08, 0.06])
-        casimir_by_cutoff(StringConfig(2, 0.3), [0.9 * math.pi, 0.1, 0.08, 0.06])  # no refusal
+
+    @pytest.mark.parametrize("s", [2.0, 0.5, 1.5, 5.0])
+    @pytest.mark.parametrize("x", [0.0, 0.3, 0.9])
+    def test_caller_grid_bar_covers_the_contour(self, s, x):
+        # eps_max (1, 0.9, 0.8, 0.7): at eps_max = 0.5 L, s = 2 (1.5 of the shorter piece) the bar
+        # fell short of the error 5.5 to 11 times; at 0.6 of the shorter piece it covers it
+        cfg = StringConfig(s, x)
+        short, ref = min(cfg.piece_length_i, cfg.piece_length_ii), casimir_two_piece(cfg).value
+        with pytest.raises(DomainError, match=r"largest epsilon=\S+ is past \S+, 0\.6 of the"):
+            casimir_by_cutoff(cfg, [f * 0.5 * math.pi for f in (1.0, 0.9, 0.8, 0.7)])
+        res = casimir_by_cutoff(cfg, [f * 0.6 * short for f in (1.0, 0.9, 0.8, 0.7)])
+        res = res.as_energy_result()
+        assert abs(res.value - ref) <= res.abs_error_estimate
 
     def test_caller_grid_refuses_its_smallest_epsilon(self):
         with pytest.raises(DomainError, match=r"smallest epsilon=1e-05 is below 0\.000152893"):

@@ -280,8 +280,9 @@ class TestTwoNRoute:
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(2**14, 0.3), 100.0),  # 2399 pairs, 479 nodes
                                         (NPieceConfig(4, 0.3), 1e4),  # T L >> 1: terms >> nodes
-                                        # 3 terms pass the nodes by 184, where both take 0.44 ms
-                                        (NPieceConfig(8192, 0.3), 60.0 / L)])
+                                        # 3 terms pass the nodes by 1329: the lattice takes
+                                        # 0.09 ms, the mode sum 0.16
+                                        (NPieceConfig(64, 0.3), 60.0 / L)])
     def test_lattice_runs_past_the_mode_sum(self, cfg, t, no_lattice):
         with pytest.raises(AssertionError, match="a lattice pass"):
             casimir_2n_thermal(cfg, ThermalConfig(t))
@@ -299,13 +300,15 @@ class TestTwoNRoute:
                                         (NPieceConfig(512, 0.3), 1.0),
                                         (NPieceConfig(2, 0.3), 0.6), (NPieceConfig(6, 0.3), 1.8),
                                         (NPieceConfig(2**14, 0.3), 2.0),
-                                        (NPieceConfig(16000, 0.3), 19.0)])
+                                        (NPieceConfig(16000, 0.3), 19.0),
+                                        (NPieceConfig(8192, 0.3), 60.0 / L)])
     def test_mode_sum_runs_within_one_call_of_the_lattice(self, cfg, t, no_lattice):
         # the ranges' 3 terms within the lattice's nodes plus one call's overhead: at (512, T = 1)
         # 23 pairs against 1407 nodes, where the lattice takes 0.34 ms and the mode sum 0.11;
         # N = 2 and 6 at T/N = 0.3 are the benchmark's corners (3 terms pass the nodes by 34
-        # and 118); the last two took the lattice while the mode sum built every Bloch angle,
-        # and now take 0.32 ms against 3.8 and 0.43 against 0.73
+        # and 118); the last three took the lattice while the mode sum built every Bloch angle,
+        # and now take 0.18 ms against 2.3, 0.25 against 0.42 and, 3 terms passing the nodes
+        # by 184, 0.25 against 0.26
         assert casimir_2n_thermal(cfg, ThermalConfig(t)).method == "mode-sum"
 
     @pytest.mark.parametrize("cfg, t", [(NPieceConfig(4, 0.0), 1e-3), (NPieceConfig(3, 0.0), 1e-6),
@@ -317,11 +320,11 @@ class TestTwoNRoute:
 
     @pytest.mark.parametrize("n", [10**5, 2**17, 10**6, 2**20])
     @pytest.mark.parametrize("t", [1e-3, 0.05])
-    def test_large_n_agrees_with_the_contour(self, n, t, no_lattice):
+    def test_large_n_agrees_with_the_exact_sum(self, n, t, no_lattice):
         # at T = 1e-3 no pair lies below 40 T, at 0.05 the prefix holds one: E_N is the contour's,
-        # and the thermal part lies far inside both bars
+        # checked here against the exact Bloch sum, and the thermal part lies far inside both bars
         cfg = NPieceConfig(n, 0.3)
-        res, zero = casimir_2n_thermal(cfg, ThermalConfig(t)), casimir_2n(cfg)
+        res, zero = casimir_2n_thermal(cfg, ThermalConfig(t)), casimir_2n(cfg, slow_exact=True)
         assert res.method == "mode-sum" and thermal._ranges(cfg, t)[:2] == ((0, 0) if t < 0.01 else (1, 0))
         assert abs(res.value - zero.value) <= res.abs_error_estimate + zero.abs_error_estimate
 
@@ -616,12 +619,10 @@ _X_NEAR_ONE = st.floats(-9.0, -0.3).map(lambda e: 1.0 - 10.0**e)
        u=st.floats(-3.0, 1.0).map(lambda e: 10.0**e))
 def test_mode_sum_agrees_with_the_lattice(n, x, u):
     # T L = u: the lattice takes at most about 3e5 nodes
-    # the public sum is one of the two, the lattice where the mode sum's terms pass its nodes by
-    # more than one call's overhead (at T L near 10)
     cfg, t = NPieceConfig(n, x), u / L
-    dual = thermal._mode_sum(cfg, t)
+    dual = casimir_2n_thermal(cfg, ThermalConfig(t))
     lattice = thermal._matsubara(*energy._integrand(cfg), 2.0 * math.pi * t)
-    assert casimir_2n_thermal(cfg, ThermalConfig(t)) in (dual, lattice)
+    assert dual.method == "mode-sum"
     assert abs(dual.value - lattice.value) <= dual.abs_error_estimate + lattice.abs_error_estimate
 
 
@@ -672,12 +673,10 @@ def test_mode_sum_bar_covers_mpmath(n, x, t):
     with mp.workdps(40):  # near x = 1, E_N cancels to about 1e-19 of its terms
         zero, ref = _mp_two_n_thermal(n, x, t)
     res = casimir_2n_thermal(NPieceConfig(n, x), ThermalConfig(t))
-    # at (10, T = 3) 3 terms pass the lattice's nodes by 202, over one call's overhead
-    assert res.method == ("matsubara" if n == 10 else "mode-sum")
+    # at (10^4, T = 1) the ranges' 20 pairs take the mode sum, where all 10^4 took the lattice
+    assert res.method == "mode-sum"
     # each Bloch mode paired with the uniform one keeps the bar relative, also near x = 1,
-    # where at (10^4, T = 1) E_N is the contour's and most pairs are left out; the mode sum
-    # keeps it also where the router takes the lattice
-    for res in (res, thermal._mode_sum(NPieceConfig(n, x), t)):
-        assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-12 * abs(res.value)
+    # where at (10^4, T = 1) E_N is the contour's and most pairs are left out
+    assert abs(res.value - float(ref)) <= res.abs_error_estimate <= 1e-12 * abs(res.value)
     value, bar = energy._bloch_energy(NPieceConfig(n, x))
     assert abs(value - float(zero)) <= bar
