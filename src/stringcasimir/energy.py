@@ -41,9 +41,10 @@ __all__ = ["EnergyResult", "casimir_two_piece", "casimir_two_piece_x0", "casimir
 _NOISE = 64.0 * sys.float_info.epsilon
 _BLOCK = 1 << 14  # nodes per call of the integrand, which bounds memory
 # Most nodes of the first call.  A modulus integral's levels 0-4, 258 nodes, take one call of
-# 0.36 ms where two calls of 129 took 0.28 + 0.27 ms; a Matsubara lattice gains a level only
-# where its coarsest holds under 10 intervals, and its first call at 512 nodes made the
-# two-piece sums of a benchmark pass 2-5% slower.
+# 0.36 ms where two calls of 129 took 0.28 + 0.27 ms.  A Matsubara lattice's first call takes
+# levels 0-2, the three its accept rule needs, and level 3 where its coarsest holds under 40
+# intervals (512 nodes made the two-piece sums of a benchmark pass 2-5% slower, measured when
+# the lattice started at 8 to 15 nodes).
 _BATCH = 320
 _MAX_NODES = 1 << 23
 
@@ -71,8 +72,12 @@ def _trapezoid(g, a, b, step, halvings=None):
     are the sums.  Each later level evaluates its new nodes, _BLOCK per call.
     g may return rows: the values, their evaluation errors (>= 0), then any
     others, each summed by the same per-level fsums; row 0 alone is tested.
+    The values must be one-signed, as every integrand here is: the log ratios
+    are <= 0 (times the contour map's q(1 + e^{-t}) > 0), and the modulus
+    integral's row 0 is e^{excess} >= 0.
 
-    The noise bound is _NOISE h sum|g| + h sum(error).  A level is accepted
+    The noise bound is _NOISE h sum|g| + h sum(error), sum|g| taken as the
+    sum of each block's |sum g|, equal for one-signed values.  A level is accepted
     when |S(h) - S(2h)| is within it and shrank eightfold, as only
     super-geometric convergence does.
     With ``halvings`` = K the level step/2^K is itself the answer (a Matsubara
@@ -109,7 +114,7 @@ def _trapezoid(g, a, b, step, halvings=None):
                 v, *others = v
                 extra.append([math.fsum(row.tolist()) for row in others])
             parts.append(math.fsum(v.tolist()))
-            mass += float(np.add.reduce(np.abs(v)))
+            mass += abs(parts[-1])  # sum|g|, as row 0 is one-signed
         sums = [h * math.fsum(row) for row in zip(*extra)]  # none for one array
         value, prev, noise = h * math.fsum(parts), value, sum(sums[:1])
         last, last_bound, diff, bound = diff, bound, abs(value - prev), _NOISE * h * mass + noise

@@ -5,7 +5,7 @@ by the primed sum over Matsubara frequencies xi_n = 2 pi n T (n = 0 term
 at half weight, evaluated through the analytic xi -> 0 limit of the
 summand): the trapezoid rule with step 2 pi T for the same integrand in xi,
 ``energy._integrand``, of both geometries.  It is summed over sub-lattices
-from 8 to 15 nodes down to the full lattice.
+from 32 to 63 nodes down to the full lattice.
 The summand is even and analytic for x > 0, so the sub-lattice sums
 converge exponentially; once two agree within rounding the sum stops, at a
 cost bounded in T.
@@ -71,7 +71,7 @@ def _temperature(name, cfg, kind, th):
 def _matsubara(f, b, h):
     """h [f(0)/2 + sum_{n>=1} f(n h)] over n h <= b, as a result; with h = 2 pi T and
     f = (1/2 pi) ln|ratio| it is T times the primed sum of ln|ratio(xi_n)|."""
-    k = max(0, int(b / h).bit_length() - 4)  # the coarsest level has 8 to 15 nodes
+    k = max(0, int(b / h).bit_length() - 6)  # the coarsest level has 32 to 63 nodes
     value, err, _ = _trapezoid(f, 0.0, b, h * 2**k, halvings=k)
     return EnergyResult(_representable(value), "matsubara", err)
 

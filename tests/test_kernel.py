@@ -107,7 +107,7 @@ def _level_by_level(g, a, b, step, halvings=None):
                 v, *others = v
                 extra.append([math.fsum(row) for row in others])
             parts.append(math.fsum(v))
-            mass += float(np.sum(np.abs(v)))
+            mass += abs(parts[-1])
         sums = [h * math.fsum(row) for row in zip(*extra)]
         value, prev = h * math.fsum(parts), value
         last, last_bound = diff, bound
@@ -206,42 +206,90 @@ class TestBatchedFirstCall:
 
 
 @pytest.fixture
-def integrand_calls(monkeypatch):
-    """The number of integrand calls of each kernel pass."""
-    calls = []
+def integrand_rows(monkeypatch):
+    """Per kernel pass, the values (row 0) of each integrand call."""
+    passes = []
     kernel = energy._trapezoid
 
-    def counting(g, *args, **kwargs):
-        calls.append(0)
+    def recording(g, *args, **kwargs):
+        passes.append([])
 
-        def counted(x):
-            calls[-1] += 1
-            return g(x)
+        def recorded(x):
+            out = g(x)
+            passes[-1].append(np.array(out[0] if out.ndim > 1 else out))
+            return out
 
-        return kernel(counted, *args, **kwargs)
+        return kernel(recorded, *args, **kwargs)
 
-    monkeypatch.setattr(energy, "_trapezoid", counting)
-    monkeypatch.setattr(thermal, "_trapezoid", counting)
-    return calls
+    monkeypatch.setattr(energy, "_trapezoid", recording)
+    monkeypatch.setattr(thermal, "_trapezoid", recording)
+    return passes
 
 
 class TestIntegrandCalls:
     """Most of a summand call's cost is fixed, so the kernel's call count is
     its cost; one call per level was 5, 4 and 4 calls here."""
 
-    def test_matsubara_sum(self, integrand_calls):
+    def test_matsubara_sum(self, integrand_rows):
         casimir_two_piece_thermal(StringConfig(2, 0.3), ThermalConfig(1e-3))
-        assert integrand_calls == [1]
+        assert [len(calls) for calls in integrand_rows] == [1]
 
-    def test_contour(self, integrand_calls):
+    def test_contour(self, integrand_rows):
         casimir_two_piece(StringConfig(2, 0.3))
-        assert integrand_calls == [1]
+        assert [len(calls) for calls in integrand_rows] == [1]
 
     @pytest.mark.parametrize("s, beta", [(1, 17.0), (2, 11.3), (3, 9.0)])
-    def test_modulus_integral(self, s, beta, integrand_calls):
+    def test_modulus_integral(self, s, beta, integrand_rows):
         # levels 0-4 in one call: s = 2 and 3 took a second call for level 4
         free_energy(QuantumStringConfig(s, math.pi), beta)
-        assert integrand_calls == [1]
+        assert [len(calls) for calls in integrand_rows] == [1]
+
+
+def _assert_one_signed(passes):
+    """The kernel's noise mass is the sum of each block's |sum g|, which is sum |g| only where
+    each call's values are one-signed: checked as sum |g| <= |sum g| (1 + 4 n eps)."""
+    for v in itertools.chain(*passes):
+        total = abs(math.fsum(v.tolist()))
+        assert math.fsum(np.abs(v).tolist()) <= total * (1.0 + 4.0 * v.size * sys.float_info.epsilon)
+
+
+def _lattices(cfg):
+    """The Matsubara lattices of ``cfg`` at T = 1e-3, 1 and 100, each T raised so that the
+    lattice holds at most 2^15 nodes (the sign is a property of the summand, not of T)."""
+    f, b = energy._integrand(cfg)
+    for t in (1e-3, 1.0, 100.0):
+        thermal._matsubara(f, b, 2.0 * math.pi * max(t, b / (2.0 * math.pi * 2**15)))
+
+
+class TestOneSignedValues:
+    """Every integrand the kernel serves has one-signed values, on which its noise mass relies."""
+
+    @pytest.mark.parametrize("s", [10.0**e for e in range(-6, 7) if e])  # at s = 1 it is 0
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1 - 1e-9])
+    def test_two_piece(self, s, x, integrand_rows):
+        cfg = StringConfig(s, x)
+        _lattices(cfg)
+        casimir_two_piece(cfg)
+        assert len(integrand_rows) == 4
+        _assert_one_signed(integrand_rows)
+
+    @pytest.mark.parametrize("n", [2, 5, 10**4])
+    @pytest.mark.parametrize("x", [0.3, 1 - 1e-9])
+    def test_two_n(self, n, x, integrand_rows):
+        cfg = NPieceConfig(n, x)
+        _lattices(cfg)
+        casimir_2n(cfg)
+        assert len(integrand_rows) == 4
+        _assert_one_signed(integrand_rows)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [1.01, 1.1, 1.5, 3.0, 10.0, 30.0])
+    def test_modulus_rows(self, s, ratio, integrand_rows):
+        beta_star = math.sqrt(8.0 * math.pi * (4 * s + 1)) / s  # the convergence edge at T_II = pi
+        res = free_energy(QuantumStringConfig(s, math.pi), ratio * beta_star)
+        assert res.convergence_flag == "converged"
+        assert len(integrand_rows) == 1
+        _assert_one_signed(integrand_rows)
 
 
 class TestTwoPieceSummandRoute:
@@ -380,6 +428,21 @@ class TestMatsubara:
         zero = casimir_two_piece(cfg)
         assert abs(cold.value - zero.value) <= cold.abs_error_estimate + zero.abs_error_estimate
         assert evaluations[-1] < 1000
+
+    @pytest.mark.parametrize("s, x, t", [*itertools.product([1e-3, 0.1, 0.5, 2.0, 10.0, 1e3],
+                                                            [0.0, 0.3, 0.999],
+                                                            [1e-5, 1e-3, 0.1, 1.0, 10.0]),
+                                         (1e4, 0.5, 1e-4)])
+    def test_independent_of_the_coarsest_level(self, s, x, t, evaluations):
+        # the lattice starts at 32 to 63 nodes, so the first level that can pass holds 128 to 255;
+        # started at 8 to 15 nodes, the sum takes the same nodes and lies well within both bars
+        cfg = StringConfig(s, x)
+        res = casimir_two_piece_thermal(cfg, ThermalConfig(t))
+        (f, b), h = energy._integrand(cfg), 2.0 * math.pi * t
+        k = max(0, int(b / h).bit_length() - 4)
+        value, err, evals = energy._trapezoid(f, 0.0, b, h * 2**k, halvings=k)
+        assert res.method == "matsubara" and evaluations == [evals]
+        assert abs(res.value - value) <= 0.05 * min(err, res.abs_error_estimate)
 
     @pytest.mark.parametrize("t_l", [1e-2, 1e-3])
     def test_zero_mode_sum_does_not_stop_early(self, t_l):

@@ -212,6 +212,13 @@ class TestLogAbsEta:
                 ref += -mp.pi * w.imag / 12 + mp.log(abs(mp.qp(mp.exp(2j * mp.pi * w))))
                 assert abs(g - ref) <= 4 * EPS * (1 + 1 / z.imag), z
 
+    def test_reduction_runs_to_the_end(self):
+        # at Im z = 2^-1074 these real parts take 257 and 258 inversions, past the 256 after
+        # which the reduction stopped with a DomainError; below Im 1/2 each inversion at least
+        # doubles Im, so no z takes more than 1074 and a few
+        zs = np.array([0.4152280207003459, -0.46046786222382863, 0.36818150343259637]) + 5e-324j
+        assert np.all(np.isfinite(log_abs_dedekind_eta(zs)))
+
     def test_array_input(self):
         zs = np.array([0.3 + 0.8j, 1.2 + 0.4j, 0.1 + 2.5j])
         got = log_abs_dedekind_eta(zs)

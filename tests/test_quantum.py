@@ -504,6 +504,14 @@ class TestDeltaRounding:
         assert free_energy(cfg, 0.99 * beta, tau2_max=0.5).convergence_flag == (
             "diverged-below-hagedorn")
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("tau2_max", [1e-10, 1e-20])
+    def test_rounding_past_the_float_range_raises(self, s, tau2_max):
+        # at beta* the 1/tau_2 terms cancel, and with tau2_max this small their rounding lifts
+        # a node e^700 above the one at tau2_max: no double holds the integrand's exponential
+        with pytest.raises(QuadratureError, match="modulus integrand not representable"):
+            free_energy(QuantumStringConfig(s, math.pi), beta_star(s, math.pi), tau2_max=tau2_max)
+
 
 def unfolded_log_integrand(tau2, s, beta, t, n_tau1):
     """The rows of ``quantum._log_integrand`` with eta taken at every one of

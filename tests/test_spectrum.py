@@ -52,6 +52,24 @@ class TestBatchedWinding:
         assert wind == 2
         assert calls == [(64,), (128,), (256,)]
 
+    def test_level_off_an_integer_leaves_none_standing(self):
+        calls = []
+
+        def func(z):
+            calls.append(z.shape)
+            vals = 1e-20 * (z - 2.5)
+            if len(calls) == 2:  # the 128-node level: one ratio of neighbours overflows
+                vals[5] *= 1e300
+                vals[5] *= 1e10  # finite, and 1e310 times its neighbours
+            return vals
+
+        # the phases of a closed loop sum to a multiple of 2 pi up to rounding, unless a ratio
+        # of neighbours leaves the float range: 64: 1; 128: about 1.12, passed over with no
+        # integer kept; 256: 1; 512: settles on 1
+        with np.errstate(over="ignore"):
+            assert _winding_number(func, 2.0, 3.0, 0.4, n_max=1024) == 1
+        assert calls == [(64,), (128,), (256,), (512,)]
+
     def test_oracle_memory_is_bounded(self):
         # an unblocked level holds every perimeter at once: about 10 MB here
         cfg = StringConfig(2, 0.3)
